@@ -8,6 +8,12 @@ traces taken from the macro fields.  Coupling runs both ways: traces
 downward, inclusion heat content upward (inside the time derivative of the
 macro balance).
 
+Within a step every micro problem is linear, with matrices fixed by the
+transformation sample key.  ``MicroModel`` therefore precomputes, once per
+sample key, the affine maps a micro step applies, plus the heat
+factorization for the step's dt; source terms enter as unit loads scaled by
+the source values at the t of each call.
+
 Time stepping is implicit Euler with a staggered fixed-point loop per step
 (macro heat, macro elasticity, micro sweep).  After convergence one more
 macro heat and elasticity solve against the final micro content makes the
@@ -22,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cell import CellContext
@@ -31,7 +38,6 @@ from .fem import (
     P1Space,
     SolverError,
     apply_constraints,
-    assemble_gradient_load,
     assemble_operator,
     assemble_scalar_load,
     assemble_vector_load,
@@ -56,7 +62,6 @@ class MicroState:
     theta: np.ndarray
     u: np.ndarray
     heat_content: float
-    dissipation_avg: float
 
 
 @dataclass
@@ -83,10 +88,30 @@ class FixedPointError(RuntimeError):
 
 
 class MicroModel:
-    """Shared matrices and factorizations for the inclusion problems.
+    """Inclusion problems at the macro hosting points, as affine maps.
 
-    All quadrature points with the same transformation sample share one
-    factorization; only right-hand sides differ.
+    Within one implicit-Euler step the micro heat and elasticity problems are
+    linear, and their matrices depend on the host only through the
+    transformation sample key, so hosts with the same key share one bundle
+    and only their right-hand sides differ.  A bundle holds every linear map
+    one micro step applies, restricted to interior rows:
+
+    - ``M_c``, the heat-capacity mass, and ``G``, the thermal-stress coupling;
+    - ``S`` and ``A``, the dissipation loads ``int (gamma : grad u) phi_i``
+      and ``int (gamma : grad u) v . grad phi_i`` as sparse maps of u;
+    - ``content``, the weights ``rho c int J phi_i`` of the heat content
+      (all rows);
+    - ``l_J`` and ``L_J``, the unit source loads ``int J phi_i`` and
+      ``int J phi_i e_a``;
+    - the elasticity factorization and the boundary columns that carry the
+      Dirichlet trace (``mech_bd``, n_int_v x d);
+    - for the dt of the step that ends at the bundle's time level, the heat
+      factorization and its boundary column ``heat_bd``.
+
+    ``step`` is then a few sparse mat-vecs and two triangular solves.  Sources
+    are the unit loads scaled by ``source_values(t)`` at the t of each call,
+    so one bundle serves every t of a static geometry.  The cache keeps the
+    bundles of the two most recent time levels, the current step pair.
     """
 
     def __init__(self, ctx: CellContext, sources=None):
@@ -106,7 +131,19 @@ class MicroModel:
         vmask = np.repeat(mask, d)
         self.interior_vector = np.flatnonzero(~vmask)
         self.boundary_vector = np.flatnonzero(vmask)
-        self._cache = {}
+        self._cache = {}         # time level -> {sample key: bundle}
+
+        # sparsity patterns of the maps between quadrature values (row or
+        # column e * nq + q) and scalar loads or vector dofs
+        space = self.space
+        e, nq = len(space.cells), len(space.qweights)
+        n_qp = e * nq
+        self._load_pattern = (np.repeat(space.cells[:, None, :], nq, axis=1).ravel(),
+                              np.repeat(np.arange(n_qp), d + 1))
+        self._grad_pattern = (np.repeat(np.arange(n_qp), (d + 1) * d),
+                              np.repeat(space.vector_dofs(), nq, axis=0).ravel())
+        self._qp_weights = (space.volumes[:, None] * space.qweights)[:, :, None]
+        self._P_s = self._qp_load_map(self._qp_weights * space.shape_values)
 
     def source_values(self, t):
         if self.sources is None:
@@ -121,83 +158,73 @@ class MicroModel:
         e, nq = len(self.space.cells), len(self.space.qweights)
         return {k: a.reshape((e, nq) + a.shape[1:]) for k, a in raw.items()}
 
-    def bundle(self, t, x, dt):
-        key = (self.ctx.transformation.sample_key(t, x), round(float(dt), 14))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def _qp_load_map(self, loc):
+        """(n_scalar x n_qp) map from quadrature values to loads; loc is (e, nq, d+1)."""
+        shape = (self.space.n_scalar, loc.shape[0] * loc.shape[1])
+        return sp.csr_matrix((loc.ravel(), self._load_pattern), shape=shape)
+
+    def bundle(self, t, x, dt=None):
+        """The maps of the micro step at (t, x); with dt, also the heat
+        factorization of an implicit-Euler step of length dt ending at t."""
+        level = round(float(t), 12)
+        key = self.ctx.transformation.sample_key(t, x)
+        if level not in self._cache:
+            self._cache = dict(list(self._cache.items())[-1:])
+            self._cache[level] = {}
+        current = self._cache[level]
+        b = current.get(key)
+        if b is None:
+            b = next((c[key] for c in self._cache.values() if key in c), None)
+        if b is None or (dt is not None and b["dt"] != round(float(dt), 14)):
+            b = self._build_bundle(t, x, dt)
+        current[key] = b
+        return b
+
+    def _build_bundle(self, t, x, dt):
         f = self.fields(t, x)
-        mesh, space = self.mesh, self.space
-        M_c = assemble_operator(mesh, "mass", f["heat_capacity"], space=space)
-        flux = f["heat_capacity"][:, :, None] * f["velocity"]
-        N = assemble_operator(mesh, "advection", flux, space=space)
-        A_K = assemble_operator(mesh, "scalar_diffusion", f["conductivity"], space=space)
-        heat_lhs = (M_c / dt + N + A_K).tocsr()
+        mesh, space, d = self.mesh, self.space, self.dim
         I, B = self.interior_scalar, self.boundary_scalar
-        heat_lu = spla.splu(heat_lhs[I][:, I].tocsc())
-        heat_bd = np.asarray(heat_lhs[I][:, B].sum(axis=1)).ravel()
-
-        E = assemble_operator(mesh, "elasticity", f["stiffness"], space=space)
-        G = assemble_operator(mesh, "coupling", f["expansion"], space=space)
         Iv, Bv = self.interior_vector, self.boundary_vector
-        mech_lu = spla.splu(E[Iv][:, Iv].tocsc())
-        mech_bd = []
-        d = self.dim
-        for c in range(d):
-            ones = np.zeros(len(Bv))
-            ones[c::d] = 1.0
-            mech_bd.append(np.asarray(E[Iv][:, Bv] @ ones).ravel())
 
-        bundle = dict(fields=f, M_c=M_c, heat_lu=heat_lu, heat_bd=heat_bd,
-                      mech_lu=mech_lu, mech_bd=mech_bd, G=G, t=float(t))
-        self._cache[key] = bundle
-        return bundle
-
-    # -- evaluation helpers --------------------------------------------------
-
-    def _qp_scalar(self, nodal):
-        return np.einsum("qi,ei->eq", self.space.shape_values, nodal[self.space.cells])
-
-    def _dissipation_values(self, fields, u):
-        d = self.dim
-        nodal = u.reshape(-1, d)[self.space.cells]
-        grads = np.einsum("eia,eib->eab", nodal, self.space.gradients)
-        return np.einsum("eqab,eab->eq", fields["dissipation"], grads)
-
-    def heat_content(self, fields, theta):
-        vals = self._qp_scalar(theta) * fields["jacobian"]
-        total = np.einsum("eq,q,e->", vals, self.space.qweights, self.space.volumes)
+        # u -> gamma : grad u at the quadrature points, then the two loads
+        grad = np.einsum("eqab,ejb->eqja", f["dissipation"], space.gradients)
+        D = sp.csr_matrix((grad.ravel(), self._grad_pattern),
+                          shape=(self._P_s.shape[1], space.n_vector))
+        P_v = self._qp_load_map(
+            self._qp_weights * np.einsum("eqa,eia->eqi", f["velocity"], space.gradients))
+        l_J = self._P_s @ f["jacobian"].ravel()
         cap = self.ctx.material.density_b * self.ctx.material.heat_capacity_b
-        return cap * total
+        M_c = assemble_operator(mesh, "mass", f["heat_capacity"], space=space)
+        b = dict(dt=None, M_c=M_c[I], S=(self._P_s @ D)[I], A=(P_v @ D)[I],
+                 content=cap * l_J, l_J=l_J[I], L_J=np.kron(l_J[:, None], np.eye(d))[Iv])
 
-    def dissipation_average(self, fields, u):
-        vals = self._dissipation_values(fields, u)
-        return float(np.einsum("eq,q,e->", vals, self.space.qweights, self.space.volumes))
+        E = assemble_operator(mesh, "elasticity", f["stiffness"], space=space)[Iv]
+        G = assemble_operator(mesh, "coupling", f["expansion"], space=space)
+        b.update(G=G[Iv], mech_lu=spla.splu(E[:, Iv].tocsc()),
+                 mech_bd=E[:, Bv] @ np.tile(np.eye(d), (len(self.boundary_nodes), 1)))
+
+        if dt is not None:
+            flux = f["heat_capacity"][:, :, None] * f["velocity"]
+            N = assemble_operator(mesh, "advection", flux, space=space)
+            A_K = assemble_operator(mesh, "scalar_diffusion", f["conductivity"], space=space)
+            heat_lhs = (M_c / dt + N + A_K).tocsr()[I]
+            b.update(dt=round(float(dt), 14), heat_lu=spla.splu(heat_lhs[:, I].tocsc()),
+                     heat_bd=np.asarray(heat_lhs[:, B].sum(axis=1)).ravel())
+        return b
 
     def initial_state(self, t, x, trace_theta, trace_u, theta_field=None) -> MicroState:
         """Consistent micro state: given temperature, quasi-static deformation."""
-        b = self.bundle(t, x, dt=1.0)
+        b = self.bundle(t, x)
         theta = np.full(self.space.n_scalar, trace_theta) if theta_field is None \
             else theta_field.copy()
         theta[self.boundary_scalar] = trace_theta
-        u = self._solve_mech(b, theta, trace_u, t)
-        return MicroState(
-            theta=theta, u=u,
-            heat_content=self.heat_content(b["fields"], theta),
-            dissipation_avg=self.dissipation_average(b["fields"], u),
-        )
-
-    def _solve_mech(self, b, theta, trace_u, t):
-        d = self.dim
-        rhs = b["G"] @ theta
         _, f_u_b, _, _ = self.source_values(t)
-        if np.any(np.asarray(f_u_b) != 0.0):
-            load = b["fields"]["jacobian"][:, :, None] * np.asarray(f_u_b)
-            rhs = rhs + assemble_vector_load(self.space, load)
-        r = rhs[self.interior_vector].copy()
-        for c in range(d):
-            r -= trace_u[c] * b["mech_bd"][c]
-        u = np.zeros(self.space.n_vector)
+        u = self._solve_mech(b, theta, trace_u, f_u_b)
+        return MicroState(theta=theta, u=u, heat_content=float(b["content"] @ theta))
+
+    def _solve_mech(self, b, theta, trace_u, f_u_b):
+        r = b["G"] @ theta + b["L_J"] @ np.asarray(f_u_b) - b["mech_bd"] @ trace_u
+        u = np.empty(self.space.n_vector)
         u[self.interior_vector] = b["mech_lu"].solve(r)
         u[self.boundary_vector] = np.tile(trace_u, len(self.boundary_nodes))
         return u
@@ -207,31 +234,18 @@ class MicroModel:
         """One implicit Euler step of the inclusion heat problem, then the
         quasi-static elasticity update."""
         b_new = self.bundle(t_new, x, dt)
-        b_old = self.bundle(t_new - dt, x, dt)
-        f_new, f_old = b_new["fields"], b_old["fields"]
+        b_old = self.bundle(t_new - dt, x)
         u_lag = prev.u if u_lag is None else u_lag
+        _, f_u_b, _, f_th_b = self.source_values(t_new)
 
-        rhs = (b_old["M_c"] @ prev.theta) / dt
-        diss_new = self._dissipation_values(f_new, u_lag)
-        diss_old = self._dissipation_values(f_old, prev.u)
-        rhs -= assemble_scalar_load(self.space, (diss_new - diss_old) / dt)
-        rhs -= assemble_gradient_load(self.space,
-                                      diss_new[:, :, None] * f_new["velocity"])
-        _, _, _, f_th_b = self.source_values(t_new)
-        if f_th_b != 0.0:
-            rhs += assemble_scalar_load(self.space, f_new["jacobian"] * f_th_b)
-
-        r = rhs[self.interior_scalar] - trace_theta * b_new["heat_bd"]
+        r = ((b_old["M_c"] @ prev.theta - b_new["S"] @ u_lag + b_old["S"] @ prev.u) / dt
+             - b_new["A"] @ u_lag + f_th_b * b_new["l_J"] - trace_theta * b_new["heat_bd"])
         theta = np.empty(self.space.n_scalar)
         theta[self.interior_scalar] = b_new["heat_lu"].solve(r)
         theta[self.boundary_scalar] = trace_theta
 
-        u = self._solve_mech(b_new, theta, trace_u, t_new)
-        return MicroState(
-            theta=theta, u=u,
-            heat_content=self.heat_content(f_new, theta),
-            dissipation_avg=self.dissipation_average(f_new, u),
-        )
+        u = self._solve_mech(b_new, theta, trace_u, f_u_b)
+        return MicroState(theta=theta, u=u, heat_content=float(b_new["content"] @ theta))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +350,10 @@ class TwoScaleSolver:
         traces_th, traces_u = self.traces_at_hosts(theta, u)
         pts = self.host_points
         model = self.micro_model
-        # warm the factorization cache serially (thread safe reuse afterwards)
+        # open the step pair's cache levels serially; worker threads then only
+        # add bundles to them
         model.bundle(t_new, pts[0], dt)
-        model.bundle(t_new - dt, pts[0], dt)
+        model.bundle(t_new - dt, pts[0])
 
         def run(i):
             return model.step(t_new, dt, pts[i], traces_th[i], traces_u[i],

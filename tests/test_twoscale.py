@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from micro_oracle import EinsumMicroModel
 
 from thermohom.cell import CellContext
+from thermohom.config import TableSource
 from thermohom.effective import EffectiveProvider
 from thermohom.kinematics import (
     IdentityTransform,
@@ -24,9 +26,23 @@ def make_solver(material=None, transform=None, cell_n=8, macro_n=4, sources=None
     return TwoScaleSolver(macro, provider, SolverSettings(**settings))
 
 
-def growth(rate=0.1):
+def growth(rate=0.1, x_slope=()):
     return RadialGrowth(dim=2, inclusion_radius=0.25,
-                        amplitude=PolynomialAmplitude((0.0, rate)))
+                        amplitude=PolynomialAmplitude((0.0, rate), x_slope))
+
+
+# MicroModel applies precomputed sparse maps where the oracle assembles every
+# load with einsum, so sums run in another order.  The two differ by a few
+# ulps (measured at most 3e-15); 1e-12 stays far below cg_tol and
+# fixed_point_tol.
+PARITY_RTOL = 1e-12
+
+
+def assert_micro_close(new, ref, rtol=PARITY_RTOL):
+    """Max-norm relative agreement of two micro states."""
+    for a, b in ((new.theta, ref.theta), (new.u, ref.u)):
+        assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+    assert abs(new.heat_content - ref.heat_content) <= rtol * abs(ref.heat_content)
 
 
 class TestInitState:
@@ -202,3 +218,77 @@ class TestRunLoop:
         assert np.array_equal(s1.theta, s2.theta)
         assert np.array_equal(s1.theta, s4.theta)
         assert np.array_equal(s1.u, s4.u)
+
+
+class TestMicroParity:
+    @pytest.mark.parametrize("transform", [
+        lambda: IdentityTransform(dim=2),
+        lambda: growth(0.1),
+        lambda: growth(0.1, x_slope=(0.5, 0.25)),
+    ], ids=["identity", "radial_growth", "amplitude_x_slope"])
+    @pytest.mark.parametrize("per_element", [False, True])
+    def test_step_and_initial_state_match_einsum_oracle(self, transform, per_element):
+        sources = lambda t: (np.zeros(2), np.array([0.7 + t, -0.4]), 0.0, 1.3 - 2.0 * t)
+        solver = make_solver(transform=transform(), macro_n=2, sources=sources,
+                             micro_per_element=per_element)
+        model = solver.micro_model
+        oracle = EinsumMicroModel(model.ctx, sources=sources)
+        micro_theta0 = lambda x, yb: 1.0 + x[0] + yb[:, 0] * yb[:, 1]
+        state = solver.init_state(lambda x: 1.0 + np.cos(np.pi * x[:, 0]),
+                                  micro_theta0=micro_theta0)
+        traces_th, traces_u = solver.traces_at_hosts(state.theta, state.u)
+        dt = 0.05
+        for i, x in enumerate(solver.host_points):
+            ref = oracle.initial_state(0.0, x, traces_th[i], traces_u[i],
+                                       theta_field=micro_theta0(x, model.mesh.vertices))
+            new = state.micro[i]
+            assert_micro_close(new, ref)
+            # two steps with a lagged deformation that differs from prev.u, so
+            # the old and new dissipation loads both enter
+            for k in (1, 2):
+                th, u, lag = traces_th[i] + 0.2 * k, 0.9 * traces_u[i], 1.1 * ref.u + 0.01
+                new = model.step(k * dt, dt, x, th, u, new, u_lag=lag)
+                ref = oracle.step(k * dt, dt, x, th, u, ref, u_lag=lag)
+                assert_micro_close(new, ref)
+
+
+class TestTimeDependentSources:
+    def test_ramped_sources_on_static_geometry_match_oracle(self):
+        # one sample key serves every time level, so a bundle that froze the
+        # source loads of the t it was built at would drift from the oracle
+        f_u_b = TableSource([0.0, 0.2], [[0.0, 0.0], [2.0, -1.0]])
+        f_th_b = TableSource([0.0, 0.2], [[0.0], [3.0]])
+        sources = lambda t: (np.zeros(2), f_u_b(t), 0.0, float(f_th_b(t)[0]))
+        theta0 = lambda x: 1.0 + 0.5 * np.cos(np.pi * x[:, 0])
+
+        def run(oracle):
+            solver = make_solver(macro_n=2, sources=sources)
+            if oracle:
+                solver.micro_model = EinsumMicroModel(solver.provider.ctx, sources=sources)
+            return solver.run(0.2, 0.05, theta0)
+
+        new, ref = run(False), run(True)
+        assert len(new) == len(ref) == 5
+        # the staggered loop passes the ulp-level differences through a
+        # contraction at fixed_point_tol = 1e-8; 1e-10 stays far below it
+        for a, b in zip(new, ref):
+            assert a.fixed_point_iterations == b.fixed_point_iterations
+            assert np.max(np.abs(a.theta - b.theta)) <= 1e-10 * np.max(np.abs(b.theta))
+            assert np.max(np.abs(a.u - b.u)) <= 1e-10 * np.max(np.abs(b.u))
+            for m, r in zip(a.micro, b.micro):
+                assert_micro_close(m, r, rtol=1e-10)
+
+
+class TestMicroCache:
+    def test_cache_size_flat_over_long_growth_run(self):
+        solver = make_solver(transform=growth(0.1), macro_n=2)
+        model = solver.micro_model
+        sizes = []
+
+        def observer(state):
+            sizes.append(len({id(b) for level in model._cache.values()
+                              for b in level.values()}))
+
+        solver.run(0.2, 0.01, lambda x: np.cos(np.pi * x[:, 0]), observer=observer)
+        assert len(sizes) == 21
+        assert sizes == [1] + [2] * 20      # the bundles of the current step pair
