@@ -5,7 +5,9 @@ of the cell and three families of correctors are solved for: one vector field
 per independent symmetric unit strain, one vector field driven by thermal
 expansion, and one scalar field per coordinate direction for heat flux.  All
 correctors live in the periodic zero-mean space on the matrix phase; the
-inclusion boundary carries the natural condition.
+inclusion boundary carries the natural condition.  The constrained spaces
+depend on the cell mesh only and are reduced once per :class:`CellContext`;
+at each (t, x) every family is solved as one block with a single sparse LU.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import numpy as np
 from .fem import (
     ConstraintSet,
     P1Space,
-    apply_constraints,
+    SolverError,
     assemble_gradient_load,
     assemble_operator,
     assemble_scalar_load,
     assemble_strain_load,
-    solve_spd,
+    constraint_basis,
+    solve_block,
 )
 from .kinematics import PHASE_A, PHASE_B, pullback_fields, sym_index_pairs
 from .mesh import extract_phase_submesh
@@ -50,7 +53,7 @@ def pad_displacement(space: P1Space, j, k):
 
 
 class CellContext:
-    """Meshes, spaces, and constraint bookkeeping shared by all cell solves."""
+    """Meshes, spaces, and the constrained spaces shared by all cell solves."""
 
     def __init__(self, cell_mesh, material, transformation):
         self.mesh = cell_mesh
@@ -65,7 +68,6 @@ class CellContext:
 
         d = self.dim
         pairs = self.sub_a.mesh.periodic_pairs
-        self.periodic_scalar = pairs
         self.periodic_vector = np.concatenate(
             [pairs * d + c for c in range(d)], axis=0
         ) if len(pairs) else np.zeros((0, 2), dtype=int)
@@ -76,6 +78,12 @@ class CellContext:
             w = np.zeros(self.space_a.n_vector)
             w[c::d] = self.volume_weights
             self.vector_weights.append(w)
+
+        # periodic zero-mean spaces, reduced once; each key only forms R^T A R
+        self.scalar_basis = constraint_basis(self.space_a.n_scalar, ConstraintSet(
+            periodic=pairs, zero_mean_weights=[self.volume_weights]))
+        self.vector_basis = constraint_basis(self.space_a.n_vector, ConstraintSet(
+            periodic=self.periodic_vector, zero_mean_weights=list(self.vector_weights)))
 
         # interface data lives on the full cell mesh
         self.facet_centroids = cell_mesh.facet_centroids()
@@ -94,22 +102,13 @@ class CellContext:
             name: arr.reshape((e, nq) + arr.shape[1:]) for name, arr in fields.items()
         }
 
-    def inclusion_fields(self, t, x):
-        pts = self.space_b.qpoints.reshape(-1, self.dim)
-        F, J, v = self.transformation.kinematics_batch(t, x, pts)
-        fields = pullback_fields(F, J, v, self.material, PHASE_B)
-        e, nq = len(self.space_b.cells), len(self.space_b.qweights)
-        return {
-            name: arr.reshape((e, nq) + arr.shape[1:]) for name, arr in fields.items()
-        }
-
-    def scalar_constraints(self):
-        return ConstraintSet(periodic=self.periodic_scalar,
-                             zero_mean_weights=[self.volume_weights])
-
-    def vector_constraints(self):
-        return ConstraintSet(periodic=self.periodic_vector,
-                             zero_mean_weights=list(self.vector_weights))
+    def inclusion_measure(self, t, x):
+        """Deformed measure of the inclusion part of the cell."""
+        space = self.space_b
+        pts = space.qpoints.reshape(-1, self.dim)
+        _, J, _ = self.transformation.kinematics_batch(t, x, pts)
+        J = J.reshape(len(space.cells), len(space.qweights))
+        return float(np.einsum("eq,q,e->", J, space.qweights, space.volumes))
 
 
 @dataclass
@@ -125,30 +124,37 @@ class Correctors:
     residuals: dict
 
 
+def _solve_family(basis, A, loads, names, t, x, tol):
+    """One direct solve for all loads on A; each column's relative residual
+    must stay within ``tol``.  Returns the solutions (one per row) and the
+    residuals by name."""
+    sol, res = solve_block(basis.reduce(A, np.column_stack(loads)))
+    residuals = dict(zip(names, res.tolist()))
+    for name, r in residuals.items():
+        if not r <= tol:
+            raise SolverError(
+                f"cell corrector {name} at t={float(t):g}, "
+                f"x={np.asarray(x, dtype=float).tolist()}: relative residual "
+                f"{r:.3e} exceeds corrector_tol {tol:g}",
+                list(residuals.values()),
+            )
+    return sol.T.copy(), residuals
+
+
 def solve_elastic_correctors(ctx: CellContext, t, x, fields=None, tol=1e-10):
     """Strain correctors for every independent pad plus the expansion corrector."""
     fields = fields if fields is not None else ctx.matrix_fields(t, x)
     space = ctx.space_a
     A = assemble_operator(ctx.sub_a.mesh, "elasticity", fields["stiffness"], space=space)
-    cs = ctx.vector_constraints()
     pads = strain_pads(ctx.dim)
-
-    residuals = {}
-    mechanical = {}
-    for (j, k), E in pads.items():
-        S = np.einsum("eqabcd,cd->eqab", fields["stiffness"], E)
-        rhs = -assemble_strain_load(space, S)
-        red = apply_constraints(A, rhs, cs)
-        sol, info = solve_spd(red.matrix, red.rhs, tol=tol, constraints=red.constraints)
-        mechanical[(j, k)] = red.recover(sol)
-        residuals[("mechanical", j, k)] = info.residuals[-1]
-
-    rhs = assemble_strain_load(space, fields["expansion"])
-    red = apply_constraints(A, rhs, cs)
-    sol, info = solve_spd(red.matrix, red.rhs, tol=tol, constraints=red.constraints)
-    thermal_stress = red.recover(sol)
-    residuals["thermal_stress"] = info.residuals[-1]
-    return mechanical, thermal_stress, pads, residuals
+    loads = [-assemble_strain_load(space, np.einsum("eqabcd,cd->eqab",
+                                                    fields["stiffness"], E))
+             for E in pads.values()]
+    loads.append(assemble_strain_load(space, fields["expansion"]))
+    names = [("mechanical", j, k) for j, k in pads] + ["thermal_stress"]
+    sol, residuals = _solve_family(ctx.vector_basis, A, loads, names, t, x, tol)
+    mechanical = dict(zip(pads, sol[:-1]))
+    return mechanical, sol[-1], pads, residuals
 
 
 def solve_thermal_correctors(ctx: CellContext, t, x, fields=None, tol=1e-10):
@@ -157,21 +163,17 @@ def solve_thermal_correctors(ctx: CellContext, t, x, fields=None, tol=1e-10):
     space = ctx.space_a
     A = assemble_operator(ctx.sub_a.mesh, "scalar_diffusion", fields["conductivity"],
                           space=space)
-    cs = ctx.scalar_constraints()
-    thermal = []
-    residuals = {}
-    for j in range(ctx.dim):
-        w = -fields["conductivity"][:, :, :, j]
-        rhs = assemble_gradient_load(space, w)
-        red = apply_constraints(A, rhs, cs)
-        sol, info = solve_spd(red.matrix, red.rhs, tol=tol, constraints=red.constraints)
-        thermal.append(red.recover(sol))
-        residuals[("thermal", j)] = info.residuals[-1]
-    return thermal, residuals
+    loads = [assemble_gradient_load(space, -fields["conductivity"][:, :, :, j])
+             for j in range(ctx.dim)]
+    names = [("thermal", j) for j in range(ctx.dim)]
+    sol, residuals = _solve_family(ctx.scalar_basis, A, loads, names, t, x, tol)
+    return list(sol), residuals
 
 
-def solve_correctors(ctx: CellContext, t, x, tol=1e-10) -> Correctors:
-    fields = ctx.matrix_fields(t, x)
+def solve_correctors(ctx: CellContext, t, x, tol=1e-10, fields=None) -> Correctors:
+    """All cell correctors at (t, x).  ``tol`` bounds the relative residual of
+    each corrector's direct solve; a breach raises :class:`SolverError`."""
+    fields = fields if fields is not None else ctx.matrix_fields(t, x)
     mechanical, thermal_stress, pads, res_m = solve_elastic_correctors(
         ctx, t, x, fields=fields, tol=tol
     )

@@ -20,6 +20,7 @@ from .cell import (
     solve_correctors,
     strain_pads,
 )
+from .fem import einsum
 from .kinematics import interface_batch, mandel_matrix, sym_index_pairs
 
 _PROBE_SEED = 20240517
@@ -85,9 +86,18 @@ def _element_average(space, field):
     return np.einsum("eq...,q->e...", field, space.qweights)
 
 
+def _interface(ctx: CellContext, t, x):
+    return interface_batch(ctx.transformation, t, x, ctx.facet_centroids,
+                           ctx.facet_normals)
+
+
 def compute_effective_mechanics(ctx: CellContext, correctors: Correctors, t, x,
-                                fields=None, source_u=None):
-    """Effective stiffness, expansion, curvature force, and mechanical source."""
+                                fields=None, interface=None):
+    """Effective stiffness, expansion, curvature force, and matrix measure.
+
+    ``fields`` and ``interface`` (the :func:`interface_batch` tuple at the
+    cell's facets) are computed here when not given.
+    """
     fields = fields if fields is not None else ctx.matrix_fields(t, x)
     space = ctx.space_a
     d = ctx.dim
@@ -102,8 +112,8 @@ def compute_effective_mechanics(ctx: CellContext, correctors: Correctors, t, x,
         strains.append(0.5 * (g + np.transpose(g, (0, 2, 1))) + pads[jk])
     strains = np.stack(strains)                            # (nv, e, d, d)
 
-    stress = np.einsum("eabcd,vecd->veab", Cbar, strains, optimize=True)
-    C_voigt = np.einsum("veab,weab,e->vw", stress, strains, vols, optimize=True)
+    stress = einsum("eabcd,vecd->veab", Cbar, strains)
+    C_voigt = einsum("veab,weab,e->vw", stress, strains, vols)
 
     C_eff = np.zeros((d, d, d, d))
     for a, (j, k) in enumerate(pairs):
@@ -116,14 +126,11 @@ def compute_effective_mechanics(ctx: CellContext, correctors: Correctors, t, x,
     g_ts = element_vector_gradients(space, correctors.thermal_stress)
     e_ts = 0.5 * (g_ts + np.transpose(g_ts, (0, 2, 1)))
     alpha_bar = _element_average(space, fields["expansion"])
-    alpha_eff = np.einsum("eab,e->ab", alpha_bar, vols) - np.einsum(
-        "eabcd,ecd,e->ab", Cbar, e_ts, vols, optimize=True
-    )
+    alpha_eff = np.einsum("eab,e->ab", alpha_bar, vols) - einsum(
+        "eabcd,ecd,e->ab", Cbar, e_ts, vols)
 
     # curvature force density: surface integral of the pulled-back stress normal
-    n, W, H, F, J = interface_batch(
-        ctx.transformation, t, x, ctx.facet_centroids, ctx.facet_normals
-    )
+    _, _, H, F, J = interface if interface is not None else _interface(ctx, t, x)
     Finv = np.linalg.inv(F)
     sigma0 = ctx.material.surface_tension
     integrand = sigma0 * (J * H)[:, None] * np.einsum(
@@ -137,7 +144,7 @@ def compute_effective_mechanics(ctx: CellContext, correctors: Correctors, t, x,
 
 def compute_effective_heat(ctx: CellContext, correctors: Correctors, t, x,
                            fields=None, latent_in_source=True,
-                           include_inclusion_dissipation=True):
+                           include_inclusion_dissipation=True, interface=None):
     """Effective conductivity, heat capacity, dissipation, and interface sources."""
     fields = fields if fields is not None else ctx.matrix_fields(t, x)
     space = ctx.space_a
@@ -151,7 +158,7 @@ def compute_effective_heat(ctx: CellContext, correctors: Correctors, t, x,
         g = g + np.eye(d)[j]
         fluxes.append(g)
     fluxes = np.stack(fluxes)                              # (d, e, d)
-    K_eff = np.einsum("jea,eab,ieb,e->ij", fluxes, Kbar, fluxes, vols, optimize=True)
+    K_eff = einsum("jea,eab,ieb,e->ij", fluxes, Kbar, fluxes, vols)
 
     matrix_measure = float(np.einsum("eq,q,e->", fields["jacobian"], space.qweights, vols))
     g_ts = element_vector_gradients(space, correctors.thermal_stress)
@@ -168,17 +175,11 @@ def compute_effective_heat(ctx: CellContext, correctors: Correctors, t, x,
         if j != k:
             gamma_eff[k, j] += coupling
 
-    fields_b = ctx.inclusion_fields(t, x)
-    inclusion_measure = float(
-        np.einsum("eq,q,e->", fields_b["jacobian"], ctx.space_b.qweights,
-                  ctx.space_b.volumes)
-    )
+    inclusion_measure = ctx.inclusion_measure(t, x)
     if include_inclusion_dissipation:
         gamma_eff += ctx.material.dissipation_b * inclusion_measure * np.eye(d)
 
-    _, W, _, F, J = interface_batch(
-        ctx.transformation, t, x, ctx.facet_centroids, ctx.facet_normals
-    )
+    _, W, _, _, J = interface if interface is not None else _interface(ctx, t, x)
     interface_speed = float(np.einsum("f,f->", J * W, ctx.facet_areas))
     latent_source = (ctx.material.latent_heat if latent_in_source else 1.0) * interface_speed
 
@@ -197,7 +198,7 @@ class EffectiveProvider:
         self.latent_in_source = latent_in_source
         self.include_inclusion_dissipation = include_inclusion_dissipation
         self.solver_tol = solver_tol
-        self._cache = {}
+        self._cache = {}         # time level -> {sample key: bundle}
 
     def source_values(self, t):
         """Spatially constant phase sources (f_u_A, f_u_B, f_th_A, f_th_B) at time t."""
@@ -210,32 +211,45 @@ class EffectiveProvider:
         """Geometry-derived quantities, cached by the transformation sample key.
 
         Within one key the kinematic fields, correctors, and every effective
-        quantity except the time-dependent sources are identical.
+        quantity except the time-dependent sources are identical.  The cache
+        holds the keys of the two most recent time levels; a key shared
+        across levels is reused.
         """
+        level = round(float(t), 12)
         key = self.ctx.transformation.sample_key(t, x)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        cors = solve_correctors(self.ctx, t, x, tol=self.solver_tol)
+        if level not in self._cache:
+            self._cache = dict(list(self._cache.items())[-1:])
+            self._cache[level] = {}
+        current = self._cache[level]
+        bundle = current.get(key)
+        if bundle is None:
+            bundle = next((c[key] for c in self._cache.values() if key in c), None)
+        if bundle is None:
+            bundle = self._build_bundle(t, x)
+        current[key] = bundle
+        return bundle
+
+    def _build_bundle(self, t, x):
         fields = self.ctx.matrix_fields(t, x)
+        cors = solve_correctors(self.ctx, t, x, tol=self.solver_tol, fields=fields)
+        interface = _interface(self.ctx, t, x)
         C_eff, alpha_eff, curvature_force, matrix_measure = compute_effective_mechanics(
-            self.ctx, cors, t, x, fields=fields
+            self.ctx, cors, t, x, fields=fields, interface=interface
         )
         (K_eff, c_eff, gamma_eff, latent_source, interface_speed, inclusion_measure,
          voigt_bound) = compute_effective_heat(
             self.ctx, cors, t, x, fields=fields,
             latent_in_source=self.latent_in_source,
             include_inclusion_dissipation=self.include_inclusion_dissipation,
+            interface=interface,
         )
-        bundle = dict(
+        return dict(
             correctors=cors, stiffness=C_eff, expansion=alpha_eff,
             conductivity=K_eff, heat_capacity=c_eff, dissipation=gamma_eff,
             curvature_force=curvature_force, latent_source=latent_source,
             interface_speed=interface_speed, matrix_measure=matrix_measure,
             inclusion_measure=inclusion_measure, voigt_bound=voigt_bound,
         )
-        self._cache[key] = bundle
-        return bundle
 
     def correctors(self, t, x) -> Correctors:
         return self._bundle(t, x)["correctors"]

@@ -12,6 +12,7 @@ or rank-4 tensor), per-quadrature-point arrays of shape ``(n_elements, n_qp,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +29,20 @@ class SolverError(RuntimeError):
 
 class ConstraintError(ValueError):
     pass
+
+
+@functools.lru_cache(maxsize=256)
+def _einsum_path(subscripts, shapes):
+    # the planner reads only shapes, so zero-stride stand-ins suffice
+    stand_ins = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *stand_ins, optimize=True)[0]
+
+
+def einsum(subscripts, *operands):
+    """``np.einsum(..., optimize=True)`` with the contraction path planned once
+    per (subscripts, operand shapes); the result is bitwise the same."""
+    path = _einsum_path(subscripts, tuple(np.shape(op) for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 # ---------------------------------------------------------------------------
@@ -158,24 +173,24 @@ def assemble_operator(mesh, kind, coeff, element_mask=None, space=None):
 
     if kind == "scalar_diffusion":
         K = s.eval_coefficient(coeff, (d, d))
-        loc = np.einsum("eia,eqab,ejb,q,e->eij", G, K, G, w, vol, optimize=True)
+        loc = einsum("eia,eqab,ejb,q,e->eij", G, K, G, w, vol)
         return _scatter(s, loc, s.scalar_dofs(), s.n_scalar)
     if kind == "mass":
         c = s.eval_coefficient(coeff, ())
-        loc = np.einsum("eq,qi,qj,q,e->eij", c, N, N, w, vol, optimize=True)
+        loc = einsum("eq,qi,qj,q,e->eij", c, N, N, w, vol)
         return _scatter(s, loc, s.scalar_dofs(), s.n_scalar)
     if kind == "elasticity":
         C = s.eval_coefficient(coeff, (d, d, d, d))
-        loc = np.einsum("eqacbd,eic,ejd,q,e->eiajb", C, G, G, w, vol, optimize=True)
+        loc = einsum("eqacbd,eic,ejd,q,e->eiajb", C, G, G, w, vol)
         loc = loc.reshape(len(s.cells), (d + 1) * d, (d + 1) * d)
         return _scatter(s, loc, s.vector_dofs(), s.n_vector)
     if kind == "advection":
         W = s.eval_coefficient(coeff, (d,))
-        loc = np.einsum("eqa,eia,qj,q,e->eij", W, G, N, w, vol, optimize=True)
+        loc = einsum("eqa,eia,qj,q,e->eij", W, G, N, w, vol)
         return _scatter(s, loc, s.scalar_dofs(), s.n_scalar)
     if kind == "coupling":
         alpha = s.eval_coefficient(coeff, (d, d))
-        loc = np.einsum("eqac,eic,qj,q,e->eiaj", alpha, G, N, w, vol, optimize=True)
+        loc = einsum("eqac,eic,qj,q,e->eiaj", alpha, G, N, w, vol)
         loc = loc.reshape(len(s.cells), (d + 1) * d, d + 1)
         rows = np.repeat(s.vector_dofs(), d + 1, axis=1).ravel()
         cols = np.tile(s.scalar_dofs(), (1, (d + 1) * d)).ravel()
@@ -203,16 +218,16 @@ def _scatter_load(loc, dofs, n):
 def assemble_scalar_load(space: P1Space, f):
     """l_i = int f phi_i."""
     vals = space.eval_coefficient(f, ())
-    loc = np.einsum("eq,qi,q,e->ei", vals, space.shape_values, space.qweights,
-                    space.volumes, optimize=True)
+    loc = einsum("eq,qi,q,e->ei", vals, space.shape_values, space.qweights,
+                 space.volumes)
     return _scatter_load(loc, space.scalar_dofs(), space.n_scalar)
 
 
 def assemble_vector_load(space: P1Space, f):
     """l_(i,a) = int f_a phi_i."""
     vals = space.eval_coefficient(f, (space.dim,))
-    loc = np.einsum("eqa,qi,q,e->eia", vals, space.shape_values, space.qweights,
-                    space.volumes, optimize=True)
+    loc = einsum("eqa,qi,q,e->eia", vals, space.shape_values, space.qweights,
+                 space.volumes)
     return _scatter_load(loc.reshape(len(space.cells), -1), space.vector_dofs(),
                          space.n_vector)
 
@@ -220,16 +235,16 @@ def assemble_vector_load(space: P1Space, f):
 def assemble_gradient_load(space: P1Space, w):
     """l_i = int w . grad phi_i for a vector-valued integrand w."""
     vals = space.eval_coefficient(w, (space.dim,))
-    loc = np.einsum("eqa,eia,q,e->ei", vals, space.gradients, space.qweights,
-                    space.volumes, optimize=True)
+    loc = einsum("eqa,eia,q,e->ei", vals, space.gradients, space.qweights,
+                 space.volumes)
     return _scatter_load(loc, space.scalar_dofs(), space.n_scalar)
 
 
 def assemble_strain_load(space: P1Space, S):
     """l_(i,a) = int S : grad(phi_i e_a) for a matrix-valued integrand S."""
     vals = space.eval_coefficient(S, (space.dim, space.dim))
-    loc = np.einsum("eqac,eic,q,e->eia", vals, space.gradients, space.qweights,
-                    space.volumes, optimize=True)
+    loc = einsum("eqac,eic,q,e->eia", vals, space.gradients, space.qweights,
+                 space.volumes)
     return _scatter_load(loc.reshape(len(space.cells), -1), space.vector_dofs(),
                          space.n_vector)
 
@@ -284,30 +299,61 @@ class ConstraintSet:
         return ConstraintSet(dirichlet_dofs=dofs, dirichlet_values=values)
 
 
+def _columns(v, like):
+    """``v`` shaped to broadcast against ``like``, a vector or an (n x m) block."""
+    return v if np.ndim(like) == 1 else v[:, None]
+
+
 @dataclass
 class ReducedSystem:
     matrix: sp.csr_matrix
-    rhs: np.ndarray
+    rhs: np.ndarray                  # one right-hand side, or an (n_red x m) block
     restriction: sp.csr_matrix       # full -> reduced basis (n_full x n_red)
     offset: np.ndarray               # pinned values lifted into the full vector
     constraints: list                # reduced zero-mean weight vectors
 
     def recover(self, x_reduced):
-        return self.restriction @ x_reduced + self.offset
+        return self.restriction @ x_reduced + _columns(self.offset, x_reduced)
 
     def augmented(self):
-        """Explicit Lagrange-multiplier rows/columns for the zero-mean constraints."""
-        if not self.constraints:
-            return self.matrix.tocsr(), self.rhs
-        M = sp.csr_matrix(np.column_stack(self.constraints))
-        k = M.shape[1]
-        A = sp.bmat([[self.matrix, M], [M.T, None]], format="csr")
-        b = np.concatenate([self.rhs, np.zeros(k)])
-        return A, b
+        """The system with explicit Lagrange multipliers for the zero-mean
+        constraints (:func:`augmented_matrix`) and the zero-padded rhs."""
+        K = augmented_matrix(self.matrix, self.constraints)
+        k = K.shape[0] - self.matrix.shape[0]
+        return K, np.concatenate([self.rhs, np.zeros((k,) + self.rhs.shape[1:])])
 
 
-def apply_constraints(A, b, cs: ConstraintSet) -> ReducedSystem:
-    n = A.shape[0]
+def augmented_matrix(A, constraints):
+    """``[[A, M], [M^T, 0]]`` in CSC, M the zero-mean weight vectors as columns."""
+    if not constraints:
+        return A.tocsc()
+    A = A.tocoo()
+    M = np.column_stack(constraints)
+    n, k = M.shape
+    i, j = np.nonzero(M)
+    return sp.csc_matrix((np.concatenate([A.data, M[i, j], M[i, j]]),
+                          (np.concatenate([A.row, i, n + j]),
+                           np.concatenate([A.col, n + j, i]))), shape=(n + k, n + k))
+
+
+@dataclass
+class ConstraintBasis:
+    """The constrained space of a :class:`ConstraintSet` on n dofs, reusable
+    for every matrix on those dofs: full = restriction @ reduced + offset."""
+
+    restriction: sp.csr_matrix
+    offset: np.ndarray
+    constraints: list                # reduced zero-mean weight vectors
+
+    def reduce(self, A, b) -> ReducedSystem:
+        """``R^T A R`` and the reduced right-hand side (a vector or a block)."""
+        R = self.restriction
+        b_r = R.T @ (b - _columns(A @ self.offset, b))
+        return ReducedSystem(matrix=(R.T @ A @ R).tocsr(), rhs=b_r, restriction=R,
+                             offset=self.offset, constraints=self.constraints)
+
+
+def constraint_basis(n, cs: ConstraintSet) -> ConstraintBasis:
     pinned = np.zeros(n, dtype=bool)
     pinned[cs.dirichlet_dofs] = True
 
@@ -340,12 +386,12 @@ def apply_constraints(A, b, cs: ConstraintSet) -> ReducedSystem:
 
     x0 = np.zeros(n)
     x0[cs.dirichlet_dofs] = cs.dirichlet_values
-
-    A_r = (R.T @ A @ R).tocsr()
-    b_r = R.T @ (b - A @ x0)
     reduced_constraints = [R.T @ np.asarray(m, dtype=float) for m in cs.zero_mean_weights]
-    return ReducedSystem(matrix=A_r, rhs=b_r, restriction=R, offset=x0,
-                         constraints=reduced_constraints)
+    return ConstraintBasis(restriction=R, offset=x0, constraints=reduced_constraints)
+
+
+def apply_constraints(A, b, cs: ConstraintSet) -> ReducedSystem:
+    return constraint_basis(A.shape[0], cs).reduce(A, b)
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +476,27 @@ def solve_spd(A, b, tol=1e-10, max_iter=None, constraints=None, x0=None):
     )
 
 
+def solve_block(red: ReducedSystem):
+    """Every column of ``red.rhs`` from one sparse LU of the augmented system.
+
+    Zero-mean constraints enter as the explicit multipliers of
+    :meth:`ReducedSystem.augmented`; the system is structurally symmetric,
+    so the column ordering is minimum degree on K^T + K.  Returns the
+    full-space solutions (n_full x m) and the relative residual of each
+    column in that system.
+    """
+    K, B = red.augmented()
+    Z = spla.splu(K, permc_spec="MMD_AT_PLUS_A").solve(B)
+    scale = np.linalg.norm(B, axis=0)
+    residuals = np.linalg.norm(K @ Z - B, axis=0) / np.where(scale > 0.0, scale, 1.0)
+    return red.recover(Z[: red.matrix.shape[0]]), residuals
+
+
 def solve_direct(A, b, constraints=None):
     """Sparse direct solve; zero-mean constraints via explicit multipliers."""
-    if constraints:
-        M = sp.csr_matrix(np.column_stack(constraints))
-        k = M.shape[1]
-        K = sp.bmat([[A, M], [M.T, None]], format="csc")
-        rhs = np.concatenate([np.asarray(b, dtype=float), np.zeros(k)])
-        x = spla.spsolve(K, rhs)
-        return x[: A.shape[0]]
-    return spla.spsolve(A.tocsc(), np.asarray(b, dtype=float))
+    K = augmented_matrix(A, constraints)
+    rhs = np.concatenate([np.asarray(b, dtype=float), np.zeros(K.shape[0] - A.shape[0])])
+    return spla.spsolve(K, rhs)[: A.shape[0]]
 
 
 def dense_oracle_solve(A, b, constraints=None):

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fem import einsum
+
 PHASE_A = 0  # connected matrix
 PHASE_B = 1  # disconnected inclusions
 
@@ -616,7 +618,7 @@ def pullback_fields(F, J, v, mat: MaterialParams, phase):
     A = symmetrizer_tensor(F)
     C = mat.stiffness(phase)
     K = mat.conductivity(phase)
-    stiffness = np.einsum("m,mpqab,pqrs,mrscd->mabcd", J, A, C, A, optimize=True)
+    stiffness = einsum("m,mpqab,pqrs,mrscd->mabcd", J, A, C, A)
     expansion = mat.expansion(phase) * J[:, None, None] * FinvT
     conductivity = J[:, None, None] * np.einsum("mij,jk,mlk->mil", Finv, K, Finv)
     heat_capacity = J * mat.volumetric_heat_capacity(phase)

@@ -84,18 +84,6 @@ class Mesh:
         x = self.vertices
         return np.any((np.abs(x) < tol) | (np.abs(x - 1.0) < tol), axis=1)
 
-    def boundary_facets(self):
-        """Facets of the outer boundary, derived from cell faces used once."""
-        faces = {}
-        nloc = self.dim + 1
-        for c in self.cells:
-            for drop in range(nloc):
-                f = tuple(sorted(np.delete(c, drop)))
-                faces[f] = faces.get(f, 0) + 1
-        mask = self.boundary_vertex_mask()
-        out = [f for f, cnt in faces.items() if cnt == 1 and all(mask[v] for v in f)]
-        return np.array(sorted(out), dtype=int).reshape(-1, self.dim)
-
     def interface_measure(self):
         return float(self.facet_areas().sum())
 

@@ -160,11 +160,6 @@ class EpsilonSolver:
             f = f * self.material.latent_heat
         return f
 
-    def static_transform(self):
-        key0 = self.transformation.sample_key(0.0, np.zeros(self.mesh.dim))
-        key1 = self.transformation.sample_key(1.0, np.full(self.mesh.dim, 0.3))
-        return key0 == key1
-
     def bundle(self, t):
         key = round(float(t), 12)
         hit = self._bundles.get(key)
@@ -235,9 +230,6 @@ class EpsilonSolver:
         x = lu.solve(red.restriction.T @ rhs_full)
         return red.restriction @ x
 
-    def _dissipation_load(self, b, u, dt_scale=None):
-        return b["G_gamma"].T @ u
-
     def _advective_dissipation_load(self, b, u):
         d = self.mesh.dim
         out = np.zeros(self.space.n_scalar)
@@ -276,7 +268,7 @@ class EpsilonSolver:
             heat_lhs = (b_new["M_c"] / step + b_new["N"] + b_new["A_K"]).tocsr()
             base = ((b_old["M_c"] @ theta) / step + b_new["f_theta"]
                     - b_new["heat_surface"]
-                    + self._dissipation_load(b_old, u) / step)
+                    + (b_old["G_gamma"].T @ u) / step)
             red, lu, mech_rhs0 = self._mech_reduced(b_new)
 
             theta_k, u_k = theta.copy(), u.copy()
@@ -284,7 +276,7 @@ class EpsilonSolver:
             iterations = 0
             for it in range(1, s.fixed_point_max_iter + 1):
                 iterations = it
-                rhs = (base - self._dissipation_load(b_new, u_k) / step
+                rhs = (base - (b_new["G_gamma"].T @ u_k) / step
                        - self._advective_dissipation_load(b_new, u_k))
                 theta_next, heat_solver_used = self._solve_heat(
                     heat_lhs, rhs, b_new["advective"])

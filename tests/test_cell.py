@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from cell_oracle import ORACLE_TOL, assert_max_close, cell_context, solve_correctors_cg
 
 from thermohom.cell import (
     CellContext,
@@ -8,7 +9,7 @@ from thermohom.cell import (
     solve_elastic_correctors,
     solve_thermal_correctors,
 )
-from thermohom.fem import P1Space, assemble_operator, apply_constraints
+from thermohom.fem import SolverError, assemble_operator
 from thermohom.kinematics import (
     IdentityTransform,
     PolynomialAmplitude,
@@ -121,3 +122,26 @@ class TestTransformedCell:
         c0 = solve_correctors(ctx, 0.0, np.zeros(2))
         c1 = solve_correctors(ctx, 1.0, np.zeros(2))
         assert np.max(np.abs(c1.thermal[0] - c0.thermal[0])) > 1e-6
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", ["identity", "radial_growth", "amplitude_x_slope"])
+class TestBlockSolveParity:
+    def test_correctors_match_cg_oracle(self, dim, name):
+        ctx = cell_context(dim, name)
+        t, x = 0.6, np.array([0.7, 0.2, 0.4])[:dim]
+        new = solve_correctors(ctx, t, x)
+        ref = solve_correctors_cg(ctx, t, x, tol=ORACLE_TOL)
+        assert new.residuals.keys() == ref.residuals.keys()
+        assert all(r <= 1e-10 for r in new.residuals.values())
+        for jk, tau in ref.mechanical.items():
+            assert_max_close(new.mechanical[jk], tau)
+        assert_max_close(new.thermal_stress, ref.thermal_stress)
+        for a, b in zip(new.thermal, ref.thermal):
+            assert_max_close(a, b)
+
+
+class TestBlockSolveTolerance:
+    def test_unreachable_tolerance_names_t_and_x(self, ctx16):
+        with pytest.raises(SolverError, match=r"t=0\.25, x=\[0\.5, 0\.125\]"):
+            solve_correctors(ctx16, 0.25, np.array([0.5, 0.125]), tol=1e-30)

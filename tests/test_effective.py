@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
+from cell_oracle import (
+    ORACLE_TOL,
+    PARITY_RTOL,
+    assert_max_close,
+    cell_context,
+    solve_correctors_cg,
+)
 
+from thermohom import effective
 from thermohom.cell import CellContext, solve_correctors
 from thermohom.effective import (
     EffectiveProvider,
@@ -17,6 +25,7 @@ from thermohom.kinematics import (
     default_material,
 )
 from thermohom.mesh import build_cell_mesh, build_uniform_mesh, _periodic_pairs_from_coords
+from thermohom.twoscale import SolverSettings, TwoScaleSolver
 
 
 def growth(rate=0.1, r=0.25):
@@ -155,3 +164,41 @@ class TestTabulation:
         col = header.index("matrix_measure")
         vals = [r[col] for r in rows]
         assert vals[0] > vals[1] > vals[2]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", ["identity", "radial_growth", "amplitude_x_slope"])
+def test_provider_matches_cg_oracle(dim, name, monkeypatch):
+    """EffectiveProvider.at on the block direct solve against the CG oracle,
+    at max-norm rtol PARITY_RTOL (1e-9) per quantity."""
+    t, x = 0.6, np.array([0.7, 0.2, 0.4])[:dim]
+    new = EffectiveProvider(cell_context(dim, name)).at(t, x)
+    monkeypatch.setattr(effective, "solve_correctors",
+                        lambda *a, **k: solve_correctors_cg(*a, **{**k, "tol": ORACLE_TOL}))
+    ref = EffectiveProvider(cell_context(dim, name)).at(t, x)
+    for field in ("stiffness", "expansion", "conductivity", "heat_capacity",
+                  "dissipation", "curvature_force", "latent_source", "interface_speed",
+                  "matrix_measure", "inclusion_measure", "voigt_bound"):
+        assert_max_close(np.asarray(getattr(new, field)),
+                         np.asarray(getattr(ref, field)), PARITY_RTOL)
+
+
+class TestProviderCache:
+    def test_cache_size_flat_over_graded_growth_run(self):
+        tr = RadialGrowth(dim=2, inclusion_radius=0.25,
+                          amplitude=PolynomialAmplitude((0.0, 0.1), (0.5, 0.25)))
+        ctx = CellContext(build_cell_mesh(0.25, 8, dim=2), default_material(2), tr)
+        provider = EffectiveProvider(ctx)
+        solver = TwoScaleSolver(build_uniform_mesh(2, dim=2), provider, SolverSettings())
+        sizes = []
+
+        def observer(state):
+            sizes.append(len({id(b) for level in provider._cache.values()
+                              for b in level.values()}))
+
+        solver.run(0.2, 0.01, lambda x: np.cos(np.pi * x[:, 0]), observer=observer)
+        assert len(sizes) == 21
+        # every level has its own keys; the cache holds the current step pair
+        per_level = sizes[0]
+        assert per_level > 1
+        assert sizes[1:] == [2 * per_level] * 20

@@ -15,6 +15,8 @@ from thermohom.fem import (
     assemble_scalar_load,
     assemble_vector_load,
     dense_oracle_solve,
+    einsum,
+    solve_block,
     solve_direct,
     solve_spd,
     symmetry_defect,
@@ -196,6 +198,27 @@ class TestConstraints:
         assert abs(weights @ x_cg) < 1e-10
         assert np.max(np.abs(x_cg - x_direct)) < 1e-8
 
+    @pytest.mark.parametrize("zero_mean", [False, True])
+    def test_block_solve_matches_columnwise_direct(self, zero_mean):
+        mesh = build_uniform_mesh(6, dim=2)
+        A = assemble_operator(mesh, "scalar_diffusion", np.eye(2))
+        space = P1Space(mesh)
+        B = np.column_stack([
+            assemble_scalar_load(space, lambda p: np.cos(np.pi * p[:, 0])),
+            assemble_scalar_load(space, lambda p: p[:, 1] - 0.5),
+        ])
+        if zero_mean:
+            cs = ConstraintSet(zero_mean_weights=[assemble_scalar_load(space, 1.0)])
+        else:
+            bdofs = np.flatnonzero(mesh.boundary_vertex_mask())
+            cs = ConstraintSet.dirichlet_only(bdofs, 0.5)
+        X, residuals = solve_block(apply_constraints(A, B, cs))
+        assert X.shape == B.shape and np.all(residuals < 1e-12)
+        for c in range(B.shape[1]):
+            red = apply_constraints(A, B[:, c], cs)
+            x = red.recover(solve_direct(red.matrix, red.rhs, constraints=red.constraints))
+            assert np.max(np.abs(X[:, c] - x)) < 1e-12 * np.max(np.abs(x))
+
 
 class TestSolvers:
     def test_identity_single_iteration(self):
@@ -369,3 +392,30 @@ class TestKorn:
                 best = max(best, num / den)
             sups.append(best)
         assert max(sups) / min(sups) <= 3.0
+
+
+class TestEinsumPaths:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cached_path_is_bitwise_optimize_true(self, d):
+        rng = np.random.default_rng(17)
+        e, nq, n = 11, d + 1, d + 1
+        G = rng.standard_normal((e, n, d))
+        N = rng.random((nq, n))
+        w, vol = rng.random(nq), rng.random(e)
+        cases = {
+            "scalar_diffusion": ("eia,eqab,ejb,q,e->eij",
+                                 G, rng.standard_normal((e, nq, d, d)), G, w, vol),
+            "mass": ("eq,qi,qj,q,e->eij", rng.random((e, nq)), N, N, w, vol),
+            "elasticity": ("eqacbd,eic,ejd,q,e->eiajb",
+                           rng.standard_normal((e, nq, d, d, d, d)), G, G, w, vol),
+            "coupling": ("eqac,eic,qj,q,e->eiaj",
+                         rng.standard_normal((e, nq, d, d)), G, N, w, vol),
+            "pullback": ("m,mpqab,pqrs,mrscd->mabcd", vol,
+                         rng.standard_normal((e, d, d, d, d)),
+                         rng.standard_normal((d, d, d, d)),
+                         rng.standard_normal((e, d, d, d, d))),
+        }
+        for subscripts, *operands in cases.values():
+            ref = np.einsum(subscripts, *operands, optimize=True)
+            for _ in range(2):    # plans the path, then reuses it
+                assert np.array_equal(einsum(subscripts, *operands), ref)
