@@ -27,7 +27,7 @@ from .fem import (
     constraint_basis,
     solve_block,
 )
-from .kinematics import PHASE_A, PHASE_B, pullback_fields, sym_index_pairs
+from .kinematics import PHASE_A, PHASE_B, coefficient_fields, sym_index_pairs
 from .mesh import extract_phase_submesh
 
 
@@ -94,13 +94,8 @@ class CellContext:
 
     def matrix_fields(self, t, x):
         """Pulled-back coefficient fields at the matrix-phase quadrature points."""
-        pts = self.space_a.qpoints.reshape(-1, self.dim)
-        F, J, v = self.transformation.kinematics_batch(t, x, pts)
-        fields = pullback_fields(F, J, v, self.material, PHASE_A)
-        e, nq = len(self.space_a.cells), len(self.space_a.qweights)
-        return {
-            name: arr.reshape((e, nq) + arr.shape[1:]) for name, arr in fields.items()
-        }
+        return coefficient_fields(self.space_a, self.transformation, self.material,
+                                  PHASE_A, t, x)
 
     def inclusion_measure(self, t, x):
         """Deformed measure of the inclusion part of the cell."""
@@ -199,9 +194,3 @@ def element_scalar_gradients(space: P1Space, field):
     nodal = field[space.cells]
     return np.einsum("ei,eib->eb", nodal, space.gradients)
 
-
-def mean_over_matrix(space: P1Space, nodal_field):
-    """Volume average of a P1 scalar field (exact integration)."""
-    vals = np.einsum("qi,ei->eq", space.shape_values, nodal_field[space.cells])
-    total = np.einsum("eq,q,e->", vals, space.qweights, space.volumes)
-    return total / space.volumes.sum()

@@ -5,7 +5,8 @@ table), ``macro`` (homogenized two-scale run), ``micro`` (resolved run at the
 first eps), ``compare`` (resolved vs homogenized sweep), ``checks``
 (admissibility, mesh quality, operator structure).  Every artifact directory
 receives a manifest with the config hash; reruns with equal manifests are
-byte-identical regardless of the worker count.
+byte-identical.  ``--workers`` is accepted and validated, but every solve
+runs serially.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def main(argv=None):
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker count (results are worker-independent)")
+                        help="accepted for compatibility; the solvers run serially")
     parser.add_argument("--out", default=None, help="output directory override")
     args = parser.parse_args(argv)
 

@@ -18,7 +18,7 @@ table interpolated piecewise-linearly in time.  The initial temperature is
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class RunConfig:
     cell_resolution: int = 8
     macro_resolution: int = 8
     eps_list: tuple = (0.5, 0.25, 0.125)
-    workers: int = 1
+    workers: int = 1            # accepted and validated; the solvers run serially
     # [transformation]
     family: str = "radial_growth"
     amplitude_poly: tuple = (0.0, 0.1)
@@ -173,8 +173,6 @@ class RunConfig:
                 det_bounds=(self.det_lower, self.det_upper),
                 boundary_margin=self.boundary_margin,
             )
-        from .kinematics import TabulatedTransform
-
         return load_transformation_table(
             self.table_path, inclusion_radius=self.radius,
             det_bounds=(self.det_lower, self.det_upper),
@@ -237,14 +235,13 @@ class RunConfig:
             fixed_point_max_iter=self.fixed_point_max_iter,
             latent_sign=self.latent_heat_sign,
             micro_per_element=self.micro_per_element,
-            workers=self.workers,
         )
 
     # -- canonical form ---------------------------------------------------------
 
     def canonical_text(self):
-        """Normalized settings listing; the worker count is excluded because
-        results must not depend on it."""
+        """Normalized settings listing; the worker count is excluded, as it
+        does not enter any computation."""
         lines = []
         for f in sorted(dc_fields(self), key=lambda f: f.name):
             if f.name in ("workers", "directory"):

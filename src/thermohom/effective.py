@@ -21,7 +21,13 @@ from .cell import (
     strain_pads,
 )
 from .fem import einsum
-from .kinematics import interface_batch, mandel_matrix, sym_index_pairs
+from .kinematics import (
+    LevelCache,
+    interface_batch,
+    mandel_matrix,
+    sym_index_pairs,
+    zero_sources,
+)
 
 _PROBE_SEED = 20240517
 
@@ -194,40 +200,21 @@ class EffectiveProvider:
     def __init__(self, ctx: CellContext, sources=None, latent_in_source=True,
                  include_inclusion_dissipation=True, solver_tol=1e-10):
         self.ctx = ctx
-        self.sources = sources
+        # spatially constant phase sources (f_u_A, f_u_B, f_th_A, f_th_B) at t
+        self.sources = sources if sources is not None else zero_sources(ctx.dim)
         self.latent_in_source = latent_in_source
         self.include_inclusion_dissipation = include_inclusion_dissipation
         self.solver_tol = solver_tol
-        self._cache = {}         # time level -> {sample key: bundle}
-
-    def source_values(self, t):
-        """Spatially constant phase sources (f_u_A, f_u_B, f_th_A, f_th_B) at time t."""
-        d = self.ctx.dim
-        if self.sources is None:
-            return np.zeros(d), np.zeros(d), 0.0, 0.0
-        return self.sources(t)
+        self.cache = LevelCache()
 
     def _bundle(self, t, x):
         """Geometry-derived quantities, cached by the transformation sample key.
 
         Within one key the kinematic fields, correctors, and every effective
-        quantity except the time-dependent sources are identical.  The cache
-        holds the keys of the two most recent time levels; a key shared
-        across levels is reused.
+        quantity except the time-dependent sources are identical.
         """
-        level = round(float(t), 12)
         key = self.ctx.transformation.sample_key(t, x)
-        if level not in self._cache:
-            self._cache = dict(list(self._cache.items())[-1:])
-            self._cache[level] = {}
-        current = self._cache[level]
-        bundle = current.get(key)
-        if bundle is None:
-            bundle = next((c[key] for c in self._cache.values() if key in c), None)
-        if bundle is None:
-            bundle = self._build_bundle(t, x)
-        current[key] = bundle
-        return bundle
+        return self.cache.get(t, key, lambda: self._build_bundle(t, x))
 
     def _build_bundle(self, t, x):
         fields = self.ctx.matrix_fields(t, x)
@@ -256,7 +243,7 @@ class EffectiveProvider:
 
     def at(self, t, x) -> EffectiveCoefficients:
         b = self._bundle(t, x)
-        f_u_a, f_u_b, f_th_a, f_th_b = self.source_values(t)
+        f_u_a, f_u_b, f_th_a, f_th_b = self.sources(t)
         return EffectiveCoefficients(
             t=float(t), x=np.asarray(x, dtype=float),
             stiffness=b["stiffness"], expansion=b["expansion"],

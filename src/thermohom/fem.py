@@ -492,41 +492,10 @@ def solve_block(red: ReducedSystem):
     return red.recover(Z[: red.matrix.shape[0]]), residuals
 
 
-def solve_direct(A, b, constraints=None):
-    """Sparse direct solve; zero-mean constraints via explicit multipliers."""
-    K = augmented_matrix(A, constraints)
-    rhs = np.concatenate([np.asarray(b, dtype=float), np.zeros(K.shape[0] - A.shape[0])])
-    return spla.spsolve(K, rhs)[: A.shape[0]]
-
-
-def dense_oracle_solve(A, b, constraints=None):
-    """Dense factorization path for small verification problems."""
-    A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-    if A.shape[0] > 500:
-        raise ValueError("dense oracle reserved for problems below 500 dofs")
-    if constraints:
-        M = np.column_stack(constraints)
-        k = M.shape[1]
-        K = np.block([[A, M], [M.T, np.zeros((k, k))]])
-        rhs = np.concatenate([b, np.zeros(k)])
-        return np.linalg.solve(K, rhs)[: A.shape[0]]
-    return np.linalg.solve(A, b)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def symmetry_defect(A):
-    """max |A - A^T| relative to max |A|."""
-    d = abs(A - A.T)
-    denom = abs(A).max() if A.nnz else 1.0
-    return (d.max() / denom) if d.nnz else 0.0
-
-
-def export_coordinate_text(path, A):
-    A = A.tocoo()
-    with open(path, "w") as f:
-        f.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        for i, j, v in zip(A.row, A.col, A.data):
-            f.write(f"{i} {j} {format(v, '.17g')}\n")
+def solve_spd_or_direct(A, b, tol, max_iter):
+    """:func:`solve_spd`, or a sparse direct solve when CG fails.  Returns the
+    solution and the path taken, ``"cg"`` or ``"direct"``."""
+    try:
+        return solve_spd(A, b, tol=tol, max_iter=max_iter)[0], "cg"
+    except SolverError:
+        return spla.spsolve(A.tocsc(), b), "direct"

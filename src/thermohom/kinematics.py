@@ -35,12 +35,25 @@ class InadmissibleTransformError(ValueError):
 # amplitude and cutoff building blocks
 
 
+def _power(t, k):
+    """t**k for a float t, rounded as numpy's array power rounds it: k <= 2
+    are exact products, higher powers go through numpy."""
+    if k == 0:
+        return 1.0
+    if k == 1:
+        return t
+    if k == 2:
+        return t * t
+    return float(np.asarray(t) ** k)
+
+
 @dataclass(frozen=True)
 class PolynomialAmplitude:
     """Growth amplitude g(t, x) = (sum_k c_k t^k) * (1 + slope . x).
 
     The constant coefficient must vanish so that the transformation is the
-    identity at t = 0.
+    identity at t = 0.  t is a scalar; x is one point or an (m, d) array of
+    points, which gives one amplitude per point.
     """
 
     coeffs: tuple[float, ...]
@@ -59,19 +72,17 @@ class PolynomialAmplitude:
         return 1.0 + np.asarray(x, dtype=float) @ slope
 
     def value(self, t, x):
-        t = np.asarray(t, dtype=float)
-        p = np.zeros_like(t)
+        t, p = float(t), 0.0
         for k, c in enumerate(self.coeffs):
             if c != 0.0:
-                p = p + c * t**k
+                p = p + c * _power(t, k)
         return p * self._spatial(x)
 
     def rate(self, t, x):
-        t = np.asarray(t, dtype=float)
-        p = np.zeros_like(t)
+        t, p = float(t), 0.0
         for k, c in enumerate(self.coeffs):
             if k >= 1 and c != 0.0:
-                p = p + k * c * t ** (k - 1)
+                p = p + k * c * _power(t, k - 1)
         return p * self._spatial(x)
 
 
@@ -633,6 +644,56 @@ def pullback_fields(F, J, v, mat: MaterialParams, phase):
         velocity=velocity,
         jacobian=J,
     )
+
+
+def coefficient_fields(space, tr, mat: MaterialParams, phase, t, x, y=None):
+    """:func:`pullback_fields` at the quadrature points of a P1 space, as
+    (e, nq, ...) arrays.
+
+    ``y`` are the cell coordinates of the flattened quadrature points (by
+    default the points themselves, for spaces on the reference cell); ``x``
+    is the macro point, or one macro point per quadrature point.
+    """
+    if y is None:
+        y = space.qpoints.reshape(-1, space.dim)
+    F, J, v = tr.kinematics_batch(t, x, y)
+    fields = pullback_fields(F, J, v, mat, phase)
+    e, nq = len(space.cells), len(space.qweights)
+    return {k: a.reshape((e, nq) + a.shape[1:]) for k, a in fields.items()}
+
+
+class LevelCache:
+    """Values keyed by transformation sample key, for the two most recent
+    time levels (the current step pair).
+
+    A key cached at the other level is reused, so a static geometry builds
+    once.  ``valid`` may reject a cached value that does not fit the
+    request; it is then rebuilt.
+    """
+
+    def __init__(self):
+        self.levels = {}         # time level -> {sample key: value}
+
+    def get(self, t, key, build, valid=None):
+        """The value of ``key`` at time t; ``build()`` makes it on a miss.  A
+        new time level drops every level but the most recently opened one."""
+        level = round(float(t), 12)
+        if level not in self.levels:
+            self.levels = dict(list(self.levels.items())[-1:])
+            self.levels[level] = {}
+        current = self.levels[level]
+        value = current.get(key)
+        if value is None:
+            value = next((c[key] for c in self.levels.values() if key in c), None)
+        if value is None or (valid is not None and not valid(value)):
+            value = build()
+        current[key] = value
+        return value
+
+
+def zero_sources(dim):
+    """Phase sources (f_u_A, f_u_B, f_th_A, f_th_B) that vanish at every t."""
+    return lambda t: (np.zeros(dim), np.zeros(dim), 0.0, 0.0)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ geometric normal of the stored vertex order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -583,31 +583,6 @@ def tile_anchors(mesh: Mesh):
         np.meshgrid(*[np.arange(n)] * d, indexing="ij"), axis=-1
     ).reshape(-1, d)
     return mesh.eps * offsets
-
-
-def inclusion_components(mesh: Mesh):
-    """Number of connected components of the inclusion cell-adjacency graph."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    b_cells = np.flatnonzero(mesh.phase == 1)
-    local = {c: i for i, c in enumerate(b_cells)}
-    faces = {}
-    rows, cols = [], []
-    for ci in b_cells:
-        c = mesh.cells[ci]
-        for drop in range(mesh.dim + 1):
-            f = tuple(sorted(np.delete(c, drop)))
-            other = faces.get(f)
-            if other is None:
-                faces[f] = ci
-            else:
-                rows.append(local[ci])
-                cols.append(local[other])
-    nb = len(b_cells)
-    adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nb, nb))
-    ncomp, _ = connected_components(adj, directed=False)
-    return ncomp
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ import scipy.sparse.linalg as spla
 from .fem import (
     ConstraintSet,
     P1Space,
-    SolverError,
     apply_constraints,
     assemble_gradient_load,
     assemble_interface_load,
@@ -29,17 +28,20 @@ from .fem import (
     assemble_scalar_load,
     assemble_vector_load,
     solve_spd,
+    solve_spd_or_direct,
     vector_mass,
 )
 from .kinematics import (
     PHASE_A,
     PHASE_B,
+    LevelCache,
+    coefficient_fields,
     interface_batch,
-    pullback_fields,
     scaled_coefficients,
+    zero_sources,
 )
 from .mesh import build_epsilon_mesh, tile_anchors
-from .twoscale import SolverSettings, TwoScaleSolver
+from .twoscale import FixedPointError, SolverSettings, TwoScaleSolver
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,6 @@ class EpsilonCoefficients:
         self.anchors = tile_anchors(mesh)
         self.space_a = P1Space(mesh, element_mask=mesh.phase == PHASE_A)
         self.space_b = P1Space(mesh, element_mask=mesh.phase == PHASE_B)
-        self._facet_cache = None
 
     def _cell_coords(self, space):
         pts = space.qpoints.reshape(-1, self.mesh.dim)
@@ -76,11 +77,10 @@ class EpsilonCoefficients:
         """Pulled-back, eps-scaled coefficient arrays on one phase."""
         space = self.space_a if phase == PHASE_A else self.space_b
         X, y = self._cell_coords(space)
-        F, J, v = self.transformation.kinematics_batch(t, X, y)
-        fields = pullback_fields(F, J, v, self.scaled, phase)
+        fields = coefficient_fields(space, self.transformation, self.scaled, phase,
+                                    t, X, y)
         fields["velocity"] = self.eps * fields["velocity"]  # cell velocity is O(eps)
-        e, nq = len(space.cells), len(space.qweights)
-        return {k: a.reshape((e, nq) + a.shape[1:]) for k, a in fields.items()}
+        return fields
 
     def interface_data(self, t):
         """Per-facet J, normal velocity, curvature and F at facet centroids."""
@@ -137,7 +137,7 @@ class EpsilonSolver:
         self.transformation = transformation
         self.eps = float(eps)
         self.settings = settings if settings is not None else SolverSettings()
-        self.sources = sources
+        self.sources = sources if sources is not None else zero_sources(cell_mesh.dim)
         self.latent_in_load = latent_in_load
 
         self.mesh = build_epsilon_mesh(cell_mesh, eps)
@@ -146,13 +146,8 @@ class EpsilonSolver:
         bdofs = np.flatnonzero(np.repeat(self.mesh.boundary_vertex_mask(),
                                          self.mesh.dim))
         self.mech_constraints = ConstraintSet.dirichlet_only(bdofs)
-        self._bundles = {}
-
-    def source_values(self, t):
-        d = self.mesh.dim
-        if self.sources is None:
-            return np.zeros(d), np.zeros(d), 0.0, 0.0
-        return self.sources(t)
+        # a bundle bakes in the sources at its t, so its key is the time level
+        self.cache = LevelCache()
 
     def _latent_factor(self):
         f = self.settings.latent_sign
@@ -161,10 +156,9 @@ class EpsilonSolver:
         return f
 
     def bundle(self, t):
-        key = round(float(t), 12)
-        hit = self._bundles.get(key)
-        if hit is not None:
-            return hit
+        return self.cache.get(t, round(float(t), 12), lambda: self._build_bundle(t))
+
+    def _build_bundle(self, t):
         mesh = self.mesh
         fa = self.coeffs.phase_fields(t, PHASE_A)
         fb = self.coeffs.phase_fields(t, PHASE_B)
@@ -186,7 +180,7 @@ class EpsilonSolver:
              + assemble_operator(mesh, "advection", flux_b, space=sb)).tocsr()
         mech_surface, heat_surface = self.coeffs.surface_loads(t, self._latent_factor())
 
-        f_u_a, f_u_b, f_th_a, f_th_b = self.source_values(t)
+        f_u_a, f_u_b, f_th_a, f_th_b = self.sources(t)
         f_theta = np.zeros(self.space.n_scalar)
         f_u = np.zeros(self.space.n_vector)
         if f_th_a != 0.0 or np.any(np.asarray(f_u_a) != 0.0):
@@ -196,28 +190,18 @@ class EpsilonSolver:
             f_theta += assemble_scalar_load(sb, fb["jacobian"] * f_th_b)
             f_u += assemble_vector_load(sb, fb["jacobian"][:, :, None] * np.asarray(f_u_b))
 
-        bundle = dict(fields_a=fa, fields_b=fb, M_c=M_c, A_K=A_K, E=E,
-                      G_alpha=G_alpha, G_gamma=G_gamma, N=N,
-                      mech_surface=mech_surface, heat_surface=heat_surface,
-                      f_theta=f_theta, f_u=f_u, advective=abs(N).max() > 0.0)
-        self._bundles[key] = bundle
-        if len(self._bundles) > 4:  # keep the current step pair only
-            for k in sorted(self._bundles)[:-4]:
-                if k != key:
-                    self._bundles.pop(k, None)
-        return bundle
+        return dict(fields_a=fa, fields_b=fb, M_c=M_c, A_K=A_K, E=E,
+                    G_alpha=G_alpha, G_gamma=G_gamma, N=N,
+                    mech_surface=mech_surface, heat_surface=heat_surface,
+                    f_theta=f_theta, f_u=f_u, advective=abs(N).max() > 0.0)
 
     # -- solves ----------------------------------------------------------------
 
     def _solve_heat(self, lhs, rhs, advective):
         if advective:
             return spla.spsolve(lhs.tocsc(), rhs), "direct"
-        try:
-            x, _ = solve_spd(lhs, rhs, tol=self.settings.cg_tol,
-                             max_iter=self.settings.cg_max_iter)
-            return x, "cg"
-        except SolverError:
-            return spla.spsolve(lhs.tocsc(), rhs), "direct"
+        return solve_spd_or_direct(lhs, rhs, self.settings.cg_tol,
+                                   self.settings.cg_max_iter)
 
     def _mech_reduced(self, b):
         rhs0 = b["f_u"] + b["mech_surface"]
@@ -290,8 +274,9 @@ class EpsilonSolver:
                     converged = True
                     break
             if not converged:
-                raise RuntimeError(
-                    f"resolved solver: staggered loop stalled at t = {t_new:.6g}"
+                raise FixedPointError(
+                    f"resolved solver: staggered loop did not converge within "
+                    f"{s.fixed_point_max_iter} iterations at t = {t_new:.6g}"
                 )
             theta, u, t = theta_k, u_k, t_new
             times.append(t)
@@ -331,12 +316,6 @@ class NormBundle:
 
     names = ("linf_theta", "grad_theta_matrix", "grad_theta_inclusion_scaled",
              "linf_u", "linf_grad_u_matrix", "linf_grad_u_inclusion_scaled")
-
-
-def interface_trace_norm(mesh, field):
-    """L2 norm of a P1 scalar field over the interface (centroid rule)."""
-    vals = field[mesh.interface_facets].mean(axis=1)
-    return math.sqrt(float(np.sum(mesh.facet_areas() * vals**2)))
 
 
 def gradient_matrices(mesh):
@@ -474,8 +453,21 @@ def interpolate_macro(macro_mesh, macro_field, points):
     pts = np.clip(points, 0.0, 1.0)
     cells = np.minimum((pts * n).astype(int), n - 1)
     local = pts * n - cells
-    if macro_mesh.dim != 2:
-        raise NotImplementedError("macro interpolation implemented for d = 2")
+    if macro_mesh.dim == 3:
+        # every cube is split into the Kuhn simplices of build_uniform_mesh;
+        # the one holding a point steps along the axes in descending order of
+        # the local coordinates, and the field is linear along that path
+        rows = np.arange(len(pts))
+        corner = cells.copy()
+        idx = lambda c: (c[:, 0] * (n + 1) + c[:, 1]) * (n + 1) + c[:, 2]
+        prev = macro_field[idx(corner)]
+        out = prev
+        for ax in np.argsort(-local, axis=1, kind="stable").T:
+            corner[rows, ax] += 1
+            nxt = macro_field[idx(corner)]
+            out = out + local[rows, ax] * (nxt - prev)
+            prev = nxt
+        return out
     i, j = cells[:, 0], cells[:, 1]
     xi, et = local[:, 0], local[:, 1]
     idx = lambda a, b: a * (n + 1) + b

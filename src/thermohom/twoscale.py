@@ -24,7 +24,6 @@ conservation diagnostics check.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +35,14 @@ from .effective import EffectiveProvider
 from .fem import (
     ConstraintSet,
     P1Space,
-    SolverError,
     apply_constraints,
     assemble_operator,
     assemble_scalar_load,
     assemble_vector_load,
     solve_spd,
+    solve_spd_or_direct,
 )
-from .kinematics import PHASE_B, pullback_fields
+from .kinematics import PHASE_B, LevelCache, coefficient_fields, zero_sources
 
 
 @dataclass
@@ -54,7 +53,6 @@ class SolverSettings:
     fixed_point_max_iter: int = 50
     latent_sign: float = 1.0
     micro_per_element: bool = False
-    workers: int = 1
 
 
 @dataclass
@@ -109,9 +107,9 @@ class MicroModel:
       factorization and its boundary column ``heat_bd``.
 
     ``step`` is then a few sparse mat-vecs and two triangular solves.  Sources
-    are the unit loads scaled by ``source_values(t)`` at the t of each call,
-    so one bundle serves every t of a static geometry.  The cache keeps the
-    bundles of the two most recent time levels, the current step pair.
+    are the unit loads scaled by ``sources(t)`` at the t of each call, so one
+    bundle serves every t of a static geometry.  The cache keeps the bundles
+    of the two most recent time levels, the current step pair.
     """
 
     def __init__(self, ctx: CellContext, sources=None):
@@ -119,7 +117,7 @@ class MicroModel:
         self.space = ctx.space_b
         self.mesh = ctx.sub_b.mesh
         self.dim = ctx.dim
-        self.sources = sources
+        self.sources = sources if sources is not None else zero_sources(ctx.dim)
         d = self.dim
 
         boundary = np.unique(self.mesh.interface_facets)
@@ -131,7 +129,7 @@ class MicroModel:
         vmask = np.repeat(mask, d)
         self.interior_vector = np.flatnonzero(~vmask)
         self.boundary_vector = np.flatnonzero(vmask)
-        self._cache = {}         # time level -> {sample key: bundle}
+        self.cache = LevelCache()
 
         # sparsity patterns of the maps between quadrature values (row or
         # column e * nq + q) and scalar loads or vector dofs
@@ -145,19 +143,6 @@ class MicroModel:
         self._qp_weights = (space.volumes[:, None] * space.qweights)[:, :, None]
         self._P_s = self._qp_load_map(self._qp_weights * space.shape_values)
 
-    def source_values(self, t):
-        if self.sources is None:
-            d = self.dim
-            return np.zeros(d), np.zeros(d), 0.0, 0.0
-        return self.sources(t)
-
-    def fields(self, t, x):
-        pts = self.space.qpoints.reshape(-1, self.dim)
-        F, J, v = self.ctx.transformation.kinematics_batch(t, x, pts)
-        raw = pullback_fields(F, J, v, self.ctx.material, PHASE_B)
-        e, nq = len(self.space.cells), len(self.space.qweights)
-        return {k: a.reshape((e, nq) + a.shape[1:]) for k, a in raw.items()}
-
     def _qp_load_map(self, loc):
         """(n_scalar x n_qp) map from quadrature values to loads; loc is (e, nq, d+1)."""
         shape = (self.space.n_scalar, loc.shape[0] * loc.shape[1])
@@ -165,23 +150,15 @@ class MicroModel:
 
     def bundle(self, t, x, dt=None):
         """The maps of the micro step at (t, x); with dt, also the heat
-        factorization of an implicit-Euler step of length dt ending at t."""
-        level = round(float(t), 12)
+        factorization of an implicit-Euler step of length dt ending at t.  A
+        cached bundle without that factorization is rebuilt."""
         key = self.ctx.transformation.sample_key(t, x)
-        if level not in self._cache:
-            self._cache = dict(list(self._cache.items())[-1:])
-            self._cache[level] = {}
-        current = self._cache[level]
-        b = current.get(key)
-        if b is None:
-            b = next((c[key] for c in self._cache.values() if key in c), None)
-        if b is None or (dt is not None and b["dt"] != round(float(dt), 14)):
-            b = self._build_bundle(t, x, dt)
-        current[key] = b
-        return b
+        valid = None if dt is None else (lambda b: b["dt"] == round(float(dt), 14))
+        return self.cache.get(t, key, lambda: self._build_bundle(t, x, dt), valid)
 
     def _build_bundle(self, t, x, dt):
-        f = self.fields(t, x)
+        ctx = self.ctx
+        f = coefficient_fields(self.space, ctx.transformation, ctx.material, PHASE_B, t, x)
         mesh, space, d = self.mesh, self.space, self.dim
         I, B = self.interior_scalar, self.boundary_scalar
         Iv, Bv = self.interior_vector, self.boundary_vector
@@ -218,7 +195,7 @@ class MicroModel:
         theta = np.full(self.space.n_scalar, trace_theta) if theta_field is None \
             else theta_field.copy()
         theta[self.boundary_scalar] = trace_theta
-        _, f_u_b, _, _ = self.source_values(t)
+        _, f_u_b, _, _ = self.sources(t)
         u = self._solve_mech(b, theta, trace_u, f_u_b)
         return MicroState(theta=theta, u=u, heat_content=float(b["content"] @ theta))
 
@@ -236,7 +213,7 @@ class MicroModel:
         b_new = self.bundle(t_new, x, dt)
         b_old = self.bundle(t_new - dt, x)
         u_lag = prev.u if u_lag is None else u_lag
-        _, f_u_b, _, f_th_b = self.source_values(t_new)
+        _, f_u_b, _, f_th_b = self.sources(t_new)
 
         r = ((b_old["M_c"] @ prev.theta - b_new["S"] @ u_lag + b_old["S"] @ prev.u) / dt
              - b_new["A"] @ u_lag + f_th_b * b_new["l_J"] - trace_theta * b_new["heat_bd"])
@@ -348,23 +325,10 @@ class TwoScaleSolver:
 
     def micro_sweep(self, t_new, dt, theta, u, prev_micro, lag_micro):
         traces_th, traces_u = self.traces_at_hosts(theta, u)
-        pts = self.host_points
-        model = self.micro_model
-        # open the step pair's cache levels serially; worker threads then only
-        # add bundles to them
-        model.bundle(t_new, pts[0], dt)
-        model.bundle(t_new - dt, pts[0])
-
-        def run(i):
-            return model.step(t_new, dt, pts[i], traces_th[i], traces_u[i],
-                              prev_micro[i], u_lag=lag_micro[i].u)
-
-        if self.settings.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.settings.workers) as pool:
-                results = list(pool.map(run, range(self.n_hosts)))
-        else:
-            results = [run(i) for i in range(self.n_hosts)]
-        return results
+        step = self.micro_model.step
+        return [step(t_new, dt, x, traces_th[i], traces_u[i], prev_micro[i],
+                     u_lag=lag_micro[i].u)
+                for i, x in enumerate(self.host_points)]
 
     # -- initialization ---------------------------------------------------------
 
@@ -403,14 +367,6 @@ class TwoScaleSolver:
         state.heat_content = macro + micro
 
     # -- solves -----------------------------------------------------------------
-
-    def _solve_heat(self, lhs, rhs):
-        try:
-            x, _ = solve_spd(lhs, rhs, tol=self.settings.cg_tol,
-                             max_iter=self.settings.cg_max_iter)
-            return x, "cg"
-        except SolverError:
-            return spla.spsolve(lhs.tocsc(), rhs), "direct"
 
     def _solve_mech(self, ops, theta):
         rhs = ops["G_alpha"] @ theta + ops["mech_load"]
@@ -453,7 +409,8 @@ class TwoScaleSolver:
             iterations = it
             rhs = (base_rhs + (q_old - self.content_load(micro_k)) / dt
                    + (diss_old - ops_new["G_gamma"].T @ u_k) / dt)
-            theta_next, heat_solver = self._solve_heat(heat_lhs, rhs)
+            theta_next, heat_solver = solve_spd_or_direct(heat_lhs, rhs, s.cg_tol,
+                                                          s.cg_max_iter)
             u_next = self._solve_mech(ops_new, theta_next)
             micro_next = self.micro_sweep(t_new, dt, theta_next, u_next,
                                           state.micro, micro_k)
@@ -465,15 +422,16 @@ class TwoScaleSolver:
                 break
         if not converged:
             raise FixedPointError(
-                f"staggered loop did not converge within {s.fixed_point_max_iter} "
-                f"sweeps at t = {t_new:.6g}"
+                f"two-scale solver: staggered loop did not converge within "
+                f"{s.fixed_point_max_iter} sweeps at t = {t_new:.6g}"
             )
 
         # closing solves: the accepted state satisfies the macro balance
         # against the final micro content exactly
         rhs = (base_rhs + (q_old - self.content_load(micro_k)) / dt
                + (diss_old - ops_new["G_gamma"].T @ u_k) / dt)
-        theta_new, heat_solver = self._solve_heat(heat_lhs, rhs)
+        theta_new, heat_solver = solve_spd_or_direct(heat_lhs, rhs, s.cg_tol,
+                                                     s.cg_max_iter)
         u_new = self._solve_mech(ops_new, theta_new)
 
         traces_th, _ = self.traces_at_hosts(theta_new, u_new)

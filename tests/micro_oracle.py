@@ -17,6 +17,7 @@ from thermohom.fem import (
     assemble_scalar_load,
     assemble_vector_load,
 )
+from thermohom.kinematics import PHASE_B, coefficient_fields
 from thermohom.twoscale import MicroModel, MicroState
 
 
@@ -32,7 +33,8 @@ class EinsumMicroModel(MicroModel):
         hit = self._bundles.get(key)
         if hit is not None:
             return hit
-        f = self.fields(t, x)
+        ctx = self.ctx
+        f = coefficient_fields(self.space, ctx.transformation, ctx.material, PHASE_B, t, x)
         mesh, space = self.mesh, self.space
         M_c = assemble_operator(mesh, "mass", f["heat_capacity"], space=space)
         flux = f["heat_capacity"][:, :, None] * f["velocity"]
@@ -86,7 +88,7 @@ class EinsumMicroModel(MicroModel):
     def _oracle_mech(self, b, theta, trace_u, t):
         d = self.dim
         rhs = b["G"] @ theta
-        _, f_u_b, _, _ = self.source_values(t)
+        _, f_u_b, _, _ = self.sources(t)
         if np.any(np.asarray(f_u_b) != 0.0):
             load = b["fields"]["jacobian"][:, :, None] * np.asarray(f_u_b)
             rhs = rhs + assemble_vector_load(self.space, load)
@@ -110,7 +112,7 @@ class EinsumMicroModel(MicroModel):
         rhs -= assemble_scalar_load(self.space, (diss_new - diss_old) / dt)
         rhs -= assemble_gradient_load(self.space,
                                       diss_new[:, :, None] * f_new["velocity"])
-        _, _, _, f_th_b = self.source_values(t_new)
+        _, _, _, f_th_b = self.sources(t_new)
         if f_th_b != 0.0:
             rhs += assemble_scalar_load(self.space, f_new["jacobian"] * f_th_b)
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 from cell_oracle import ORACLE_TOL, assert_max_close, cell_context, solve_correctors_cg
+from helpers import mean_over_matrix
 
 from thermohom.cell import (
     CellContext,
-    mean_over_matrix,
     solve_correctors,
     solve_elastic_correctors,
     solve_thermal_correctors,

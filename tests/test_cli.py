@@ -118,6 +118,16 @@ class TestSubcommands:
         assert main(["macro", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "thermohom" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub", ["macro", "micro"])
+    def test_stalled_fixed_point_loop_exits_one(self, tmp_path, capsys, sub):
+        text = BASE.format(out=tmp_path / "out") + (
+            "\n[tolerances]\nfixed_point_max_iter = 1\nfixed_point_tol = 1e-30\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1
+        err = capsys.readouterr().err
+        assert f"thermohom {sub}: FixedPointError" in err
+        assert "t = 0.05" in err
+
     def test_rerun_identical_artifacts(self, tmp_path):
         cfg = write_cfg(tmp_path)
         main(["effective", "--config", cfg, "--out", str(tmp_path / "a")])

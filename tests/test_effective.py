@@ -193,7 +193,7 @@ class TestProviderCache:
         sizes = []
 
         def observer(state):
-            sizes.append(len({id(b) for level in provider._cache.values()
+            sizes.append(len({id(b) for level in provider.cache.levels.values()
                               for b in level.values()}))
 
         solver.run(0.2, 0.01, lambda x: np.cos(np.pi * x[:, 0]), observer=observer)

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from helpers import (
+    dense_oracle_solve,
+    export_coordinate_text,
+    solve_direct,
+    symmetry_defect,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,12 +20,9 @@ from thermohom.fem import (
     assemble_operator,
     assemble_scalar_load,
     assemble_vector_load,
-    dense_oracle_solve,
     einsum,
     solve_block,
-    solve_direct,
     solve_spd,
-    symmetry_defect,
     vector_mass,
 )
 from thermohom.kinematics import isotropic_stiffness
@@ -342,8 +345,6 @@ class TestManufactured:
 
 class TestExport:
     def test_coordinate_text_roundtrip(self, tmp_path):
-        from thermohom.fem import export_coordinate_text
-
         A = assemble_operator(reference_triangle(), "scalar_diffusion", np.eye(2))
         path = tmp_path / "matrix.txt"
         export_coordinate_text(path, A)

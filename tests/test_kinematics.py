@@ -311,3 +311,50 @@ class TestTabulated:
         assert np.max(np.abs(F_tab - F_ref)) < 2e-2
         assert np.max(np.abs(v_tab - v_ref)) < 2e-2
         assert np.max(np.abs(J_tab - J_ref)) < 3e-2
+
+
+def _numpy_amplitude(amp, t, x):
+    """The amplitude and its rate evaluated on 0-d numpy arrays, the
+    formula PolynomialAmplitude used before its scalar-t path."""
+    t = np.asarray(t, dtype=float)
+    p, q = np.zeros_like(t), np.zeros_like(t)
+    for k, c in enumerate(amp.coeffs):
+        if c != 0.0:
+            p = p + c * t**k
+            if k >= 1:
+                q = q + k * c * t ** (k - 1)
+    spatial = 1.0
+    if amp.x_slope:
+        spatial = 1.0 + np.asarray(x, dtype=float) @ np.asarray(amp.x_slope, dtype=float)
+    return p * spatial, q * spatial
+
+
+class TestScalarAmplitude:
+    def test_sample_keys_match_numpy_formula_on_graded_hosts(self):
+        from thermohom.fem import P1Space
+        from thermohom.mesh import build_uniform_mesh
+
+        amp = PolynomialAmplitude((0.0, 0.1), (0.5, 0.25))
+        tr = RadialGrowth(dim=2, inclusion_radius=0.25, amplitude=amp)
+        hosts = P1Space(build_uniform_mesh(8, dim=2)).qpoints.reshape(-1, 2)
+        dt = 0.05
+        for t in (0.0, dt, 2 * dt):
+            keys = [tr.sample_key(t, x) for x in hosts]
+            old = []
+            for x in hosts:
+                g, gdot = _numpy_amplitude(amp, t, x)
+                old.append(("radial_growth", round(float(g), 12), round(float(gdot), 12)))
+            assert keys == old
+            if t > 0.0:
+                assert len(set(keys)) == 129
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.1), (0.0, 0.3, -0.2, 0.05, 0.01)])
+    def test_bitwise_equal_to_numpy_formula(self, coeffs):
+        amp = PolynomialAmplitude(coeffs, (0.5, -0.25))
+        rng = np.random.default_rng(3)
+        anchors = rng.random((50, 2))
+        for t in rng.random(200) * 2.0:
+            for x in (anchors[0], anchors):
+                g, gdot = _numpy_amplitude(amp, t, x)
+                assert np.array_equal(amp.value(t, x), g)
+                assert np.array_equal(amp.rate(t, x), gdot)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import inclusion_components
 
 from thermohom.mesh import (
     MeshError,
@@ -7,7 +8,6 @@ from thermohom.mesh import (
     build_epsilon_mesh,
     build_uniform_mesh,
     extract_phase_submesh,
-    inclusion_components,
     load_mesh,
     mesh_quality,
     save_mesh,

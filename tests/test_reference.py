@@ -16,7 +16,7 @@ from thermohom.reference import (
     operator_structure_checks,
     two_scale_compare,
 )
-from thermohom.twoscale import SolverSettings
+from thermohom.twoscale import FixedPointError, SolverSettings
 
 
 def growth(rate=0.1):
@@ -58,6 +58,13 @@ class TestEpsilonSolver:
         for ta, tb in zip(a.theta, b.theta):
             assert np.array_equal(ta, tb)
         assert not np.array_equal(a.u[-1], b.u[-1])
+
+    def test_stalled_loop_raises_named_error(self, cell8):
+        settings = SolverSettings(fixed_point_max_iter=1, fixed_point_tol=1e-30)
+        solver = EpsilonSolver(cell8, default_material(2), growth(), 0.5,
+                               settings=settings)
+        with pytest.raises(FixedPointError, match=r"resolved solver.*t = 0\.05"):
+            solver.solve(0.05, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
 
     def test_manufactured_diffusion_convergence(self):
         # manufactured theta = exp(-t) cos(pi x) cos(pi y): phase-wise bulk
@@ -200,7 +207,9 @@ class TestTraceEstimate:
         # fit C on the coarsest tiling, reuse it (with a fitting margin) on
         # the finer ones: eps ||th||^2_Gamma <= C (||th||^2 + eps^2 ||grad th||^2)
         from thermohom.mesh import build_epsilon_mesh
-        from thermohom.reference import gradient_matrices, interface_trace_norm
+        from helpers import interface_trace_norm
+
+        from thermohom.reference import gradient_matrices
 
         rng = np.random.default_rng(11)
 
@@ -239,6 +248,26 @@ class TestMacroInterpolation:
         pts = rng.random((100, 2))
         vals = interpolate_macro(mesh, field, pts)
         exact = 2.0 * pts[:, 0] - 0.7 * pts[:, 1] + 0.3
+        assert np.max(np.abs(vals - exact)) < 1e-12
+
+    def test_exact_on_affine_fields_3d(self):
+        mesh = build_uniform_mesh(4, dim=3)
+        coef, c0 = np.array([2.0, -0.7, 1.3]), 0.3
+        field = mesh.vertices @ coef + c0
+        pts = np.random.default_rng(1).random((200, 3))
+        vals = interpolate_macro(mesh, field, pts)
+        assert np.max(np.abs(vals - (pts @ coef + c0))) < 1e-12
+
+    def test_matches_p1_field_inside_each_tetrahedron_3d(self):
+        # a generic nodal field is only piecewise affine, so this checks that
+        # every point is located in the simplex that holds it
+        mesh = build_uniform_mesh(2, dim=3)
+        space = P1Space(mesh)
+        field = np.random.default_rng(4).standard_normal(len(mesh.vertices))
+        bary = np.random.default_rng(5).dirichlet(np.ones(4), size=len(mesh.cells))
+        pts = np.einsum("ei,eid->ed", bary, mesh.vertices[space.cells])
+        exact = np.einsum("ei,ei->e", bary, field[space.cells])
+        vals = interpolate_macro(mesh, field, pts)
         assert np.max(np.abs(vals - exact)) < 1e-12
 
 

@@ -7,7 +7,7 @@ from thermohom.cell import CellContext
 from thermohom.effective import EffectiveProvider
 from thermohom.kinematics import PolynomialAmplitude, RadialGrowth, default_material
 from thermohom.mesh import build_cell_mesh, build_uniform_mesh
-from thermohom.reference import EpsilonSolver, apriori_norm_bundle
+from thermohom.reference import EpsilonSolver, apriori_norm_bundle, two_scale_compare
 from thermohom.twoscale import SolverSettings, TwoScaleSolver
 
 
@@ -51,3 +51,17 @@ def test_resolved_step(setting):
     bundle = apriori_norm_bundle(sol)
     assert np.all(np.isfinite(bundle.as_array()))
     assert bundle.linf_theta == pytest.approx(1.0, abs=0.05)
+
+
+def test_two_scale_compare(setting):
+    cell, mat, tr = setting
+    rows, _, _ = two_scale_compare(
+        cell, mat, tr, [0.5], 0.05, 0.05, theta0, macro_resolution=2,
+        settings=SolverSettings(micro_per_element=True))
+    assert len(rows) == 1
+    row = rows[0]
+    assert np.isfinite([row.error_matrix, row.error_inclusion]).all()
+    # the floor compares the resolved-mesh interpolant of the macro field with
+    # the field itself; each resolved element lies in one macro tetrahedron
+    # here, where both are affine, so it is at round-off level
+    assert row.interp_floor < 1e-12
