@@ -3,7 +3,11 @@
 Scalar fields carry one degree of freedom per vertex; vector fields use the
 interleaved ordering ``dof = vertex * dim + component``.  Sparse matrices are
 scipy CSR; assembly batches all elements with einsum and scatters in a fixed
-element order, so results do not depend on any worker count.
+element order, so results do not depend on any worker count.  Each
+:class:`P1Space` builds the CSR sparsity pattern of a dof layout on its first
+assembly and keeps it (:meth:`P1Space.pattern`); every later assembly on
+that layout is one ``np.bincount`` of the element entries into the pattern's
+data array, with no COO conversion, sort or duplicate sum.
 
 Coefficient fields passed to the assemblers may be constants (scalar, matrix,
 or rank-4 tensor), per-quadrature-point arrays of shape ``(n_elements, n_qp,
@@ -74,6 +78,48 @@ def simplex_rule(dim):
 
 
 # ---------------------------------------------------------------------------
+# sparsity patterns
+
+
+@dataclass(frozen=True)
+class CsrPattern:
+    """The CSR structure of matrices assembled from the local (row dofs x
+    column dofs) blocks of a list of elements; ``slot`` is the position of
+    each block entry in the data array, so one ``np.bincount`` sums them."""
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+
+    @staticmethod
+    def of(row_dofs, col_dofs, shape):
+        n_rows, n_cols = shape
+        rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).astype(np.int64)
+        cols = np.tile(col_dofs, (1, row_dofs.shape[1]))
+        unique, slot = np.unique((rows * n_cols + cols).ravel(), return_inverse=True)
+        index = np.int32 if max(len(unique), n_rows, n_cols) < 2**31 else np.int64
+        indptr = np.zeros(n_rows + 1, dtype=index)
+        np.cumsum(np.bincount(unique // n_cols, minlength=n_rows), out=indptr[1:])
+        indices = (unique % n_cols).astype(index)
+        for a in (indptr, indices):
+            a.flags.writeable = False      # shared by every matrix built here
+        return CsrPattern(shape=tuple(shape), indptr=indptr, indices=indices,
+                          slot=slot.ravel())
+
+    def matrix(self, values):
+        """The matrix of the element blocks ``values``, (e, rows, cols) in
+        any shape that ravels to that order."""
+        values = np.asarray(values, dtype=float).ravel()
+        if not np.all(np.isfinite(values)):
+            raise ValueError("assembly produced non-finite entries")
+        data = np.bincount(self.slot, weights=values, minlength=len(self.indices))
+        A = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        A.has_canonical_format = True
+        return A
+
+
+# ---------------------------------------------------------------------------
 # P1 spaces
 
 
@@ -106,6 +152,7 @@ class P1Space:
         self.shape_values = bary                           # (nq, d+1)
         self.qweights = w
         self.qpoints = np.einsum("qi,eid->eqd", bary, v)   # (e, nq, d)
+        self._patterns = {}
 
     # dof maps -------------------------------------------------------------
 
@@ -123,6 +170,31 @@ class P1Space:
     @property
     def n_vector(self):
         return self.n_vertices * self.dim
+
+    def pattern(self, layout) -> CsrPattern:
+        """The sparsity of one dof layout on this space, built on first use.
+
+        Element layouts take (e, rows, cols) local matrices: "scalar" and
+        "vector" (square) and "coupling" (vector rows, scalar columns).
+        Quadrature layouts index quadrature points as ``e * nq + q``:
+        "qp_load" maps point values to scalar loads, taking (e, nq, d+1)
+        entries; "qp_gradient" maps vector dofs to point values, taking
+        (e, nq, d+1, d) entries.
+        """
+        p = self._patterns.get(layout)
+        if p is None:
+            S, V, nq = self.scalar_dofs(), self.vector_dofs(), len(self.qweights)
+            points = np.arange(len(self.cells) * nq)[:, None]  # one block per point
+            ns, nv, n_qp = self.n_scalar, self.n_vector, len(points)
+            blocks = {
+                "scalar": (S, S, (ns, ns)),
+                "vector": (V, V, (nv, nv)),
+                "coupling": (V, S, (nv, ns)),
+                "qp_load": (np.repeat(S, nq, axis=0), points, (ns, n_qp)),
+                "qp_gradient": (points, np.repeat(V, nq, axis=0), (n_qp, nv)),
+            }
+            p = self._patterns[layout] = CsrPattern.of(*blocks[layout])
+        return p
 
     # coefficient evaluation -------------------------------------------------
 
@@ -149,15 +221,6 @@ class P1Space:
 # operator assembly
 
 
-def _scatter(space, loc, dofs, n):
-    if not np.all(np.isfinite(loc)):
-        raise ValueError("assembly produced non-finite entries")
-    rows = np.repeat(dofs, dofs.shape[1], axis=1).ravel()
-    cols = np.tile(dofs, (1, dofs.shape[1])).ravel()
-    A = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n))
-    return A.tocsr()
-
-
 def assemble_operator(mesh, kind, coeff, element_mask=None, space=None):
     """Galerkin matrix of one of the standard bilinear forms.
 
@@ -174,28 +237,23 @@ def assemble_operator(mesh, kind, coeff, element_mask=None, space=None):
     if kind == "scalar_diffusion":
         K = s.eval_coefficient(coeff, (d, d))
         loc = einsum("eia,eqab,ejb,q,e->eij", G, K, G, w, vol)
-        return _scatter(s, loc, s.scalar_dofs(), s.n_scalar)
+        return s.pattern("scalar").matrix(loc)
     if kind == "mass":
         c = s.eval_coefficient(coeff, ())
         loc = einsum("eq,qi,qj,q,e->eij", c, N, N, w, vol)
-        return _scatter(s, loc, s.scalar_dofs(), s.n_scalar)
+        return s.pattern("scalar").matrix(loc)
     if kind == "elasticity":
         C = s.eval_coefficient(coeff, (d, d, d, d))
         loc = einsum("eqacbd,eic,ejd,q,e->eiajb", C, G, G, w, vol)
-        loc = loc.reshape(len(s.cells), (d + 1) * d, (d + 1) * d)
-        return _scatter(s, loc, s.vector_dofs(), s.n_vector)
+        return s.pattern("vector").matrix(loc)
     if kind == "advection":
         W = s.eval_coefficient(coeff, (d,))
         loc = einsum("eqa,eia,qj,q,e->eij", W, G, N, w, vol)
-        return _scatter(s, loc, s.scalar_dofs(), s.n_scalar)
+        return s.pattern("scalar").matrix(loc)
     if kind == "coupling":
         alpha = s.eval_coefficient(coeff, (d, d))
         loc = einsum("eqac,eic,qj,q,e->eiaj", alpha, G, N, w, vol)
-        loc = loc.reshape(len(s.cells), (d + 1) * d, d + 1)
-        rows = np.repeat(s.vector_dofs(), d + 1, axis=1).ravel()
-        cols = np.tile(s.scalar_dofs(), (1, (d + 1) * d)).ravel()
-        A = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(s.n_vector, s.n_scalar))
-        return A.tocsr()
+        return s.pattern("coupling").matrix(loc)
     raise ValueError(f"unknown operator kind: {kind}")
 
 
@@ -247,6 +305,27 @@ def assemble_strain_load(space: P1Space, S):
                  space.volumes)
     return _scatter_load(loc.reshape(len(space.cells), -1), space.vector_dofs(),
                          space.n_vector)
+
+
+def quadrature_load_map(space: P1Space, w=None):
+    """Sparse map from values f at the quadrature points (flattened as
+    ``e * nq + q``) to the scalar loads ``int f phi_i``, or, given an
+    (e, nq, d) vector field w, to ``int f w . grad phi_i``."""
+    weights = (space.volumes[:, None] * space.qweights)[:, :, None]
+    if w is None:
+        return space.pattern("qp_load").matrix(weights * space.shape_values)
+    return space.pattern("qp_load").matrix(
+        weights * np.einsum("eqa,eia->eqi", w, space.gradients))
+
+
+def dissipation_maps(space: P1Space, dissipation, velocity):
+    """The dissipation loads as sparse (n_scalar x n_vector) maps of u:
+    ``S u = int (gamma : grad u) phi_i`` and
+    ``A u = int (gamma : grad u) v . grad phi_i``, for (e, nq, d, d) gamma
+    and (e, nq, d) v."""
+    grad = np.einsum("eqab,ejb->eqja", dissipation, space.gradients)
+    D = space.pattern("qp_gradient").matrix(grad)    # u -> gamma : grad u
+    return quadrature_load_map(space) @ D, quadrature_load_map(space, velocity) @ D
 
 
 def assemble_interface_load(mesh, density, values=None):

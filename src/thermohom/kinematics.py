@@ -652,14 +652,15 @@ def coefficient_fields(space, tr, mat: MaterialParams, phase, t, x, y=None):
 
     ``y`` are the cell coordinates of the flattened quadrature points (by
     default the points themselves, for spaces on the reference cell); ``x``
-    is the macro point, or one macro point per quadrature point.
+    is the macro point, or one macro point per quadrature point.  A ``y`` of
+    k copies of the points gives (k * e, nq, ...) arrays.
     """
     if y is None:
         y = space.qpoints.reshape(-1, space.dim)
     F, J, v = tr.kinematics_batch(t, x, y)
     fields = pullback_fields(F, J, v, mat, phase)
-    e, nq = len(space.cells), len(space.qweights)
-    return {k: a.reshape((e, nq) + a.shape[1:]) for k, a in fields.items()}
+    nq = len(space.qweights)
+    return {k: a.reshape((-1, nq) + a.shape[1:]) for k, a in fields.items()}
 
 
 class LevelCache:

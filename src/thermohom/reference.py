@@ -22,11 +22,11 @@ from .fem import (
     ConstraintSet,
     P1Space,
     apply_constraints,
-    assemble_gradient_load,
     assemble_interface_load,
     assemble_operator,
     assemble_scalar_load,
     assemble_vector_load,
+    dissipation_maps,
     solve_spd,
     solve_spd_or_direct,
     vector_mass,
@@ -49,38 +49,58 @@ from .twoscale import FixedPointError, SolverSettings, TwoScaleSolver
 
 
 class EpsilonCoefficients:
-    """Transformed coefficient fields on an epsilon mesh, phase by phase.
+    """Transformed coefficient fields on an epsilon mesh.
 
-    Quadrature points are pulled back to cell coordinates through their tile;
-    the macro argument of the transformation is the tile anchor (cell corner),
-    matching the periodic lattice construction of the moving geometry.
+    Every tile is a scaled copy of the unit cell, and the transformation acts
+    on it with the tile anchor (cell corner) as its macro argument, matching
+    the periodic lattice construction of the moving geometry.  Tiles with the
+    same transformation sample key therefore carry the same pulled-back
+    fields: :meth:`fields` pulls back once per key and phase, at the
+    quadrature points of the unit cell, and gathers the result into the
+    element order of the epsilon mesh through ``mesh.cell_tile`` and
+    ``mesh.cell_source``.
     """
 
-    def __init__(self, mesh, material, transformation):
+    def __init__(self, mesh, cell_mesh, material, transformation):
         self.mesh = mesh
         self.eps = mesh.eps
         self.material = material
         self.scaled = scaled_coefficients(material, mesh.eps)
         self.transformation = transformation
         self.anchors = tile_anchors(mesh)
-        self.space_a = P1Space(mesh, element_mask=mesh.phase == PHASE_A)
-        self.space_b = P1Space(mesh, element_mask=mesh.phase == PHASE_B)
+        # per phase: the unit cell's phase space, the epsilon-mesh elements of
+        # that phase and the row of each of them in the cell space
+        self._phases = []
+        for phase in (PHASE_A, PHASE_B):
+            space = P1Space(cell_mesh, element_mask=cell_mesh.phase == phase)
+            row = np.full(len(cell_mesh.cells), -1)
+            row[space.elements] = np.arange(len(space.elements))
+            elements = np.flatnonzero(mesh.phase == phase)
+            self._phases.append((phase, space, elements, row[mesh.cell_source[elements]]))
 
-    def _cell_coords(self, space):
-        pts = space.qpoints.reshape(-1, self.mesh.dim)
-        tiles = np.repeat(self.mesh.cell_tile[space.elements], len(space.qweights))
-        X = self.anchors[tiles]
-        y = pts / self.eps - np.round(X / self.eps)
-        return X, np.clip(y, 0.0, 1.0)
-
-    def phase_fields(self, t, phase):
-        """Pulled-back, eps-scaled coefficient arrays on one phase."""
-        space = self.space_a if phase == PHASE_A else self.space_b
-        X, y = self._cell_coords(space)
-        fields = coefficient_fields(space, self.transformation, self.scaled, phase,
-                                    t, X, y)
-        fields["velocity"] = self.eps * fields["velocity"]  # cell velocity is O(eps)
-        return fields
+    def fields(self, t):
+        """Pulled-back, eps-scaled coefficient fields of both phases as
+        (n_elements, nq, ...) arrays over the whole epsilon mesh."""
+        tr, d = self.transformation, self.mesh.dim
+        keys = {}
+        tile_key = np.array([keys.setdefault(tr.sample_key(t, x), len(keys))
+                             for x in self.anchors])
+        # the cell's points once per key, each copy at the anchor of the
+        # key's first tile, in one batch per phase
+        key_anchor = self.anchors[np.unique(tile_key, return_index=True)[1]]
+        out = {}
+        for phase, space, elements, rows in self._phases:
+            y = space.qpoints.reshape(-1, d)
+            f = coefficient_fields(space, tr, self.scaled, phase, t,
+                                   np.repeat(key_anchor, len(y), axis=0),
+                                   np.tile(y, (len(keys), 1)))
+            at = tile_key[self.mesh.cell_tile[elements]] * len(space.cells) + rows
+            for name, a in f.items():
+                if name not in out:
+                    out[name] = np.empty((len(self.mesh.cells),) + a.shape[1:])
+                out[name][elements] = a[at]
+        out["velocity"] *= self.eps  # cell velocity is O(eps)
+        return out
 
     def interface_data(self, t):
         """Per-facet J, normal velocity, curvature and F at facet centroids."""
@@ -128,7 +148,24 @@ class EpsilonSolution:
     config: dict
 
 
+class BundleError(RuntimeError):
+    """The resolved solver could not build its operators at some t."""
+
+
 class EpsilonSolver:
+    """Implicit-Euler staggered solve of the resolved system on the
+    eps-periodic mesh.
+
+    A bundle holds everything one time level contributes, assembled once on
+    the whole mesh from :meth:`EpsilonCoefficients.fields`: the heat-capacity
+    mass ``M_c``, the conductivity ``A_K``, the advection ``N``, the
+    elasticity ``E``, the thermal-stress and dissipation couplings
+    ``G_alpha`` and ``G_gamma``, the advective dissipation map ``A_gamma``
+    (u -> int (gamma : grad u) v . grad phi_i), the interface loads and the
+    bulk source loads at t.  A failure to build one raises
+    :class:`BundleError` naming t.
+    """
+
     def __init__(self, cell_mesh, material, transformation, eps,
                  settings: SolverSettings | None = None, sources=None,
                  latent_in_load=True):
@@ -141,7 +178,7 @@ class EpsilonSolver:
         self.latent_in_load = latent_in_load
 
         self.mesh = build_epsilon_mesh(cell_mesh, eps)
-        self.coeffs = EpsilonCoefficients(self.mesh, material, transformation)
+        self.coeffs = EpsilonCoefficients(self.mesh, cell_mesh, material, transformation)
         self.space = P1Space(self.mesh)
         bdofs = np.flatnonzero(np.repeat(self.mesh.boundary_vertex_mask(),
                                          self.mesh.dim))
@@ -159,39 +196,38 @@ class EpsilonSolver:
         return self.cache.get(t, round(float(t), 12), lambda: self._build_bundle(t))
 
     def _build_bundle(self, t):
-        mesh = self.mesh
-        fa = self.coeffs.phase_fields(t, PHASE_A)
-        fb = self.coeffs.phase_fields(t, PHASE_B)
-        sa, sb = self.coeffs.space_a, self.coeffs.space_b
+        try:
+            return self._operators(t)
+        except ValueError as exc:  # inadmissible map, non-finite entries
+            raise BundleError(f"resolved solver: cannot build the operators at "
+                              f"t = {t:.6g}: {exc}") from exc
 
-        def both(kind, name):
-            A = assemble_operator(mesh, kind, fa[name], space=sa)
-            B = assemble_operator(mesh, kind, fb[name], space=sb)
-            return (A + B).tocsr()
+    def _operators(self, t):
+        mesh, space = self.mesh, self.space
+        f = self.coeffs.fields(t)
 
-        M_c = both("mass", "heat_capacity")
-        A_K = both("scalar_diffusion", "conductivity")
-        E = both("elasticity", "stiffness")
-        G_alpha = both("coupling", "expansion")
-        G_gamma = both("coupling", "dissipation")
-        flux_a = fa["heat_capacity"][:, :, None] * fa["velocity"]
-        flux_b = fb["heat_capacity"][:, :, None] * fb["velocity"]
-        N = (assemble_operator(mesh, "advection", flux_a, space=sa)
-             + assemble_operator(mesh, "advection", flux_b, space=sb)).tocsr()
+        def op(kind, coeff):
+            return assemble_operator(mesh, kind, coeff, space=space)
+
+        N = op("advection", f["heat_capacity"][:, :, None] * f["velocity"])
+        _, A_gamma = dissipation_maps(space, f["dissipation"], f["velocity"])
         mech_surface, heat_surface = self.coeffs.surface_loads(t, self._latent_factor())
 
         f_u_a, f_u_b, f_th_a, f_th_b = self.sources(t)
-        f_theta = np.zeros(self.space.n_scalar)
-        f_u = np.zeros(self.space.n_vector)
-        if f_th_a != 0.0 or np.any(np.asarray(f_u_a) != 0.0):
-            f_theta += assemble_scalar_load(sa, fa["jacobian"] * f_th_a)
-            f_u += assemble_vector_load(sa, fa["jacobian"][:, :, None] * np.asarray(f_u_a))
-        if f_th_b != 0.0 or np.any(np.asarray(f_u_b) != 0.0):
-            f_theta += assemble_scalar_load(sb, fb["jacobian"] * f_th_b)
-            f_u += assemble_vector_load(sb, fb["jacobian"][:, :, None] * np.asarray(f_u_b))
+        f_theta = np.zeros(space.n_scalar)
+        f_u = np.zeros(space.n_vector)
+        if np.any(np.concatenate([f_u_a, f_u_b, [f_th_a, f_th_b]]) != 0.0):
+            in_a = (mesh.phase == PHASE_A)[:, None]
+            J = f["jacobian"]
+            f_theta = assemble_scalar_load(space, J * np.where(in_a, f_th_a, f_th_b))
+            f_u = assemble_vector_load(space, J[:, :, None] * np.where(
+                in_a[:, :, None], np.asarray(f_u_a), np.asarray(f_u_b)))
 
-        return dict(fields_a=fa, fields_b=fb, M_c=M_c, A_K=A_K, E=E,
-                    G_alpha=G_alpha, G_gamma=G_gamma, N=N,
+        return dict(M_c=op("mass", f["heat_capacity"]),
+                    A_K=op("scalar_diffusion", f["conductivity"]),
+                    E=op("elasticity", f["stiffness"]),
+                    G_alpha=op("coupling", f["expansion"]),
+                    G_gamma=op("coupling", f["dissipation"]), N=N, A_gamma=A_gamma,
                     mech_surface=mech_surface, heat_surface=heat_surface,
                     f_theta=f_theta, f_u=f_u, advective=abs(N).max() > 0.0)
 
@@ -213,17 +249,6 @@ class EpsilonSolver:
         # homogeneous Dirichlet: the offset vanishes, reduce directly
         x = lu.solve(red.restriction.T @ rhs_full)
         return red.restriction @ x
-
-    def _advective_dissipation_load(self, b, u):
-        d = self.mesh.dim
-        out = np.zeros(self.space.n_scalar)
-        for fields, space in ((b["fields_a"], self.coeffs.space_a),
-                              (b["fields_b"], self.coeffs.space_b)):
-            nodal = u.reshape(-1, d)[space.cells]
-            grads = np.einsum("eia,eib->eab", nodal, space.gradients)
-            vals = np.einsum("eqab,eab->eq", fields["dissipation"], grads)
-            out += assemble_gradient_load(space, vals[:, :, None] * fields["velocity"])
-        return out
 
     # -- time stepping -----------------------------------------------------------
 
@@ -261,7 +286,7 @@ class EpsilonSolver:
             for it in range(1, s.fixed_point_max_iter + 1):
                 iterations = it
                 rhs = (base - (b_new["G_gamma"].T @ u_k) / step
-                       - self._advective_dissipation_load(b_new, u_k))
+                       - b_new["A_gamma"] @ u_k)
                 theta_next, heat_solver_used = self._solve_heat(
                     heat_lhs, rhs, b_new["advective"])
                 u_next = self._solve_mech(

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cell import CellContext
@@ -39,6 +38,8 @@ from .fem import (
     assemble_operator,
     assemble_scalar_load,
     assemble_vector_load,
+    dissipation_maps,
+    quadrature_load_map,
     solve_spd,
     solve_spd_or_direct,
 )
@@ -131,23 +132,6 @@ class MicroModel:
         self.boundary_vector = np.flatnonzero(vmask)
         self.cache = LevelCache()
 
-        # sparsity patterns of the maps between quadrature values (row or
-        # column e * nq + q) and scalar loads or vector dofs
-        space = self.space
-        e, nq = len(space.cells), len(space.qweights)
-        n_qp = e * nq
-        self._load_pattern = (np.repeat(space.cells[:, None, :], nq, axis=1).ravel(),
-                              np.repeat(np.arange(n_qp), d + 1))
-        self._grad_pattern = (np.repeat(np.arange(n_qp), (d + 1) * d),
-                              np.repeat(space.vector_dofs(), nq, axis=0).ravel())
-        self._qp_weights = (space.volumes[:, None] * space.qweights)[:, :, None]
-        self._P_s = self._qp_load_map(self._qp_weights * space.shape_values)
-
-    def _qp_load_map(self, loc):
-        """(n_scalar x n_qp) map from quadrature values to loads; loc is (e, nq, d+1)."""
-        shape = (self.space.n_scalar, loc.shape[0] * loc.shape[1])
-        return sp.csr_matrix((loc.ravel(), self._load_pattern), shape=shape)
-
     def bundle(self, t, x, dt=None):
         """The maps of the micro step at (t, x); with dt, also the heat
         factorization of an implicit-Euler step of length dt ending at t.  A
@@ -163,16 +147,11 @@ class MicroModel:
         I, B = self.interior_scalar, self.boundary_scalar
         Iv, Bv = self.interior_vector, self.boundary_vector
 
-        # u -> gamma : grad u at the quadrature points, then the two loads
-        grad = np.einsum("eqab,ejb->eqja", f["dissipation"], space.gradients)
-        D = sp.csr_matrix((grad.ravel(), self._grad_pattern),
-                          shape=(self._P_s.shape[1], space.n_vector))
-        P_v = self._qp_load_map(
-            self._qp_weights * np.einsum("eqa,eia->eqi", f["velocity"], space.gradients))
-        l_J = self._P_s @ f["jacobian"].ravel()
+        S, A = dissipation_maps(space, f["dissipation"], f["velocity"])
+        l_J = quadrature_load_map(space) @ f["jacobian"].ravel()
         cap = self.ctx.material.density_b * self.ctx.material.heat_capacity_b
         M_c = assemble_operator(mesh, "mass", f["heat_capacity"], space=space)
-        b = dict(dt=None, M_c=M_c[I], S=(self._P_s @ D)[I], A=(P_v @ D)[I],
+        b = dict(dt=None, M_c=M_c[I], S=S[I], A=A[I],
                  content=cap * l_J, l_J=l_J[I], L_J=np.kron(l_J[:, None], np.eye(d))[Iv])
 
         E = assemble_operator(mesh, "elasticity", f["stiffness"], space=space)[Iv]

@@ -82,3 +82,39 @@ def inclusion_components(mesh: Mesh):
     adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nb, nb))
     ncomp, _ = connected_components(adj, directed=False)
     return ncomp
+
+
+def coo_assemble_operator(space: P1Space, kind, coeff):
+    """``assemble_operator`` with a fresh COO matrix per call, converted to
+    CSR: the oracle of the scatter through the space's cached pattern."""
+    G, N, w, vol = space.gradients, space.shape_values, space.qweights, space.volumes
+    d = space.dim
+    S, V = space.scalar_dofs(), space.vector_dofs()
+    if kind == "scalar_diffusion":
+        loc = np.einsum("eia,eqab,ejb,q,e->eij", G, space.eval_coefficient(coeff, (d, d)),
+                        G, w, vol, optimize=True)
+        rows, cols, shape = S, S, (space.n_scalar, space.n_scalar)
+    elif kind == "mass":
+        loc = np.einsum("eq,qi,qj,q,e->eij", space.eval_coefficient(coeff, ()),
+                        N, N, w, vol, optimize=True)
+        rows, cols, shape = S, S, (space.n_scalar, space.n_scalar)
+    elif kind == "elasticity":
+        loc = np.einsum("eqacbd,eic,ejd,q,e->eiajb",
+                        space.eval_coefficient(coeff, (d, d, d, d)), G, G, w, vol,
+                        optimize=True)
+        rows, cols, shape = V, V, (space.n_vector, space.n_vector)
+    elif kind == "advection":
+        loc = np.einsum("eqa,eia,qj,q,e->eij", space.eval_coefficient(coeff, (d,)),
+                        G, N, w, vol, optimize=True)
+        rows, cols, shape = S, S, (space.n_scalar, space.n_scalar)
+    elif kind == "coupling":
+        loc = np.einsum("eqac,eic,qj,q,e->eiaj", space.eval_coefficient(coeff, (d, d)),
+                        G, N, w, vol, optimize=True)
+        rows, cols, shape = V, S, (space.n_vector, space.n_scalar)
+    else:
+        raise ValueError(f"unknown operator kind: {kind}")
+    if not np.all(np.isfinite(loc)):
+        raise ValueError("assembly produced non-finite entries")
+    r = np.repeat(rows, cols.shape[1], axis=1).ravel()
+    c = np.tile(cols, (1, rows.shape[1])).ravel()
+    return sp.coo_matrix((loc.ravel(), (r, c)), shape=shape).tocsr()

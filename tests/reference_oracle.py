@@ -1,0 +1,125 @@
+"""Per-phase, per-quadrature-point resolved assembly and solve: the oracle
+for ``EpsilonSolver``.
+
+``OracleEpsilonSolver`` builds every bundle by pulling the coefficients back
+at each quadrature point of the epsilon mesh, through that point's tile, and
+assembles each operator as one COO matrix per phase plus a sparse sum.  Its
+staggered loop recomputes the advective dissipation load from the
+coefficient fields with einsum on every iteration.  ``EpsilonSolver``
+instead pulls back once per sample key on the unit cell, assembles each
+operator once on the whole mesh through a cached sparsity pattern and
+applies a precomputed advective dissipation map; the tests compare the two.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from helpers import coo_assemble_operator
+from thermohom.fem import (
+    P1Space,
+    assemble_gradient_load,
+    assemble_scalar_load,
+    assemble_vector_load,
+)
+from thermohom.kinematics import PHASE_A, PHASE_B, coefficient_fields
+from thermohom.reference import EpsilonSolver
+
+
+class OracleEpsilonSolver(EpsilonSolver):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        mesh = self.mesh
+        self.phase_spaces = {p: P1Space(mesh, element_mask=mesh.phase == p)
+                             for p in (PHASE_A, PHASE_B)}
+
+    def phase_fields(self, t, phase):
+        """Pulled-back, eps-scaled coefficients at every quadrature point of
+        one phase, each through the anchor of its own tile."""
+        space, coeffs, d = self.phase_spaces[phase], self.coeffs, self.mesh.dim
+        pts = space.qpoints.reshape(-1, d)
+        tiles = np.repeat(self.mesh.cell_tile[space.elements], len(space.qweights))
+        X = coeffs.anchors[tiles]
+        y = np.clip(pts / coeffs.eps - np.round(X / coeffs.eps), 0.0, 1.0)
+        fields = coefficient_fields(space, self.transformation, coeffs.scaled, phase,
+                                    t, X, y)
+        fields["velocity"] = coeffs.eps * fields["velocity"]
+        return fields
+
+    def _operators(self, t):
+        spaces = self.phase_spaces
+        fields = {p: self.phase_fields(t, p) for p in spaces}
+
+        def both(kind, value):
+            parts = [coo_assemble_operator(spaces[p], kind, value(fields[p]))
+                     for p in spaces]
+            return (parts[0] + parts[1]).tocsr()
+
+        N = both("advection", lambda f: f["heat_capacity"][:, :, None] * f["velocity"])
+        mech_surface, heat_surface = self.coeffs.surface_loads(t, self._latent_factor())
+        f_u_a, f_u_b, f_th_a, f_th_b = self.sources(t)
+        f_theta = np.zeros(self.space.n_scalar)
+        f_u = np.zeros(self.space.n_vector)
+        for p, f_th, f_u_p in ((PHASE_A, f_th_a, f_u_a), (PHASE_B, f_th_b, f_u_b)):
+            if f_th != 0.0 or np.any(np.asarray(f_u_p) != 0.0):
+                J = fields[p]["jacobian"]
+                f_theta += assemble_scalar_load(spaces[p], J * f_th)
+                f_u += assemble_vector_load(spaces[p], J[:, :, None] * np.asarray(f_u_p))
+        return dict(
+            fields=fields, M_c=both("mass", lambda f: f["heat_capacity"]),
+            A_K=both("scalar_diffusion", lambda f: f["conductivity"]),
+            E=both("elasticity", lambda f: f["stiffness"]),
+            G_alpha=both("coupling", lambda f: f["expansion"]),
+            G_gamma=both("coupling", lambda f: f["dissipation"]), N=N,
+            mech_surface=mech_surface, heat_surface=heat_surface,
+            f_theta=f_theta, f_u=f_u, advective=abs(N).max() > 0.0)
+
+    def advective_dissipation_load(self, b, u):
+        """int (gamma : grad u) v . grad phi_i, phase by phase."""
+        out = np.zeros(self.space.n_scalar)
+        for p, space in self.phase_spaces.items():
+            fields, d = b["fields"][p], space.dim
+            nodal = u.reshape(-1, d)[space.cells]
+            grads = np.einsum("eia,eib->eab", nodal, space.gradients)
+            vals = np.einsum("eqab,eab->eq", fields["dissipation"], grads)
+            out += assemble_gradient_load(space, vals[:, :, None] * fields["velocity"])
+        return out
+
+    def solve_fields(self, t_final, dt, theta0):
+        """The staggered loop with the einsum load; theta and u per step."""
+        s = self.settings
+        theta = np.asarray(theta0(self.mesh.vertices), dtype=float)
+        b0 = self.bundle(0.0)
+        red, lu, _ = self._mech_reduced(b0)
+        u = self._solve_mech(red, lu, b0["G_alpha"] @ theta + b0["f_u"]
+                             + b0["mech_surface"])
+        thetas, us = [theta.copy()], [u.copy()]
+        t = 0.0
+        for _ in range(max(0, math.ceil(t_final / dt - 1e-12))):
+            step = min(dt, t_final - t)
+            b_new, b_old = self.bundle(t + step), self.bundle(t)
+            heat_lhs = (b_new["M_c"] / step + b_new["N"] + b_new["A_K"]).tocsr()
+            base = ((b_old["M_c"] @ theta) / step + b_new["f_theta"]
+                    - b_new["heat_surface"] + (b_old["G_gamma"].T @ u) / step)
+            red, lu, mech_rhs0 = self._mech_reduced(b_new)
+            theta_k, u_k = theta.copy(), u.copy()
+            for _ in range(s.fixed_point_max_iter):
+                rhs = (base - (b_new["G_gamma"].T @ u_k) / step
+                       - self.advective_dissipation_load(b_new, u_k))
+                theta_next, _ = self._solve_heat(heat_lhs, rhs, b_new["advective"])
+                u_next = self._solve_mech(red, lu,
+                                          b_new["G_alpha"] @ theta_next + mech_rhs0)
+                d_theta = np.linalg.norm(theta_next - theta_k) / max(
+                    1.0, np.linalg.norm(theta_next))
+                d_u = np.linalg.norm(u_next - u_k) / max(1.0, np.linalg.norm(u_next))
+                theta_k, u_k = theta_next, u_next
+                if d_theta + d_u < s.fixed_point_tol:
+                    break
+            else:
+                raise AssertionError(f"oracle loop did not converge at t = {t + step}")
+            theta, u, t = theta_k, u_k, t + step
+            thetas.append(theta.copy())
+            us.append(u.copy())
+        return thetas, us

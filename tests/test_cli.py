@@ -128,6 +128,28 @@ class TestSubcommands:
         assert f"thermohom {sub}: FixedPointError" in err
         assert "t = 0.05" in err
 
+    def test_micro_norm_bundle_and_identical_rerun(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        for run in ("a", "b"):
+            assert main(["micro", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        lines = (tmp_path / "a" / "norm_bundle.csv").read_text().strip().split("\n")
+        assert len(lines) == 2  # header + the one eps row
+        assert lines[0].startswith("eps,linf_theta,")
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["command"] == "micro"
+        for name in ("norm_bundle.csv", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_micro_inadmissible_growth_exits_one(self, tmp_path, capsys):
+        # amplitude -40 t makes det(F) negative at the first step, t = 0.05
+        text = BASE.format(out=tmp_path / "out").replace(
+            "family = identity", "family = radial_growth\namplitude_poly = 0.0 -40.0")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["micro", "--config", cfg, "--out", str(tmp_path / "micro")]) == 1
+        err = capsys.readouterr().err
+        assert "thermohom micro: BundleError: resolved solver" in err
+        assert "t = 0.05" in err
+
     def test_rerun_identical_artifacts(self, tmp_path):
         cfg = write_cfg(tmp_path)
         main(["effective", "--config", cfg, "--out", str(tmp_path / "a")])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from helpers import (
+    coo_assemble_operator,
     dense_oracle_solve,
     export_coordinate_text,
     solve_direct,
@@ -115,6 +116,67 @@ class TestAssembly:
         lhs = test @ (N @ theta)
         rhs = 0.5 * 2.0 * (wfield @ g)  # int theta * w . grad(test)
         assert np.isclose(lhs, rhs, rtol=1e-12)
+
+
+KIND_VALUE_SHAPES = {
+    "mass": lambda d: (),
+    "scalar_diffusion": lambda d: (d, d),
+    "elasticity": lambda d: (d, d, d, d),
+    "advection": lambda d: (d,),
+    "coupling": lambda d: (d, d),
+}
+KIND_LAYOUTS = {"mass": "scalar", "scalar_diffusion": "scalar", "advection": "scalar",
+                "elasticity": "vector", "coupling": "coupling"}
+
+
+class TestCachedPattern:
+    """The scatter through the pattern cached on the space against a fresh
+    COO assembly (``helpers.coo_assemble_operator``)."""
+
+    @pytest.fixture(scope="class", params=[(2, False), (2, True), (3, False), (3, True)],
+                    ids=["2d", "2d-mask", "3d", "3d-mask"])
+    def space(self, request):
+        d, masked = request.param
+        mesh = build_cell_mesh(0.25, 8 if d == 2 else 4, dim=d)
+        return P1Space(mesh, element_mask=mesh.phase == 1 if masked else None)
+
+    @staticmethod
+    def coefficient(space, kind, seed=0):
+        shape = (len(space.cells), len(space.qweights)) + KIND_VALUE_SHAPES[kind](space.dim)
+        return np.random.default_rng(seed).standard_normal(shape)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_VALUE_SHAPES))
+    def test_matches_coo_scatter(self, space, kind):
+        coeff = self.coefficient(space, kind)
+        got = assemble_operator(space.mesh, kind, coeff, space=space)
+        ref = coo_assemble_operator(space, kind, coeff)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        # entries that cancel have no relative precision: the absolute floor
+        # is the same 1e-14 relative to the largest entry
+        scale = np.max(np.abs(ref.data))
+        assert np.allclose(got.data, ref.data, rtol=1e-14, atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_VALUE_SHAPES))
+    def test_second_call_reuses_pattern(self, space, kind):
+        first = assemble_operator(space.mesh, kind, self.coefficient(space, kind, 1),
+                                  space=space)
+        pattern = space.pattern(KIND_LAYOUTS[kind])
+        second = assemble_operator(space.mesh, kind, self.coefficient(space, kind, 2),
+                                   space=space)
+        assert space.pattern(KIND_LAYOUTS[kind]) is pattern
+        for A in (first, second):
+            assert np.shares_memory(A.indices, pattern.indices)
+            assert np.shares_memory(A.indptr, pattern.indptr)
+        assert not np.array_equal(first.data, second.data)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_VALUE_SHAPES))
+    def test_non_finite_coefficient_raises(self, space, kind):
+        coeff = self.coefficient(space, kind)
+        coeff[len(coeff) // 2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            assemble_operator(space.mesh, kind, coeff, space=space)
 
 
 class TestInterfaceLoad:

@@ -1,8 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from thermohom.fem import P1Space, assemble_operator
 from thermohom.kinematics import (
+    PHASE_A,
+    PHASE_B,
     IdentityTransform,
     PolynomialAmplitude,
     RadialGrowth,
@@ -10,6 +14,7 @@ from thermohom.kinematics import (
 )
 from thermohom.mesh import build_cell_mesh, build_uniform_mesh
 from thermohom.reference import (
+    BundleError,
     EpsilonSolver,
     apriori_norm_bundle,
     interpolate_macro,
@@ -98,7 +103,8 @@ class TestEpsilonSolver:
             b = solver.bundle(0.0)
             lhs = (b["M_c"] / dt + b["A_K"]).tocsc()
             lu = spla.splu(lhs)
-            sa, sb = solver.coeffs.space_a, solver.coeffs.space_b
+            sa = P1Space(mesh, element_mask=mesh.phase == PHASE_A)
+            sb = P1Space(mesh, element_mask=mesh.phase == PHASE_B)
             load_a = assemble_scalar_load(sa, profile)
             load_b = assemble_scalar_load(sb, profile)
             centroids = mesh.facet_centroids()
@@ -121,6 +127,32 @@ class TestEpsilonSolver:
             errors.append(np.sqrt(diff @ (M @ diff)))
         order = -np.polyfit(np.log(resolutions), np.log(errors), 1)[0]
         assert order > 1.8
+
+
+@dataclass(frozen=True)
+class NanVelocityAfterStart(IdentityTransform):
+    """The identity at t = 0, a non-finite cell velocity afterwards."""
+
+    def sample_key(self, t, x):
+        return ("nan-velocity", t > 0.0)
+
+    def kinematics_batch(self, t, x, y):
+        F, J, v = super().kinematics_batch(t, x, y)
+        return F, J, v + (np.nan if t > 0.0 else 0.0)
+
+
+class TestBundleFailures:
+    @pytest.mark.parametrize("cause, detail", [
+        ("inadmissible", r"det\(F\) = -"),
+        ("non_finite", "non-finite entries"),
+    ], ids=["inadmissible", "non_finite"])
+    def test_solve_names_solver_and_t(self, cell8, cause, detail):
+        # amplitude -40 t reaches g = -2 at the first step: J < 0 in the blend
+        tr = growth(-40.0) if cause == "inadmissible" else NanVelocityAfterStart(dim=2)
+        solver = EpsilonSolver(cell8, default_material(2), tr, 0.5)
+        with pytest.raises(BundleError, match=r"resolved solver.*t = 0\.05") as info:
+            solver.solve(0.05, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
+        assert info.match(detail)
 
 
 class TestNormBundle:
