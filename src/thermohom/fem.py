@@ -424,11 +424,16 @@ class ConstraintBasis:
     offset: np.ndarray
     constraints: list                # reduced zero-mean weight vectors
 
+    def reduce_matrix(self, A):
+        """``R^T A R`` in CSR."""
+        R = self.restriction
+        return (R.T @ A @ R).tocsr()
+
     def reduce(self, A, b) -> ReducedSystem:
         """``R^T A R`` and the reduced right-hand side (a vector or a block)."""
         R = self.restriction
         b_r = R.T @ (b - _columns(A @ self.offset, b))
-        return ReducedSystem(matrix=(R.T @ A @ R).tocsr(), rhs=b_r, restriction=R,
+        return ReducedSystem(matrix=self.reduce_matrix(A), rhs=b_r, restriction=R,
                              offset=self.offset, constraints=self.constraints)
 
 

@@ -293,7 +293,8 @@ class TabulatedTransform:
     The table provides the map on a regular lattice of the unit cell at a
     list of times and macro anchor points; evaluation interpolates
     multilinearly in the cell variable and linearly in time.  Macro
-    dependence is nearest-anchor (the table is expected to resolve it).
+    dependence is nearest-anchor (the table is expected to resolve it); a
+    macro argument of one point per cell point uses each point's own anchor.
     The reference interface is still the built-in ball; curvature is
     obtained by central finite differences of the pulled-back normal field.
     """
@@ -324,11 +325,12 @@ class TabulatedTransform:
         return np.full(self.dim, 0.5)
 
     def _anchor_index(self, x):
-        x = np.asarray(x, dtype=float).reshape(-1)[: self.dim]
-        return int(np.argmin(np.linalg.norm(self.anchors - x, axis=1)))
+        """The nearest anchor of each macro point (each row of x)."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))[:, : self.dim]
+        return np.argmin(np.linalg.norm(self.anchors - x[:, None], axis=2), axis=1)
 
     def sample_key(self, t, x):
-        return ("tabulated", round(float(t), 12), self._anchor_index(x))
+        return ("tabulated", round(float(t), 12), int(self._anchor_index(x)[0]))
 
     def _time_weights(self, t):
         t = float(np.clip(t, self.times[0], self.times[-1]))
@@ -358,10 +360,14 @@ class TabulatedTransform:
 
     def map_points(self, t, x, y):
         y = _check_cell_points(y, self.dim)
-        ia = self._anchor_index(x)
+        anchor = np.broadcast_to(self._anchor_index(x), len(y))
         t0, t1, w = self._time_weights(t)
-        lat = (1.0 - w) * self._lattice[t0, ia] + w * self._lattice[t1, ia]
-        return self._interp(lat, y)
+        out = np.empty_like(y)
+        for ia in np.unique(anchor):
+            rows = anchor == ia
+            lat = (1.0 - w) * self._lattice[t0, ia] + w * self._lattice[t1, ia]
+            out[rows] = self._interp(lat, y[rows])
+        return out
 
     def kinematics_batch(self, t, x, y):
         y = _check_cell_points(y, self.dim)

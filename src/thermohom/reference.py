@@ -21,14 +21,13 @@ import scipy.sparse.linalg as spla
 from .fem import (
     ConstraintSet,
     P1Space,
-    apply_constraints,
     assemble_interface_load,
     assemble_operator,
     assemble_scalar_load,
     assemble_vector_load,
+    constraint_basis,
     dissipation_maps,
-    solve_spd,
-    solve_spd_or_direct,
+    solve_block,
     vector_mass,
 )
 from .kinematics import (
@@ -144,7 +143,6 @@ class EpsilonSolution:
     u: list              # nodal deformation per step
     mesh: object
     fixed_point_iterations: list
-    heat_solver: str
     config: dict
 
 
@@ -182,7 +180,8 @@ class EpsilonSolver:
         self.space = P1Space(self.mesh)
         bdofs = np.flatnonzero(np.repeat(self.mesh.boundary_vertex_mask(),
                                          self.mesh.dim))
-        self.mech_constraints = ConstraintSet.dirichlet_only(bdofs)
+        self.mech_basis = constraint_basis(self.space.n_vector,
+                                           ConstraintSet.dirichlet_only(bdofs))
         # a bundle bakes in the sources at its t, so its key is the time level
         self.cache = LevelCache()
 
@@ -229,26 +228,18 @@ class EpsilonSolver:
                     G_alpha=op("coupling", f["expansion"]),
                     G_gamma=op("coupling", f["dissipation"]), N=N, A_gamma=A_gamma,
                     mech_surface=mech_surface, heat_surface=heat_surface,
-                    f_theta=f_theta, f_u=f_u, advective=abs(N).max() > 0.0)
+                    f_theta=f_theta, f_u=f_u)
 
     # -- solves ----------------------------------------------------------------
 
-    def _solve_heat(self, lhs, rhs, advective):
-        if advective:
-            return spla.spsolve(lhs.tocsc(), rhs), "direct"
-        return solve_spd_or_direct(lhs, rhs, self.settings.cg_tol,
-                                   self.settings.cg_max_iter)
+    def _mech_factor(self, b):
+        """The LU of the bundle's elasticity matrix on the reduced space."""
+        return spla.splu(self.mech_basis.reduce_matrix(b["E"]).tocsc())
 
-    def _mech_reduced(self, b):
-        rhs0 = b["f_u"] + b["mech_surface"]
-        red = apply_constraints(b["E"], rhs0, self.mech_constraints)
-        lu = spla.splu(red.matrix.tocsc())
-        return red, lu, rhs0
-
-    def _solve_mech(self, red, lu, rhs_full):
+    def _solve_mech(self, lu, rhs_full):
         # homogeneous Dirichlet: the offset vanishes, reduce directly
-        x = lu.solve(red.restriction.T @ rhs_full)
-        return red.restriction @ x
+        R = self.mech_basis.restriction
+        return R @ lu.solve(R.T @ rhs_full)
 
     # -- time stepping -----------------------------------------------------------
 
@@ -257,15 +248,13 @@ class EpsilonSolver:
         mesh = self.mesh
         theta = np.asarray(theta0(mesh.vertices), dtype=float)
         b0 = self.bundle(0.0)
-        red, lu, _ = self._mech_reduced(b0)
-        u = self._solve_mech(red, lu, b0["G_alpha"] @ theta + b0["f_u"]
+        u = self._solve_mech(self._mech_factor(b0), b0["G_alpha"] @ theta + b0["f_u"]
                              + b0["mech_surface"])
 
         times = [0.0]
         thetas = [theta.copy()]
         us = [u.copy()]
         fp_counts = []
-        heat_solver_used = "cg"
 
         n_steps = max(0, math.ceil(t_final / dt - 1e-12))
         t = 0.0
@@ -274,11 +263,12 @@ class EpsilonSolver:
             t_new = t + step
             b_new = self.bundle(t_new)
             b_old = self.bundle(t)
-            heat_lhs = (b_new["M_c"] / step + b_new["N"] + b_new["A_K"]).tocsr()
+            heat_lhs = (b_new["M_c"] / step + b_new["N"] + b_new["A_K"]).tocsc()
             base = ((b_old["M_c"] @ theta) / step + b_new["f_theta"]
                     - b_new["heat_surface"]
                     + (b_old["G_gamma"].T @ u) / step)
-            red, lu, mech_rhs0 = self._mech_reduced(b_new)
+            lu = self._mech_factor(b_new)
+            mech_rhs0 = b_new["f_u"] + b_new["mech_surface"]
 
             theta_k, u_k = theta.copy(), u.copy()
             converged = False
@@ -287,10 +277,9 @@ class EpsilonSolver:
                 iterations = it
                 rhs = (base - (b_new["G_gamma"].T @ u_k) / step
                        - b_new["A_gamma"] @ u_k)
-                theta_next, heat_solver_used = self._solve_heat(
-                    heat_lhs, rhs, b_new["advective"])
-                u_next = self._solve_mech(
-                    red, lu, b_new["G_alpha"] @ theta_next + mech_rhs0)
+                # structurally symmetric: minimum degree on A^T + A
+                theta_next = spla.spsolve(heat_lhs, rhs, permc_spec="MMD_AT_PLUS_A")
+                u_next = self._solve_mech(lu, b_new["G_alpha"] @ theta_next + mech_rhs0)
                 d_theta = np.linalg.norm(theta_next - theta_k) / max(
                     1.0, np.linalg.norm(theta_next))
                 d_u = np.linalg.norm(u_next - u_k) / max(1.0, np.linalg.norm(u_next))
@@ -313,7 +302,7 @@ class EpsilonSolver:
 
         return EpsilonSolution(
             eps=self.eps, times=times, theta=thetas, u=us, mesh=mesh,
-            fixed_point_iterations=fp_counts, heat_solver=heat_solver_used,
+            fixed_point_iterations=fp_counts,
             config=dict(dt=dt, t_final=t_final, latent_in_load=self.latent_in_load,
                         latent_sign=s.latent_sign),
         )
@@ -407,7 +396,9 @@ class OperatorStructureReport:
 
 def operator_structure_checks(cell_mesh, material, transformation, eps,
                               t_samples=(0.0, 0.5, 1.0), n_random=100,
-                              sym_tol=1e-8, cg_tol=1e-12, seed=7) -> OperatorStructureReport:
+                              sym_tol=1e-8, seed=7) -> OperatorStructureReport:
+    """Structure of the elastic form and of ``G_gamma^T E^-1 G_alpha`` on
+    ``n_random`` seeded fields, all solved as one block per t sample."""
     solver = EpsilonSolver(cell_mesh, material, transformation, eps)
     mesh = solver.mesh
     d = mesh.dim
@@ -430,21 +421,11 @@ def operator_structure_checks(cell_mesh, material, transformation, eps,
     for t in t_samples:
         b = solver.bundle(t)
         E = b["E"]
-        red = apply_constraints(E, np.zeros(E.shape[0]), solver.mech_constraints)
-        E_red = red.matrix
-        R = red.restriction
+        rayleigh = np.einsum("ij,ji->i", vs, E @ vs.T) / np.einsum("ij,ij->i", vs, vs)
+        min_rayleigh = min(min_rayleigh, float(rayleigh.min()))
 
-        for v in vs:
-            min_rayleigh = min(min_rayleigh, float(v @ (E @ v) / (v @ v)))
-
-        Ga = b["G_alpha"]
-        Gg = b["G_gamma"]
-        us = np.empty((n_random, E.shape[0]))
-        for i, f in enumerate(fs):
-            u_r, _ = solve_spd(E_red, R.T @ (Ga @ f), tol=cg_tol)
-            us[i] = R @ u_r
-        gs = np.stack([Gg @ f for f in fs])
-        products = gs @ us.T                       # <B2 f_j, f_i>
+        us, _ = solve_block(solver.mech_basis.reduce(E, b["G_alpha"] @ fs.T))
+        products = (b["G_gamma"] @ fs.T).T @ us    # <B2 f_j, f_i>
         scale = np.max(np.abs(products)) or 1.0
         sym_defect = max(sym_defect, float(np.max(np.abs(products - products.T)) / scale))
         min_quad = min(min_quad, float(np.min(np.diag(products)) / scale))

@@ -23,6 +23,7 @@ conservation diagnostics check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,14 +35,16 @@ from .effective import EffectiveProvider
 from .fem import (
     ConstraintSet,
     P1Space,
-    apply_constraints,
+    SolverError,
     assemble_operator,
     assemble_scalar_load,
     assemble_vector_load,
+    constraint_basis,
     dissipation_maps,
     quadrature_load_map,
     solve_spd,
     solve_spd_or_direct,
+    vector_mass,
 )
 from .kinematics import PHASE_B, LevelCache, coefficient_fields, zero_sources
 
@@ -228,7 +231,8 @@ class TwoScaleSolver:
         self.n_hosts = len(self.host_points)
 
         bdofs = np.flatnonzero(np.repeat(macro_mesh.boundary_vertex_mask(), self.dim))
-        self.mech_constraints = ConstraintSet.dirichlet_only(bdofs)
+        self.mech_basis = constraint_basis(self.space.n_vector,
+                                           ConstraintSet.dirichlet_only(bdofs))
 
     # -- effective coefficient fields -----------------------------------------
 
@@ -320,7 +324,7 @@ class TwoScaleSolver:
         theta = np.asarray(theta0(self.mesh.vertices), dtype=float)
         fields = self.effective_fields(0.0)
         ops = self.macro_operators(fields)
-        u = self._solve_mech(ops, theta)
+        u = self._solve_mech(self.mech_basis.reduce_matrix(ops["E"]), ops, theta, 0.0)
 
         traces_th, traces_u = self.traces_at_hosts(theta, u)
         micro = []
@@ -347,19 +351,24 @@ class TwoScaleSolver:
 
     # -- solves -----------------------------------------------------------------
 
-    def _solve_mech(self, ops, theta):
-        rhs = ops["G_alpha"] @ theta + ops["mech_load"]
-        red = apply_constraints(ops["E"], rhs, self.mech_constraints)
-        sol, _ = solve_spd(red.matrix, red.rhs, tol=self.settings.cg_tol,
-                           max_iter=self.settings.cg_max_iter)
-        return red.recover(sol)
+    def _mech_rhs(self, ops, theta):
+        # homogeneous Dirichlet: the offset vanishes, so R^T reduces the load
+        return self.mech_basis.restriction.T @ (ops["G_alpha"] @ theta + ops["mech_load"])
 
-    def _mech_residual(self, ops, theta, u):
-        rhs = ops["G_alpha"] @ theta + ops["mech_load"]
-        red = apply_constraints(ops["E"], rhs, self.mech_constraints)
-        x_r = red.restriction.T @ u
-        r = red.matrix @ x_r - red.rhs
-        scale = np.linalg.norm(red.rhs)
+    def _solve_mech(self, E_red, ops, theta, t):
+        """The macro deformation for theta by CG on the step's reduced E."""
+        try:
+            sol, _ = solve_spd(E_red, self._mech_rhs(ops, theta), tol=self.settings.cg_tol,
+                               max_iter=self.settings.cg_max_iter)
+        except SolverError as exc:
+            raise SolverError(f"two-scale solver: macro elasticity CG failed at "
+                              f"t = {t:.6g}: {exc}", exc.residuals) from exc
+        return self.mech_basis.restriction @ sol
+
+    def _mech_residual(self, E_red, ops, theta, u):
+        rhs = self._mech_rhs(ops, theta)
+        r = E_red @ (self.mech_basis.restriction.T @ u) - rhs
+        scale = np.linalg.norm(rhs)
         return float(np.linalg.norm(r) / (scale if scale > 0 else 1.0))
 
     # -- time stepping ------------------------------------------------------------
@@ -371,6 +380,7 @@ class TwoScaleSolver:
         fields_old = self.effective_fields(state.t)
         ops_new = self.macro_operators(fields_new)
         ops_old = self.macro_operators(fields_old)
+        E_red = self.mech_basis.reduce_matrix(ops_new["E"])
 
         heat_lhs = (ops_new["M_c"] / dt + ops_new["A_K"]).tocsr()
         base_rhs = (ops_old["M_c"] @ state.theta) / dt + ops_new["heat_load"]
@@ -380,51 +390,47 @@ class TwoScaleSolver:
         theta_k = state.theta.copy()
         u_k = state.u.copy()
         micro_k = state.micro
-        heat_solver = "cg"
 
-        converged = False
-        iterations = 0
-        for it in range(1, s.fixed_point_max_iter + 1):
-            iterations = it
+        converged, iterations = False, 0
+        while True:
             rhs = (base_rhs + (q_old - self.content_load(micro_k)) / dt
                    + (diss_old - ops_new["G_gamma"].T @ u_k) / dt)
             theta_next, heat_solver = solve_spd_or_direct(heat_lhs, rhs, s.cg_tol,
                                                           s.cg_max_iter)
-            u_next = self._solve_mech(ops_new, theta_next)
+            u_next = self._solve_mech(E_red, ops_new, theta_next, t_new)
+            if converged:  # these were the closing solves against micro_k
+                break
+            if iterations >= s.fixed_point_max_iter:
+                raise FixedPointError(
+                    f"two-scale solver: staggered loop did not converge within "
+                    f"{s.fixed_point_max_iter} sweeps at t = {t_new:.6g}"
+                )
+            iterations += 1
             micro_next = self.micro_sweep(t_new, dt, theta_next, u_next,
                                           state.micro, micro_k)
             d_theta = self._l2(theta_next - theta_k, ops_new["M_c"])
             d_u = np.linalg.norm(u_next - u_k) / max(1.0, np.linalg.norm(u_next))
             theta_k, u_k, micro_k = theta_next, u_next, micro_next
-            if d_theta + d_u < s.fixed_point_tol:
-                converged = True
-                break
-        if not converged:
-            raise FixedPointError(
-                f"two-scale solver: staggered loop did not converge within "
-                f"{s.fixed_point_max_iter} sweeps at t = {t_new:.6g}"
-            )
+            converged = d_theta + d_u < s.fixed_point_tol
 
-        # closing solves: the accepted state satisfies the macro balance
-        # against the final micro content exactly
-        rhs = (base_rhs + (q_old - self.content_load(micro_k)) / dt
-               + (diss_old - ops_new["G_gamma"].T @ u_k) / dt)
-        theta_new, heat_solver = solve_spd_or_direct(heat_lhs, rhs, s.cg_tol,
-                                                     s.cg_max_iter)
-        u_new = self._solve_mech(ops_new, theta_new)
-
-        traces_th, _ = self.traces_at_hosts(theta_new, u_new)
+        traces_th, _ = self.traces_at_hosts(theta_next, u_next)
         used = np.array([m.theta[self.micro_model.boundary_scalar[0]]
                          for m in micro_k])
         new_state = TwoScaleState(
-            t=t_new, theta=theta_new, u=u_new, micro=micro_k,
+            t=t_new, theta=theta_next, u=u_next, micro=micro_k,
             fixed_point_iterations=iterations,
-            mech_residual=self._mech_residual(ops_new, theta_new, u_new),
+            mech_residual=self._mech_residual(E_red, ops_new, theta_next, u_next),
             trace_defect=float(np.max(np.abs(used - traces_th))),
             heat_solver=heat_solver,
         )
         self._record_content(new_state, ops_new)
         return new_state
+
+    @functools.cached_property
+    def unit_masses(self):
+        """The unit scalar and vector mass matrices of the diagnostics norms."""
+        return (assemble_operator(self.mesh, "mass", 1.0, space=self.space),
+                vector_mass(self.mesh, 1.0, space=self.space))
 
     def _l2(self, vec, mass):
         return float(np.sqrt(max(vec @ (mass @ vec), 0.0)))
@@ -452,10 +458,7 @@ def diagnostics_header(dim):
 
 
 def diagnostics_row(solver: TwoScaleSolver, state: TwoScaleState):
-    from .fem import vector_mass
-
-    M = assemble_operator(solver.mesh, "mass", 1.0, space=solver.space)
-    Mv = vector_mass(solver.mesh, 1.0, space=solver.space)
+    M, Mv = solver.unit_masses
     return [
         state.t,
         state.fixed_point_iterations,

@@ -5,10 +5,14 @@ for ``EpsilonSolver``.
 at each quadrature point of the epsilon mesh, through that point's tile, and
 assembles each operator as one COO matrix per phase plus a sparse sum.  Its
 staggered loop recomputes the advective dissipation load from the
-coefficient fields with einsum on every iteration.  ``EpsilonSolver``
-instead pulls back once per sample key on the unit cell, assembles each
-operator once on the whole mesh through a cached sparsity pattern and
-applies a precomputed advective dissipation map; the tests compare the two.
+coefficient fields with einsum on every iteration, and solves the heat
+system by the path ``EpsilonSolver`` used before its single direct solve:
+a sparse direct solve under the default COLAMD ordering when the heat matrix
+is advective, CG (falling back to that direct solve) when it is not.
+``EpsilonSolver`` instead pulls back once per sample key on the unit cell,
+assembles each operator once on the whole mesh through a cached sparsity
+pattern, applies a precomputed advective dissipation map and solves every
+heat matrix with one minimum-degree direct solve; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from helpers import coo_assemble_operator
 from thermohom.fem import (
@@ -23,6 +28,7 @@ from thermohom.fem import (
     assemble_gradient_load,
     assemble_scalar_load,
     assemble_vector_load,
+    solve_spd_or_direct,
 )
 from thermohom.kinematics import PHASE_A, PHASE_B, coefficient_fields
 from thermohom.reference import EpsilonSolver
@@ -74,7 +80,7 @@ class OracleEpsilonSolver(EpsilonSolver):
             G_alpha=both("coupling", lambda f: f["expansion"]),
             G_gamma=both("coupling", lambda f: f["dissipation"]), N=N,
             mech_surface=mech_surface, heat_surface=heat_surface,
-            f_theta=f_theta, f_u=f_u, advective=abs(N).max() > 0.0)
+            f_theta=f_theta, f_u=f_u)
 
     def advective_dissipation_load(self, b, u):
         """int (gamma : grad u) v . grad phi_i, phase by phase."""
@@ -87,15 +93,21 @@ class OracleEpsilonSolver(EpsilonSolver):
             out += assemble_gradient_load(space, vals[:, :, None] * fields["velocity"])
         return out
 
+    def solve_heat(self, lhs, rhs, advective):
+        if advective:
+            return spla.spsolve(lhs.tocsc(), rhs)
+        return solve_spd_or_direct(lhs, rhs, self.settings.cg_tol,
+                                   self.settings.cg_max_iter)[0]
+
     def solve_fields(self, t_final, dt, theta0):
-        """The staggered loop with the einsum load; theta and u per step."""
+        """The staggered loop with the einsum load and the heat path above;
+        theta and u per step and the fixed-point iterations of each step."""
         s = self.settings
         theta = np.asarray(theta0(self.mesh.vertices), dtype=float)
         b0 = self.bundle(0.0)
-        red, lu, _ = self._mech_reduced(b0)
-        u = self._solve_mech(red, lu, b0["G_alpha"] @ theta + b0["f_u"]
+        u = self._solve_mech(self._mech_factor(b0), b0["G_alpha"] @ theta + b0["f_u"]
                              + b0["mech_surface"])
-        thetas, us = [theta.copy()], [u.copy()]
+        thetas, us, counts = [theta.copy()], [u.copy()], []
         t = 0.0
         for _ in range(max(0, math.ceil(t_final / dt - 1e-12))):
             step = min(dt, t_final - t)
@@ -103,14 +115,15 @@ class OracleEpsilonSolver(EpsilonSolver):
             heat_lhs = (b_new["M_c"] / step + b_new["N"] + b_new["A_K"]).tocsr()
             base = ((b_old["M_c"] @ theta) / step + b_new["f_theta"]
                     - b_new["heat_surface"] + (b_old["G_gamma"].T @ u) / step)
-            red, lu, mech_rhs0 = self._mech_reduced(b_new)
+            lu = self._mech_factor(b_new)
+            mech_rhs0 = b_new["f_u"] + b_new["mech_surface"]
+            advective = abs(b_new["N"]).max() > 0.0
             theta_k, u_k = theta.copy(), u.copy()
-            for _ in range(s.fixed_point_max_iter):
+            for it in range(1, s.fixed_point_max_iter + 1):
                 rhs = (base - (b_new["G_gamma"].T @ u_k) / step
                        - self.advective_dissipation_load(b_new, u_k))
-                theta_next, _ = self._solve_heat(heat_lhs, rhs, b_new["advective"])
-                u_next = self._solve_mech(red, lu,
-                                          b_new["G_alpha"] @ theta_next + mech_rhs0)
+                theta_next = self.solve_heat(heat_lhs, rhs, advective)
+                u_next = self._solve_mech(lu, b_new["G_alpha"] @ theta_next + mech_rhs0)
                 d_theta = np.linalg.norm(theta_next - theta_k) / max(
                     1.0, np.linalg.norm(theta_next))
                 d_u = np.linalg.norm(u_next - u_k) / max(1.0, np.linalg.norm(u_next))
@@ -122,4 +135,5 @@ class OracleEpsilonSolver(EpsilonSolver):
             theta, u, t = theta_k, u_k, t + step
             thetas.append(theta.copy())
             us.append(u.copy())
-        return thetas, us
+            counts.append(it)
+        return thetas, us, counts

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ theta0 = cosine 1.0 0.5 1 1
 [output]
 directory = {out}
 """
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 
 def write_cfg(tmp_path, text=None, name="run.cfg"):
@@ -84,6 +88,13 @@ class TestParsing:
         assert cfg1.config_hash() == cfg2.config_hash()
 
 
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_parses_and_validates(path):
+    cfg = parse_config(path)                 # validates every value
+    assert cfg.material().dim == cfg.transformation().dim == cfg.dimension
+    assert len(cfg.sources()(cfg.t_final)) == 4
+
+
 class TestSubcommands:
     def test_checks_pass_exit_zero(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -127,6 +138,14 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert f"thermohom {sub}: FixedPointError" in err
         assert "t = 0.05" in err
+
+    def test_macro_elasticity_cg_failure_exits_one(self, tmp_path, capsys):
+        text = BASE.format(out=tmp_path / "out") + "\n[tolerances]\ncg_max_iter = 1\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["macro", "--config", cfg, "--out", str(tmp_path / "macro")]) == 1
+        err = capsys.readouterr().err
+        assert ("thermohom macro: SolverError: two-scale solver: macro elasticity CG "
+                "failed at t = 0:") in err
 
     def test_micro_norm_bundle_and_identical_rerun(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -182,3 +201,21 @@ class TestTransformationTable:
         ref = tr.map_points(0.5, np.array([0.5, 0.5]), pts)
         got = tab.map_points(0.5, np.array([0.5, 0.5]), pts)
         assert np.max(np.abs(ref - got)) < 5e-3
+
+    def test_micro_runs_on_two_anchor_table(self, tmp_path):
+        from thermohom.config import save_transformation_table
+        from thermohom.kinematics import PolynomialAmplitude, RadialGrowth
+
+        # an x slope gives the two anchors different growth rates
+        tr = RadialGrowth(dim=2, inclusion_radius=0.25,
+                          amplitude=PolynomialAmplitude((0.0, 0.2), (1.0, 0.0)))
+        table = tmp_path / "motion.tbl"
+        save_transformation_table(str(table), tr, np.linspace(0.0, 1.0, 6),
+                                  [np.array([0.25, 0.5]), np.array([0.75, 0.5])], 41)
+        text = BASE.format(out=tmp_path).replace(
+            "family = identity", f"family = tabulated\ntable_path = {table}")
+        cfg = write_cfg(tmp_path, text, name="tab.cfg")
+        assert main(["micro", "--config", cfg, "--out", str(tmp_path / "micro")]) == 0
+        lines = (tmp_path / "micro" / "norm_bundle.csv").read_text().strip().split("\n")
+        assert len(lines) == 2
+        assert np.all(np.isfinite([float(v) for v in lines[1].split(",")]))

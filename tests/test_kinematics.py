@@ -300,6 +300,33 @@ class TestTabulated:
         H_tab = tab.curvature_batch(t, x, pts, step=0.01)
         assert np.max(np.abs(H_tab - H_ref) / np.abs(H_ref)) < 0.05
 
+    def test_per_point_anchors_match_per_anchor_calls(self):
+        # two anchors tabulating growth rates 0.1 and 0.3; a call with one
+        # macro point per cell point must use each point's own anchor
+        anchors = np.array([[0.25, 0.5], [0.75, 0.5]])
+        times, grid_n = np.linspace(0.0, 1.0, 11), 41
+        axes = [np.linspace(0.0, 1.0, grid_n)] * 2
+        Y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        vals = np.array([[radial_growth(coeffs=(0.0, rate)).map_points(t, a, Y)
+                          for a, rate in zip(anchors, (0.1, 0.3))] for t in times])
+        tab = TabulatedTransform(2, times, anchors, grid_n, vals, inclusion_radius=0.25,
+                                 boundary_margin=0.1)
+        ang = np.array([0.3, 1.9, 3.5, 5.1])
+        y = 0.5 + 0.25 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        x = np.array([[0.2, 0.5], [0.8, 0.5], [0.3, 0.4], [0.7, 0.6]])
+        t = 0.5
+
+        def evaluate(x, y):
+            return (tab.map_points(t, x, y), *tab.kinematics_batch(t, x, y),
+                    tab.curvature_batch(t, x, y))
+
+        per_point = evaluate(x, y)
+        for i in range(len(x)):
+            for got, one in zip(per_point, evaluate(x[i], y[i:i + 1])):
+                assert np.array_equal(got[i], one[0])
+        speed = np.linalg.norm(per_point[3], axis=1)
+        assert speed[1] == pytest.approx(3.0 * speed[0], rel=0.05)
+
     def test_roundtrip_radial_growth(self):
         tr = radial_growth(coeffs=(0.0, 0.2))
         tab = self._tabulate(tr, np.linspace(0.0, 1.0, 11), 161)

@@ -166,7 +166,7 @@ class TestNormBundle:
         zeros = np.zeros(2 * len(mesh.vertices))
         sol = EpsilonSolution(
             eps=0.5, times=[0.0, 0.05], theta=[ones, ones], u=[zeros, zeros],
-            mesh=mesh, fixed_point_iterations=[1], heat_solver="cg",
+            mesh=mesh, fixed_point_iterations=[1],
             config=dict(dt=0.05, t_final=0.05),
         )
         nb = apriori_norm_bundle(sol)

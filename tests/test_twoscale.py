@@ -5,6 +5,7 @@ from micro_oracle import EinsumMicroModel
 from thermohom.cell import CellContext
 from thermohom.config import TableSource
 from thermohom.effective import EffectiveProvider
+from thermohom.fem import SolverError
 from thermohom.kinematics import (
     IdentityTransform,
     PolynomialAmplitude,
@@ -208,6 +209,13 @@ class TestRunLoop:
     def test_stalled_loop_raises_named_error(self):
         solver = make_solver(fixed_point_max_iter=1, fixed_point_tol=1e-30)
         with pytest.raises(FixedPointError, match=r"two-scale solver.*t = 0\.05"):
+            solver.run(0.05, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
+
+    def test_macro_elasticity_cg_failure_names_solver_and_t(self):
+        # init_state's macro elasticity CG fails first; it has no direct fallback
+        solver = make_solver(cg_max_iter=1)
+        with pytest.raises(SolverError, match=r"two-scale solver: macro elasticity CG "
+                                              r"failed at t = 0: conjugate gradients"):
             solver.run(0.05, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
 
     def test_deterministic_rerun(self):
