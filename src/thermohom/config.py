@@ -90,8 +90,6 @@ class RunConfig:
     t_final: float = 0.5
     dt: float = 0.05
     # [tolerances]
-    cg_tol: float = 1e-12
-    cg_max_iter: int = 50_000
     fixed_point_tol: float = 1e-8
     fixed_point_max_iter: int = 50
     corrector_tol: float = 1e-10
@@ -118,9 +116,11 @@ class RunConfig:
             raise ConfigError("radius must lie strictly between 0 and 0.5")
         if self.radius + self.boundary_margin >= 0.5:
             raise ConfigError("radius plus boundary_margin must stay below 0.5")
-        for name in ("cg_tol", "fixed_point_tol", "corrector_tol", "dt"):
+        for name in ("fixed_point_tol", "corrector_tol", "dt"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
+        if self.fixed_point_max_iter < 1:
+            raise ConfigError("fixed_point_max_iter must be at least 1")
         if self.dt > self.t_final and self.t_final > 0.0:
             raise ConfigError("dt must not exceed t_final")
         for eps in self.eps_list:
@@ -230,7 +230,6 @@ class RunConfig:
         from .twoscale import SolverSettings
 
         return SolverSettings(
-            cg_tol=self.cg_tol, cg_max_iter=self.cg_max_iter,
             fixed_point_tol=self.fixed_point_tol,
             fixed_point_max_iter=self.fixed_point_max_iter,
             latent_sign=self.latent_heat_sign,
@@ -304,8 +303,7 @@ _SECTIONS = {
                  "heat_capacity_a", "heat_capacity_b", "surface_tension",
                  "latent_heat"),
     "time": ("t_final", "dt"),
-    "tolerances": ("cg_tol", "cg_max_iter", "fixed_point_tol",
-                   "fixed_point_max_iter", "corrector_tol"),
+    "tolerances": ("fixed_point_tol", "fixed_point_max_iter", "corrector_tol"),
     "sources": ("f_u_a", "f_u_b", "f_theta_a", "f_theta_b", "theta0"),
     "flags": ("latent_heat_in_weff", "latent_heat_sign", "micro_per_element",
               "vtk"),
@@ -313,12 +311,12 @@ _SECTIONS = {
 }
 
 _INT_KEYS = {"dimension", "cell_resolution", "macro_resolution", "workers",
-             "validation_grid", "cg_max_iter", "fixed_point_max_iter"}
+             "validation_grid", "fixed_point_max_iter"}
 _REAL_KEYS = {"radius", "det_lower", "det_upper", "boundary_margin", "lambda_a",
               "mu_a", "lambda_b", "mu_b", "conductivity_a", "conductivity_b",
               "expansion_a", "expansion_b", "dissipation_a", "dissipation_b",
               "density_a", "density_b", "heat_capacity_a", "heat_capacity_b",
-              "surface_tension", "latent_heat", "t_final", "dt", "cg_tol",
+              "surface_tension", "latent_heat", "t_final", "dt",
               "fixed_point_tol", "corrector_tol", "latent_heat_sign"}
 _BOOL_KEYS = {"latent_heat_in_weff", "micro_per_element", "vtk"}
 _TUPLE_KEYS = {"eps_list", "amplitude_poly", "amplitude_x_slope"}

@@ -20,7 +20,7 @@ from .cell import (
     solve_correctors,
     strain_pads,
 )
-from .fem import einsum
+from .fem import SolverError, einsum
 from .kinematics import (
     LevelCache,
     interface_batch,
@@ -217,6 +217,17 @@ class EffectiveProvider:
         return self.cache.get(t, key, lambda: self._build_bundle(t, x))
 
     def _build_bundle(self, t, x):
+        from .twoscale import BundleError   # twoscale imports this module
+
+        try:
+            return self._coefficients(t, x)
+        except SolverError:          # a corrector residual breach names t and x
+            raise
+        except (ValueError, RuntimeError) as exc:  # inadmissible map, singular LU
+            raise BundleError(f"two-scale solver: cannot build the effective coefficients "
+                              f"at t = {t:.6g}, x = {np.asarray(x).tolist()}: {exc}") from exc
+
+    def _coefficients(self, t, x):
         fields = self.ctx.matrix_fields(t, x)
         cors = solve_correctors(self.ctx, t, x, tol=self.solver_tol, fields=fields)
         interface = _interface(self.ctx, t, x)

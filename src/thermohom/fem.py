@@ -574,12 +574,3 @@ def solve_block(red: ReducedSystem):
     scale = np.linalg.norm(B, axis=0)
     residuals = np.linalg.norm(K @ Z - B, axis=0) / np.where(scale > 0.0, scale, 1.0)
     return red.recover(Z[: red.matrix.shape[0]]), residuals
-
-
-def solve_spd_or_direct(A, b, tol, max_iter):
-    """:func:`solve_spd`, or a sparse direct solve when CG fails.  Returns the
-    solution and the path taken, ``"cg"`` or ``"direct"``."""
-    try:
-        return solve_spd(A, b, tol=tol, max_iter=max_iter)[0], "cg"
-    except SolverError:
-        return spla.spsolve(A.tocsc(), b), "direct"

@@ -41,7 +41,6 @@ def write_manifest(path, config, command, extras=None):
         "config_hash": config.config_hash(),
         "package_version": __version__,
         "tolerances": {
-            "cg_tol": fmt(config.cg_tol),
             "fixed_point_tol": fmt(config.fixed_point_tol),
             "corrector_tol": fmt(config.corrector_tol),
         },

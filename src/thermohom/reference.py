@@ -40,7 +40,7 @@ from .kinematics import (
     zero_sources,
 )
 from .mesh import build_epsilon_mesh, tile_anchors
-from .twoscale import FixedPointError, SolverSettings, TwoScaleSolver
+from .twoscale import BundleError, FixedPointError, SolverSettings, TwoScaleSolver
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +144,6 @@ class EpsilonSolution:
     mesh: object
     fixed_point_iterations: list
     config: dict
-
-
-class BundleError(RuntimeError):
-    """The resolved solver could not build its operators at some t."""
 
 
 class EpsilonSolver:
@@ -418,13 +414,19 @@ def operator_structure_checks(cell_mesh, material, transformation, eps,
     f_norms = np.sqrt(np.einsum("ij,ij->i", fs, (M_plain @ fs.T).T))
 
     prev_products = None
+    prev_solve = None        # (E, G_alpha, us) of the previous sample
     for t in t_samples:
         b = solver.bundle(t)
-        E = b["E"]
+        E, G_alpha = b["E"], b["G_alpha"]
         rayleigh = np.einsum("ij,ji->i", vs, E @ vs.T) / np.einsum("ij,ij->i", vs, vs)
         min_rayleigh = min(min_rayleigh, float(rayleigh.min()))
 
-        us, _ = solve_block(solver.mech_basis.reduce(E, b["G_alpha"] @ fs.T))
+        if (prev_solve is not None and (prev_solve[0] != E).nnz == 0
+                and (prev_solve[1] != G_alpha).nnz == 0):
+            us = prev_solve[2]        # a static geometry: the same block solution
+        else:
+            us, _ = solve_block(solver.mech_basis.reduce(E, G_alpha @ fs.T))
+        prev_solve = (E, G_alpha, us)
         products = (b["G_gamma"] @ fs.T).T @ us    # <B2 f_j, f_i>
         scale = np.max(np.abs(products)) or 1.0
         sym_defect = max(sym_defect, float(np.max(np.abs(products - products.T)) / scale))
@@ -571,10 +573,8 @@ def _compare_one(sol: EpsilonSolution, hom_solver, hom_states, dt) -> CompareRow
         floor2 += dt * float(np.einsum("eq,q,e->", floor_vals**2, space.qweights,
                                        space.volumes))
 
-        micro_theta = np.zeros(len(mesh.vertices))
         recon = np.array([state.micro[h].theta[m]
                           for h, m in zip(host_ids, micro_ids)])
-        micro_theta[b_ids] = recon
         diff_b = np.zeros(len(mesh.vertices))
         diff_b[b_ids] = theta_eps[b_ids] - recon
         err_b2 += dt * float(diff_b @ (M_b @ diff_b))

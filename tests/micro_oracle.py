@@ -2,8 +2,11 @@
 
 ``EinsumMicroModel`` re-derives every right-hand side of the inclusion
 problems from the pulled-back coefficient fields on every call, with the
-generic load assemblers of ``thermohom.fem``.  ``MicroModel`` applies
-precomputed affine maps instead; the tests compare the two.
+generic load assemblers of ``thermohom.fem``, and steps the inclusion heat
+problem with a lagged deformation in its dissipation loads, followed by the
+quasi-static elasticity update.  ``coupled_step`` iterates that lagged step
+to its fixed point.  ``MicroModel`` applies precomputed affine maps and
+solves the coupled step in one block instead; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -124,3 +127,14 @@ class EinsumMicroModel(MicroModel):
         u = self._oracle_mech(b_new, theta, trace_u, t_new)
         return MicroState(theta=theta, u=u,
                           heat_content=self.heat_content(f_new, theta))
+
+    def coupled_step(self, t_new, dt, x, trace_theta, trace_u, prev, tol=1e-14,
+                     max_iter=100):
+        """Lagged steps until the deformation reproduces itself."""
+        lag = prev.u
+        for _ in range(max_iter):
+            state = self.step(t_new, dt, x, trace_theta, trace_u, prev, u_lag=lag)
+            if np.max(np.abs(state.u - lag)) <= tol * max(1.0, np.max(np.abs(state.u))):
+                return state
+            lag = state.u
+        raise AssertionError(f"lagged micro step did not converge at t = {t_new}")

@@ -343,7 +343,7 @@ class TestCriterion09Conservation:
             CellContext(cell, mat, IdentityTransform(dim=2, inclusion_radius=RADIUS)))
         solver = TwoScaleSolver(
             build_uniform_mesh(6, dim=2), provider,
-            SolverSettings(cg_tol=1e-13, fixed_point_tol=1e-12))
+            SolverSettings(fixed_point_tol=1e-12))
         state = solver.init_state(standard_theta0)
         previous = state.heat_content
         worst = 0.0

@@ -50,7 +50,7 @@ class TestParsing:
     def test_minimal_file_fills_defaults(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path))
         assert cfg.dimension == 2
-        assert cfg.cg_tol == RunConfig().cg_tol
+        assert cfg.fixed_point_tol == RunConfig().fixed_point_tol
         assert cfg.eps_list == (0.5,)
         assert cfg.family == "identity"
 
@@ -75,6 +75,11 @@ class TestParsing:
                                                  "eps_list = 1/2 1/4")
         cfg = parse_config(write_cfg(tmp_path, text))
         assert cfg.eps_list == (0.5, 0.25)
+
+    def test_fixed_point_cap_below_one_rejected(self, tmp_path):
+        text = BASE.format(out=tmp_path) + "\n[tolerances]\nfixed_point_max_iter = 0\n"
+        with pytest.raises(ConfigError, match="fixed_point_max_iter must be at least 1"):
+            parse_config(write_cfg(tmp_path, text))
 
     def test_dt_exceeding_horizon_rejected(self, tmp_path):
         text = BASE.format(out=tmp_path).replace("dt = 0.05", "dt = 0.2")
@@ -129,7 +134,8 @@ class TestSubcommands:
         assert main(["macro", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "thermohom" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sub", ["macro", "micro"])
+    # the two-scale step is exact, so only the resolved solver has a loop
+    @pytest.mark.parametrize("sub", ["micro"])
     def test_stalled_fixed_point_loop_exits_one(self, tmp_path, capsys, sub):
         text = BASE.format(out=tmp_path / "out") + (
             "\n[tolerances]\nfixed_point_max_iter = 1\nfixed_point_tol = 1e-30\n")
@@ -138,14 +144,6 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert f"thermohom {sub}: FixedPointError" in err
         assert "t = 0.05" in err
-
-    def test_macro_elasticity_cg_failure_exits_one(self, tmp_path, capsys):
-        text = BASE.format(out=tmp_path / "out") + "\n[tolerances]\ncg_max_iter = 1\n"
-        cfg = write_cfg(tmp_path, text)
-        assert main(["macro", "--config", cfg, "--out", str(tmp_path / "macro")]) == 1
-        err = capsys.readouterr().err
-        assert ("thermohom macro: SolverError: two-scale solver: macro elasticity CG "
-                "failed at t = 0:") in err
 
     def test_micro_norm_bundle_and_identical_rerun(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -168,6 +166,16 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert "thermohom micro: BundleError: resolved solver" in err
         assert "t = 0.05" in err
+
+    def test_macro_inadmissible_growth_exits_one(self, tmp_path, capsys):
+        text = BASE.format(out=tmp_path / "out").replace(
+            "family = identity", "family = radial_growth\namplitude_poly = 0.0 -40.0")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["macro", "--config", cfg, "--out", str(tmp_path / "macro")]) == 1
+        err = capsys.readouterr().err
+        assert ("thermohom macro: BundleError: two-scale solver: cannot build the "
+                "effective coefficients at t = 0.05, x = [") in err
+        assert "det(F) = -" in err
 
     def test_rerun_identical_artifacts(self, tmp_path):
         cfg = write_cfg(tmp_path)
