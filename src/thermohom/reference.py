@@ -544,13 +544,15 @@ def _compare_one(sol: EpsilonSolution, hom_solver, hom_states, dt) -> CompareRow
     # micro reconstruction bookkeeping
     micro_mesh = hom_solver.micro_model.mesh
     lookup = {tuple(np.round(v, 10)): i for i, v in enumerate(micro_mesh.vertices)}
-    b_ids = np.flatnonzero(_vertex_phase_mask(mesh, PHASE_B))
+    b_ids = np.unique(mesh.cells[mesh.phase == PHASE_B])
     tiles = np.floor(mesh.vertices[b_ids] * (1.0 / sol.eps) - 1e-12).astype(int)
     tiles = np.clip(tiles, 0, round(1.0 / sol.eps) - 1)
     ycoords = mesh.vertices[b_ids] / sol.eps - tiles
     micro_ids = np.array([lookup[tuple(np.round(y, 10))] for y in ycoords])
-    centers = (tiles + 0.5) * sol.eps
-    host_ids = np.array([_nearest_host(hom_solver, c) for c in centers])
+    # the host nearest to the centre of each tile
+    tiles, tile_of = np.unique(tiles, axis=0, return_inverse=True)
+    offsets = hom_solver.host_points - ((tiles + 0.5) * sol.eps)[:, None]
+    host_ids = np.argmin(np.einsum("tid,tid->ti", offsets, offsets), axis=1)[tile_of.ravel()]
 
     err_a2 = 0.0
     err_b2 = 0.0
@@ -573,8 +575,7 @@ def _compare_one(sol: EpsilonSolution, hom_solver, hom_states, dt) -> CompareRow
         floor2 += dt * float(np.einsum("eq,q,e->", floor_vals**2, space.qweights,
                                        space.volumes))
 
-        recon = np.array([state.micro[h].theta[m]
-                          for h, m in zip(host_ids, micro_ids)])
+        recon = state.micro_theta[host_ids, micro_ids]
         diff_b = np.zeros(len(mesh.vertices))
         diff_b[b_ids] = theta_eps[b_ids] - recon
         err_b2 += dt * float(diff_b @ (M_b @ diff_b))
@@ -582,15 +583,3 @@ def _compare_one(sol: EpsilonSolution, hom_solver, hom_states, dt) -> CompareRow
     return CompareRow(eps=sol.eps, error_matrix=math.sqrt(err_a2),
                       error_inclusion=math.sqrt(err_b2),
                       interp_floor=math.sqrt(floor2))
-
-
-def _vertex_phase_mask(mesh, phase):
-    mask = np.zeros(len(mesh.vertices), dtype=bool)
-    mask[np.unique(mesh.cells[mesh.phase == phase])] = True
-    return mask
-
-
-def _nearest_host(hom_solver, point):
-    d2 = np.einsum("id,id->i", hom_solver.host_points - point,
-                   hom_solver.host_points - point)
-    return int(np.argmin(d2))

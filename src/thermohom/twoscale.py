@@ -8,15 +8,19 @@ traces taken from the macro fields.  Coupling runs both ways: traces
 downward, inclusion heat content upward (inside the time derivative of the
 macro balance).
 
+The micro state is three host-indexed arrays (inclusion temperatures,
+deformations and heat contents); :class:`MicroModel` works on blocks of the
+hosts that share a transformation sample key.
+
 Time stepping is implicit Euler, and each step is solved exactly.  Within a
 step the whole system is linear, and every inclusion problem is driven only
 by its two traces, so its heat content after the step is an affine function
-of them (:meth:`MicroModel.response`).  Eliminating the inclusions this way
+of them (:meth:`MicroModel.responses`).  Eliminating the inclusions this way
 (static condensation) leaves one macro heat-elasticity block, solved with
 one sparse LU per step; one micro sweep with the exact traces then advances
-every host.  The accepted state satisfies the discrete macro balance to
-round-off against the stored inclusion heat content, which is what the
-conservation diagnostics check.
+every host, one row per :meth:`MicroModel.step`.  The accepted state
+satisfies the discrete macro balance to round-off against the stored
+inclusion heat content, which is what the conservation diagnostics check.
 """
 
 from __future__ import annotations
@@ -54,24 +58,18 @@ class SolverSettings:
 
 
 @dataclass
-class MicroState:
-    theta: np.ndarray
-    u: np.ndarray
-    heat_content: float
-
-
-@dataclass
 class TwoScaleState:
     t: float
     theta: np.ndarray               # macro nodal temperature
     u: np.ndarray                   # macro nodal deformation (interleaved)
-    micro: list                     # MicroState per hosting point
+    micro_theta: np.ndarray         # (n_hosts, n_scalar) inclusion temperatures
+    micro_u: np.ndarray             # (n_hosts, n_vector) inclusion deformations
+    micro_content: np.ndarray       # (n_hosts,) inclusion heat contents
     heat_content: float = 0.0
     macro_heat_content: float = 0.0
     micro_heat_content: float = 0.0
     fixed_point_iterations: int = 0  # micro sweeps of the step: 1 after a step
     mech_residual: float = 0.0
-    trace_defect: float = 0.0
 
 
 class FixedPointError(RuntimeError):
@@ -96,10 +94,9 @@ class MicroModel:
     dissipation load ``int (gamma : grad u) phi_i`` as a map of u;
     ``content``, the weights ``rho c int J phi_i`` (all rows); the unit
     source loads ``l_J`` and ``L_J``; the elasticity ``E`` and the
-    thermal-stress coupling ``G``.  :meth:`initial_state` adds the LU of
-    ``E[Iv, Iv]`` and its trace columns ``mech_bd`` on first use.  With the dt
-    of the step ending at its level a bundle also holds the LU of the
-    coupled interior block
+    thermal-stress coupling ``G``.  :meth:`initial_states` adds the LU of
+    ``E[Iv, Iv]`` on first use.  With the dt of the step ending at its level
+    a bundle also holds the LU of the coupled interior block
 
         K = [[H_II, (S/dt + A)[I, Iv]], [-G[Iv, I], E[Iv, Iv]]],
         H = M_c/dt + N + A_K  (A: the advective dissipation map),
@@ -108,11 +105,13 @@ class MicroModel:
     right-hand side, ``y = K^-T [content_I; 0]`` and ``c_tr``: a host's
     content after the step is ``y . r_prev + c_tr . (theta_h, u_h)``.
 
-    ``step`` is then one solve of ``K``.  Sources are the unit loads scaled
-    by ``sources(t)`` at the t of each call, so one bundle serves every t of
-    a static geometry.  The cache keeps the bundles of the current step
-    pair.  A bundle that cannot be built raises :class:`BundleError` naming
-    t and x.
+    :meth:`initial_states` solves the hosts of each sample key as one block,
+    :meth:`responses` takes one block product per pair of old- and new-level
+    keys, and :meth:`step` advances one host, one solve of ``K``; micro states
+    are host-indexed arrays.  Sources are the unit loads scaled by
+    ``sources(t)`` at the t of each call, so one bundle serves every t of a
+    static geometry.  The cache keeps the bundles of the current step pair.
+    A bundle that cannot be built raises :class:`BundleError` naming t and x.
     """
 
     def __init__(self, ctx: CellContext, sources=None):
@@ -189,50 +188,68 @@ class MicroModel:
         b.update(dt=round(float(dt), 14), lu=lu, trace=trace, y=y, c_tr=c_tr)
         return b
 
-    def _micro_state(self, b, z, trace_theta, trace_u):
-        """The state with the unknowns ``z`` of K and the given traces."""
-        w = np.empty(len(self._unknowns) + len(self._boundary))
-        w[self._unknowns] = z
-        w[self._boundary] = np.concatenate([[trace_theta], trace_u])[self._trace_of]
-        theta, u = w[:self.space.n_scalar], w[self.space.n_scalar:]
-        return MicroState(theta=theta, u=u, heat_content=float(b["content"] @ theta))
+    def groups(self, xs, *ts):
+        """Index arrays of the points xs that share their sample keys at ts."""
+        key = self.ctx.transformation.sample_key
+        groups = {}
+        for i, x in enumerate(xs):
+            groups.setdefault(tuple(key(t, x) for t in ts), []).append(i)
+        return [np.array(g) for g in groups.values()]
 
-    def initial_state(self, t, x, trace_theta, trace_u, theta_field=None) -> MicroState:
-        """Consistent micro state: given temperature, quasi-static deformation."""
-        b = self.bundle(t, x)
-        if "mech_lu" not in b:      # factored on first use: a step solves with K
-            E, n_bd = b["E"], len(self.boundary_nodes)
-            b.update(mech_lu=spla.splu(E[:, self.interior_vector].tocsc()),
-                     mech_bd=E[:, self.boundary_vector] @ np.tile(np.eye(self.dim), (n_bd, 1)))
-        theta = np.full(self.space.n_scalar, trace_theta) if theta_field is None \
-            else theta_field.copy()
-        theta[self.boundary_scalar] = trace_theta
+    def initial_states(self, t, xs, traces_theta, traces_u, theta_fields=None):
+        """Consistent micro state arrays (theta, u, content) of the hosts at
+        xs: the given temperatures (default: the trace) with the trace rows
+        overwritten, and the quasi-static deformation."""
+        n, ns = len(xs), self.space.n_scalar
+        theta = np.repeat(traces_theta[:, None], ns, axis=1) if theta_fields is None \
+            else np.array(theta_fields, dtype=float)
+        theta[:, self.boundary_scalar] = traces_theta[:, None]
+        u = np.zeros((n, self.space.n_vector))
+        u[:, self.boundary_vector] = np.tile(traces_u, len(self.boundary_nodes))
+        content = np.empty(n)
         _, f_u_b, _, _ = self.sources(t)
-        r = (b["G"] @ theta + b["L_J"] @ np.asarray(f_u_b) - b["mech_bd"] @ trace_u)
-        return self._micro_state(
-            b, np.concatenate([theta[self.interior_scalar], b["mech_lu"].solve(r)]),
-            trace_theta, trace_u)
+        for hosts in self.groups(xs, t):
+            b = self.bundle(t, xs[hosts[0]])
+            if "mech_lu" not in b:      # factored on first use: a step solves with K
+                b["mech_lu"] = spla.splu(b["E"][:, self.interior_vector].tocsc())
+            # u holds the traces and zero interior values here
+            r = (b["G"] @ theta[hosts].T + (b["L_J"] @ np.asarray(f_u_b))[:, None]
+                 - b["E"] @ u[hosts].T)
+            u[np.ix_(hosts, self.interior_vector)] = b["mech_lu"].solve(r).T
+            content[hosts] = theta[hosts] @ b["content"]
+        return theta, u, content
 
-    def _step_rhs(self, t_new, dt, x, prev: MicroState):
-        """The step's bundle and the right-hand side of ``K`` for zero traces."""
+    def responses(self, t_new, dt, xs, prev_theta, prev_u):
+        """The hosts' heat contents after the step as affine functions of
+        their traces: ``c0 + c_tr . (theta_h, u_h)`` row by row."""
+        c0 = np.empty(len(xs))
+        c_tr = np.empty((len(xs), 1 + self.dim))
+        _, f_u_b, _, f_th_b = self.sources(t_new)
+        nI = len(self.interior_scalar)
+        for hosts in self.groups(xs, t_new - dt, t_new):
+            b_new = self.bundle(t_new, xs[hosts[0]], dt)
+            b_old = self.bundle(t_new - dt, xs[hosts[0]])
+            heat = ((b_old["M_c"] @ prev_theta[hosts].T + b_old["S"] @ prev_u[hosts].T) / dt
+                    + f_th_b * b_new["l_J"][:, None])
+            y = b_new["y"]
+            c0[hosts] = y[:nI] @ heat + y[nI:] @ (b_new["L_J"] @ np.asarray(f_u_b))
+            c_tr[hosts] = b_new["c_tr"]
+        return c0, c_tr
+
+    def step(self, t_new, dt, x, trace_theta, trace_u, prev_theta, prev_u):
+        """One implicit Euler step of the coupled inclusion heat and
+        quasi-static elasticity problem at x: the host's (theta, u, content)."""
         b_new = self.bundle(t_new, x, dt)
         b_old = self.bundle(t_new - dt, x)
         _, f_u_b, _, f_th_b = self.sources(t_new)
-        heat = (b_old["M_c"] @ prev.theta + b_old["S"] @ prev.u) / dt + f_th_b * b_new["l_J"]
-        return b_new, np.concatenate([heat, b_new["L_J"] @ np.asarray(f_u_b)])
-
-    def response(self, t_new, dt, x, prev: MicroState):
-        """The host's heat content after the step as an affine function of
-        its traces: ``(c0, c_tr)`` with content ``c0 + c_tr . (theta_h, u_h)``."""
-        b, r = self._step_rhs(t_new, dt, x, prev)
-        return float(b["y"] @ r), b["c_tr"]
-
-    def step(self, t_new, dt, x, trace_theta, trace_u, prev: MicroState) -> MicroState:
-        """One implicit Euler step of the coupled inclusion heat and
-        quasi-static elasticity problem."""
-        b, r = self._step_rhs(t_new, dt, x, prev)
-        z = b["lu"].solve(r + b["trace"] @ np.concatenate([[trace_theta], trace_u]))
-        return self._micro_state(b, z, trace_theta, trace_u)
+        heat = (b_old["M_c"] @ prev_theta + b_old["S"] @ prev_u) / dt + f_th_b * b_new["l_J"]
+        traces = np.concatenate([[trace_theta], trace_u])
+        w = np.empty(len(self._unknowns) + len(self._boundary))
+        w[self._unknowns] = b_new["lu"].solve(
+            np.concatenate([heat, b_new["L_J"] @ np.asarray(f_u_b)]) + b_new["trace"] @ traces)
+        w[self._boundary] = traces[self._trace_of]
+        theta = w[:self.space.n_scalar]
+        return theta, w[self.space.n_scalar:], float(b_new["content"] @ theta)
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +280,22 @@ class TwoScaleSolver:
             self.host_of_qp = np.arange(e * nq)
         self.n_hosts = len(self.host_points)
 
-        # P: macro temperature -> the traces at the hosts (the quadrature point
-        # value, or the element average), P_v its vector form; Q: host
-        # contents -> content loads int c phi_i
+        # P: macro nodal values -> the traces at the hosts (the quadrature
+        # point value, or the element average); Q: host contents -> content
+        # loads int c phi_i
         host = np.repeat(self.host_of_qp, d + 1)
         vertex = np.repeat(space.cells, nq, axis=0).ravel()
         N = np.tile(space.shape_values, (e, 1))
         avg = (N / np.bincount(self.host_of_qp)[self.host_of_qp, None]).ravel()
         self.trace_map = sp.csr_matrix((avg, (host, vertex)),
                                        shape=(self.n_hosts, space.n_scalar))
-        c = np.arange(d)
-        self.vector_trace_map = sp.csr_matrix(
-            (np.repeat(avg, d), ((host[:, None] * d + c).ravel(), (vertex[:, None] * d + c).ravel())),
-            shape=(self.n_hosts * d, space.n_vector))
         w = (space.volumes[:, None] * space.qweights).reshape(-1, 1)
         self.content_map = sp.csr_matrix(((w * N).ravel(), (vertex, host)),
                                          shape=(space.n_scalar, self.n_hosts))
 
         bdofs = np.flatnonzero(np.repeat(macro_mesh.boundary_vertex_mask(), d))
         self.mech_basis = constraint_basis(space.n_vector, ConstraintSet.dirichlet_only(bdofs))
+        self._operators = LevelCache()
 
     # -- effective coefficient fields -----------------------------------------
 
@@ -315,17 +329,28 @@ class TwoScaleSolver:
         return dict(M_c=M_c, A_K=A_K, E=E, G_alpha=G_alpha, G_gamma=G_gamma,
                     heat_load=heat_load, mech_load=mech_load)
 
+    def operators(self, t):
+        """The macro operators at time t, built once per time level."""
+        return self._operators.get(t, round(float(t), 12),
+                                   lambda: self.macro_operators(self.effective_fields(t)))
+
     # -- micro coupling --------------------------------------------------------
 
     def traces_at_hosts(self, theta, u):
         """Macro temperature/deformation evaluated at the hosting points."""
         return self.trace_map @ theta, self.trace_map @ u.reshape(-1, self.dim)
 
-    def micro_sweep(self, t_new, dt, theta, u, prev_micro):
+    def micro_sweep(self, t_new, dt, theta, u, prev_theta, prev_u):
+        """Every host advanced with its traces of (theta, u), one row each."""
         traces_th, traces_u = self.traces_at_hosts(theta, u)
-        step = self.micro_model.step
-        return [step(t_new, dt, x, traces_th[i], traces_u[i], prev_micro[i])
-                for i, x in enumerate(self.host_points)]
+        model = self.micro_model
+        micro_theta = np.empty_like(prev_theta)
+        micro_u = np.empty_like(prev_u)
+        content = np.empty(self.n_hosts)
+        for i, x in enumerate(self.host_points):
+            micro_theta[i], micro_u[i], content[i] = model.step(
+                t_new, dt, x, traces_th[i], traces_u[i], prev_theta[i], prev_u[i])
+        return micro_theta, micro_u, content
 
     # -- initialization ---------------------------------------------------------
 
@@ -336,41 +361,36 @@ class TwoScaleSolver:
         Dirichlet trace rows are overwritten by the macro values.
         """
         theta = np.asarray(theta0(self.mesh.vertices), dtype=float)
-        ops = self.macro_operators(self.effective_fields(0.0))
+        ops = self.operators(0.0)
         E_red = self.mech_basis.reduce_matrix(ops["E"]).tocsc()
         u = self.mech_basis.restriction @ spla.splu(
             E_red, permc_spec="MMD_AT_PLUS_A").solve(self._mech_rhs(ops, theta))
 
         traces_th, traces_u = self.traces_at_hosts(theta, u)
-        micro = []
-        for i in range(self.n_hosts):
-            theta_field = None
-            if micro_theta0 is not None:
-                theta_field = np.asarray(
-                    micro_theta0(self.host_points[i],
-                                 self.micro_model.mesh.vertices), dtype=float)
-            micro.append(self.micro_model.initial_state(
-                0.0, self.host_points[i], traces_th[i], traces_u[i],
-                theta_field=theta_field))
-        state = TwoScaleState(t=0.0, theta=theta, u=u, micro=micro)
+        fields = None if micro_theta0 is None else [
+            micro_theta0(x, self.micro_model.mesh.vertices) for x in self.host_points]
+        state = TwoScaleState(0.0, theta, u, *self.micro_model.initial_states(
+            0.0, self.host_points, traces_th, traces_u, fields))
         self._record_content(state, ops)
         return state
 
     def _record_content(self, state, ops):
-        macro = float((ops["M_c"] @ state.theta).sum())
-        micro = float((self.content_map @ [m.heat_content for m in state.micro]).sum())
-        state.macro_heat_content = macro
-        state.micro_heat_content = micro
-        state.heat_content = macro + micro
+        state.macro_heat_content = float((ops["M_c"] @ state.theta).sum())
+        state.micro_heat_content = float((self.content_map @ state.micro_content).sum())
+        state.heat_content = state.macro_heat_content + state.micro_heat_content
 
     def _mech_rhs(self, ops, theta):
         # homogeneous Dirichlet: the offset vanishes, so R^T reduces the load
         return self.mech_basis.restriction.T @ (ops["G_alpha"] @ theta + ops["mech_load"])
 
     def _mech_residual(self, E_red, ops, theta, u):
-        rhs = self._mech_rhs(ops, theta)
-        r = E_red @ (self.mech_basis.restriction.T @ u) - rhs
-        scale = np.linalg.norm(rhs)
+        """The reduced elasticity residual relative to the size of the terms
+        it balances: the thermal-stress summands ``|G_alpha| |theta|`` (their
+        sum cancels once theta is uniform) and the load."""
+        R = self.mech_basis.restriction
+        r = E_red @ (R.T @ u) - self._mech_rhs(ops, theta)
+        scale = (np.linalg.norm(R.T @ (abs(ops["G_alpha"]) @ np.abs(theta)))
+                 + np.linalg.norm(R.T @ ops["mech_load"]))
         return float(np.linalg.norm(r) / (scale if scale > 0 else 1.0))
 
     # -- time stepping ------------------------------------------------------------
@@ -378,51 +398,41 @@ class TwoScaleSolver:
     def macro_step(self, state: TwoScaleState, dt) -> TwoScaleState:
         """One exact implicit-Euler step.  The hosts' contents after the step,
         ``c0 + c_theta theta_h + c_u . u_h``, enter the macro heat balance
-        through the trace maps P, P_v and the content map Q, leaving
+        through the trace map P and the content map Q, leaving
 
-            [[M_c/dt + A_K + Q diag(c_theta) P / dt, (G_gamma^T + Q C_u P_v) R / dt],
-             [-R^T G_alpha,                           R^T E R]]
+            [[M_c/dt + A_K + C_theta / dt, (G_gamma^T + C_u) R / dt],
+             [-R^T G_alpha,                R^T E R]],
+            C_theta = Q diag(c_theta) P,  C_u[:, c::d] = Q diag(c_u[:, c]) P,
 
         in (theta, reduced u) for one sparse LU; one micro sweep then
         advances every host with the exact traces."""
         t_new = state.t + dt
-        ops_new = self.macro_operators(self.effective_fields(t_new))
-        ops_old = self.macro_operators(self.effective_fields(state.t))
+        ops_new, ops_old = self.operators(t_new), self.operators(state.t)
         R = self.mech_basis.restriction
         E_red = self.mech_basis.reduce_matrix(ops_new["E"])
 
-        response = self.micro_model.response
-        c0 = np.empty(self.n_hosts)
-        c_tr = np.empty((self.n_hosts, 1 + self.dim))
-        for i, x in enumerate(self.host_points):
-            c0[i], c_tr[i] = response(t_new, dt, x, state.micro[i])
+        c0, c_tr = self.micro_model.responses(t_new, dt, self.host_points,
+                                              state.micro_theta, state.micro_u)
         Q = self.content_map
-        C_theta = Q @ sp.diags(c_tr[:, 0]) @ self.trace_map
-        n, d = self.n_hosts, self.dim
-        C_u = Q @ sp.csr_matrix((c_tr[:, 1:].ravel(), np.arange(n * d),
-                                 np.arange(0, n * d + 1, d)), shape=(n, n * d)) \
-            @ self.vector_trace_map
+        C_theta, *C_u = (Q @ sp.diags(c) @ self.trace_map for c in c_tr.T)
+        C_u = sum(sp.kron(C, np.eye(self.dim)[[c]]) for c, C in enumerate(C_u))
 
         lhs = sp.bmat([
             [ops_new["M_c"] / dt + ops_new["A_K"] + C_theta / dt,
              (ops_new["G_gamma"].T + C_u) @ R / dt],
             [-(R.T @ ops_new["G_alpha"]), E_red]], format="csc")
         heat_rhs = ((ops_old["M_c"] @ state.theta) / dt + ops_new["heat_load"]
-                    + (Q @ (np.array([m.heat_content for m in state.micro]) - c0)
+                    + (Q @ (state.micro_content - c0)
                        + ops_old["G_gamma"].T @ state.u) / dt)
         z = spla.splu(lhs, permc_spec="MMD_AT_PLUS_A").solve(
             np.concatenate([heat_rhs, R.T @ ops_new["mech_load"]]))
         ns = self.space.n_scalar
         theta, u = z[:ns], R @ z[ns:]
-        micro = self.micro_sweep(t_new, dt, theta, u, state.micro)
-
-        traces_th, _ = self.traces_at_hosts(theta, u)
-        used = np.array([m.theta[self.micro_model.boundary_scalar[0]] for m in micro])
         new_state = TwoScaleState(
-            t=t_new, theta=theta, u=u, micro=micro, fixed_point_iterations=1,
-            mech_residual=self._mech_residual(E_red, ops_new, theta, u),
-            trace_defect=float(np.max(np.abs(used - traces_th))),
-        )
+            t_new, theta, u, *self.micro_sweep(t_new, dt, theta, u, state.micro_theta,
+                                               state.micro_u),
+            fixed_point_iterations=1,
+            mech_residual=self._mech_residual(E_red, ops_new, theta, u))
         self._record_content(new_state, ops_new)
         return new_state
 
@@ -451,7 +461,7 @@ class TwoScaleSolver:
 def diagnostics_header(dim):
     return ["t", "fixed_point_iterations", "theta_l2", "u_l2",
             "macro_heat_content", "micro_heat_content", "heat_content",
-            "mech_residual", "trace_defect"]
+            "mech_residual"]
 
 
 def diagnostics_row(solver: TwoScaleSolver, state: TwoScaleState):
@@ -465,5 +475,4 @@ def diagnostics_row(solver: TwoScaleSolver, state: TwoScaleState):
         state.micro_heat_content,
         state.heat_content,
         state.mech_residual,
-        state.trace_defect,
     ]

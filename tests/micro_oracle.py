@@ -5,11 +5,15 @@ problems from the pulled-back coefficient fields on every call, with the
 generic load assemblers of ``thermohom.fem``, and steps the inclusion heat
 problem with a lagged deformation in its dissipation loads, followed by the
 quasi-static elasticity update.  ``coupled_step`` iterates that lagged step
-to its fixed point.  ``MicroModel`` applies precomputed affine maps and
-solves the coupled step in one block instead; the tests compare the two.
+to its fixed point.  It works host by host on ``MicroRecord``s;
+``initial_states`` stacks them into the arrays of a ``TwoScaleState``.
+``MicroModel`` applies precomputed affine maps and solves the coupled step in
+one block instead; the tests compare the two.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -21,7 +25,27 @@ from thermohom.fem import (
     assemble_vector_load,
 )
 from thermohom.kinematics import PHASE_B, coefficient_fields
-from thermohom.twoscale import MicroModel, MicroState
+from thermohom.twoscale import MicroModel
+
+
+@dataclass
+class MicroRecord:
+    """One host's micro state."""
+
+    theta: np.ndarray
+    u: np.ndarray
+    heat_content: float
+
+
+def stack(records):
+    """The temperature, deformation and heat-content arrays of the records."""
+    return (np.array([m.theta for m in records]), np.array([m.u for m in records]),
+            np.array([m.heat_content for m in records]))
+
+
+def unstack(theta, u, content):
+    """One record per row of the micro state arrays."""
+    return [MicroRecord(*m) for m in zip(theta, u, content)]
 
 
 class EinsumMicroModel(MicroModel):
@@ -85,8 +109,13 @@ class EinsumMicroModel(MicroModel):
             else theta_field.copy()
         theta[self.boundary_scalar] = trace_theta
         u = self._oracle_mech(b, theta, trace_u, t)
-        return MicroState(theta=theta, u=u,
-                          heat_content=self.heat_content(b["fields"], theta))
+        return MicroRecord(theta=theta, u=u,
+                           heat_content=self.heat_content(b["fields"], theta))
+
+    def initial_states(self, t, xs, traces_theta, traces_u, theta_fields=None):
+        return stack([self.initial_state(t, x, traces_theta[i], traces_u[i],
+                                         None if theta_fields is None else theta_fields[i])
+                      for i, x in enumerate(xs)])
 
     def _oracle_mech(self, b, theta, trace_u, t):
         d = self.dim
@@ -125,8 +154,8 @@ class EinsumMicroModel(MicroModel):
         theta[self.boundary_scalar] = trace_theta
 
         u = self._oracle_mech(b_new, theta, trace_u, t_new)
-        return MicroState(theta=theta, u=u,
-                          heat_content=self.heat_content(f_new, theta))
+        return MicroRecord(theta=theta, u=u,
+                           heat_content=self.heat_content(f_new, theta))
 
     def coupled_step(self, t_new, dt, x, trace_theta, trace_u, prev, tol=1e-14,
                      max_iter=100):

@@ -130,6 +130,16 @@ class TestSubcommands:
         lines = (tmp_path / "mac" / "diagnostics.csv").read_text().strip().split("\n")
         assert len(lines) == 3  # header + initial state + one step
 
+    def test_conservation_mech_residual_at_round_off(self, tmp_path):
+        # theta turns uniform, so the reduced load nearly vanishes and the
+        # residual must be measured against the thermal stress it balances
+        cfg = next(p for p in SHIPPED_CONFIGS if p.name == "conservation.cfg")
+        assert main(["macro", "--config", str(cfg), "--out", str(tmp_path / "mac")]) == 0
+        header, *rows = (tmp_path / "mac" / "diagnostics.csv").read_text().strip().split("\n")
+        col = header.split(",").index("mech_residual")
+        assert len(rows) == 101
+        assert max(float(r.split(",")[col]) for r in rows) < 1e-9
+
     def test_missing_config_reports_error(self, tmp_path, capsys):
         assert main(["macro", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "thermohom" in capsys.readouterr().err
