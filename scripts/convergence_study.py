@@ -20,7 +20,7 @@ def main():
     cfg = parse_config(args.config)
 
     cell = build_cell_mesh(cfg.radius, cfg.cell_resolution, dim=cfg.dimension)
-    rows, _, _ = two_scale_compare(
+    rows = two_scale_compare(
         cell, cfg.material(), cfg.transformation(), list(cfg.eps_list),
         cfg.t_final, cfg.dt, cfg.theta0_profile(),
         macro_resolution=cfg.macro_resolution, settings=cfg.settings(),

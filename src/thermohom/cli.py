@@ -12,6 +12,7 @@ runs serially.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -30,7 +31,7 @@ from .reference import (
     operator_structure_checks,
     two_scale_compare,
 )
-from .twoscale import TwoScaleSolver, diagnostics_header, diagnostics_row
+from .twoscale import TwoScaleSolver, diagnostics_header, diagnostics_row, step_count
 
 
 def _build_provider(cfg):
@@ -44,10 +45,7 @@ def _build_provider(cfg):
 
 
 def _sample_points(cfg):
-    ticks = (0.25, 0.5, 0.75)
-    if cfg.dimension == 2:
-        return [np.array([a, b]) for a in ticks for b in ticks]
-    return [np.array([a, b, c]) for a in ticks for b in ticks for c in ticks]
+    return [np.array(p) for p in itertools.product((0.25, 0.5, 0.75), repeat=cfg.dimension)]
 
 
 def cmd_cell(cfg, out):
@@ -72,8 +70,9 @@ def cmd_cell(cfg, out):
 
 def cmd_effective(cfg, out):
     _, _, provider = _build_provider(cfg)
-    n_steps = max(1, round(cfg.t_final / cfg.dt)) if cfg.t_final > 0 else 0
-    times = [k * cfg.dt for k in range(n_steps + 1)]
+    # the time levels of `macro`, the last one clamped to t_final
+    times = [min(k * cfg.dt, cfg.t_final)
+             for k in range(step_count(cfg.t_final, cfg.dt) + 1)]
     header, rows = tabulate_effective(provider, times, _sample_points(cfg))
     write_csv(os.path.join(out, "effective.csv"), header, rows)
     write_manifest(os.path.join(out, "manifest.json"), cfg, "effective",
@@ -125,7 +124,7 @@ def cmd_micro(cfg, out):
 
 def cmd_compare(cfg, out):
     cell = build_cell_mesh(cfg.radius, cfg.cell_resolution, dim=cfg.dimension)
-    rows, _, _ = two_scale_compare(
+    rows = two_scale_compare(
         cell, cfg.material(), cfg.transformation(), list(cfg.eps_list),
         cfg.t_final, cfg.dt, cfg.theta0_profile(),
         macro_resolution=cfg.macro_resolution, settings=cfg.settings(),

@@ -119,13 +119,18 @@ class RunConfig:
         for name in ("fixed_point_tol", "corrector_tol", "dt"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
-        if self.fixed_point_max_iter < 1:
-            raise ConfigError("fixed_point_max_iter must be at least 1")
+        for name in ("cell_resolution", "macro_resolution", "fixed_point_max_iter"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        if self.t_final < 0.0:
+            raise ConfigError("t_final must not be negative")
         if self.dt > self.t_final and self.t_final > 0.0:
             raise ConfigError("dt must not exceed t_final")
+        if not self.eps_list:
+            raise ConfigError("eps_list must not be empty")
         for eps in self.eps_list:
-            if abs(round(1.0 / eps) - 1.0 / eps) > 1e-9:
-                raise ConfigError(f"1/eps must be an integer, got eps = {eps}")
+            if not 0.0 < eps <= 1.0 or abs(round(1.0 / eps) - 1.0 / eps) > 1e-9:
+                raise ConfigError(f"eps must be 1/n for an integer n >= 1, got eps = {eps}")
         if self.family not in ("identity", "radial_growth", "tabulated"):
             raise ConfigError(f"unknown transformation family {self.family!r}")
         if self.family == "tabulated" and not self.table_path:
@@ -281,10 +286,7 @@ class TableSource:
 
     def __call__(self, t):
         t = float(np.clip(t, self.times[0], self.times[-1]))
-        out = np.empty(self.values.shape[1])
-        for c in range(self.values.shape[1]):
-            out[c] = np.interp(t, self.times, self.values[:, c])
-        return out
+        return np.array([np.interp(t, self.times, column) for column in self.values.T])
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +312,9 @@ _SECTIONS = {
     "output": ("directory",),
 }
 
-_INT_KEYS = {"dimension", "cell_resolution", "macro_resolution", "workers",
-             "validation_grid", "fixed_point_max_iter"}
-_REAL_KEYS = {"radius", "det_lower", "det_upper", "boundary_margin", "lambda_a",
-              "mu_a", "lambda_b", "mu_b", "conductivity_a", "conductivity_b",
-              "expansion_a", "expansion_b", "dissipation_a", "dissipation_b",
-              "density_a", "density_b", "heat_capacity_a", "heat_capacity_b",
-              "surface_tension", "latent_heat", "t_final", "dt",
-              "fixed_point_tol", "corrector_tol", "latent_heat_sign"}
-_BOOL_KEYS = {"latent_heat_in_weff", "micro_per_element", "vtk"}
-_TUPLE_KEYS = {"eps_list", "amplitude_poly", "amplitude_x_slope"}
-_STR_KEYS = {"family", "table_path", "f_u_a", "f_u_b", "f_theta_a",
-             "f_theta_b", "theta0", "directory"}
+# a key's value type is the type of its RunConfig default
+_CONVERT = {bool: _parse_bool, int: int, float: _parse_real, str: str,
+            tuple: lambda text: tuple(_parse_real(tok) for tok in text.split())}
 
 
 def parse_config(path) -> RunConfig:
@@ -346,9 +339,7 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(
                     f"line {lineno}: unknown key {key!r} in section [{section}]")
             try:
-                setattr(cfg, key, _convert(key, value))
-            except ConfigError:
-                raise
+                setattr(cfg, key, _CONVERT[type(getattr(RunConfig, key))](value))
             except Exception as exc:
                 raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}")
     try:
@@ -356,20 +347,6 @@ def parse_config(path) -> RunConfig:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}")
     return cfg
-
-
-def _convert(key, value):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _REAL_KEYS:
-        return _parse_real(value)
-    if key in _BOOL_KEYS:
-        return _parse_bool(value)
-    if key in _TUPLE_KEYS:
-        return tuple(_parse_real(tok) for tok in value.split())
-    if key in _STR_KEYS:
-        return value
-    raise ConfigError(f"unknown key {key!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -307,14 +307,13 @@ def effective_row(eff: EffectiveCoefficients):
     return row
 
 
-def tabulate_effective(provider: EffectiveProvider, times, points, validate=True):
-    """One row of every effective quantity per (t, x) sample."""
+def tabulate_effective(provider: EffectiveProvider, times, points):
+    """One row of every validated effective quantity per (t, x) sample."""
     header = effective_header(provider.ctx.dim)
     rows = []
     for t in times:
         for x in points:
             eff = provider.at(t, np.asarray(x, dtype=float))
-            if validate:
-                eff.validate()
+            eff.validate()
             rows.append(effective_row(eff))
     return header, rows

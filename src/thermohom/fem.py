@@ -497,7 +497,7 @@ def _projector(constraints, n):
     return lambda v: v - Q @ (Q.T @ v)
 
 
-def solve_spd(A, b, tol=1e-10, max_iter=None, constraints=None, x0=None):
+def solve_spd(A, b, tol=1e-10, max_iter=None, constraints=None):
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     Optional linear constraints m^T x = 0 (zero-mean spaces) are enforced by
@@ -520,8 +520,8 @@ def solve_spd(A, b, tol=1e-10, max_iter=None, constraints=None, x0=None):
     if scale == 0.0:
         return np.zeros(n), SolveInfo(0, [0.0], True)
 
-    x = P(np.asarray(x0, dtype=float)) if x0 is not None else np.zeros(n)
-    r = P(b_p - P(A @ x)) if x0 is not None else b_p.copy()
+    x = np.zeros(n)
+    r = b_p.copy()
     z = P(inv_diag * r)
     p = z.copy()
     rz = r @ z

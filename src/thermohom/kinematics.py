@@ -300,9 +300,10 @@ class TabulatedTransform:
     """
 
     family = "tabulated"
+    fd_step = 1e-4          # finite-difference step of F, v and the curvature
 
     def __init__(self, dim, times, anchors, grid_n, values, inclusion_radius=0.25,
-                 det_bounds=(0.5, 2.0), boundary_margin=0.1, fd_step=1e-4):
+                 det_bounds=(0.5, 2.0), boundary_margin=0.1):
         self.dim = int(dim)
         self.times = np.asarray(times, dtype=float)
         self.anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
@@ -312,7 +313,6 @@ class TabulatedTransform:
         self.inclusion_radius = float(inclusion_radius)
         self.det_bounds = tuple(det_bounds)
         self.boundary_margin = float(boundary_margin)
-        self.fd_step = float(fd_step)
         expect = (len(self.times), self.anchors.shape[0], self.grid_n**self.dim, self.dim)
         if self.values.shape != expect:
             raise ValueError(f"table shape {self.values.shape}, expected {expect}")
@@ -669,6 +669,16 @@ def coefficient_fields(space, tr, mat: MaterialParams, phase, t, x, y=None):
     return {k: a.reshape((-1, nq) + a.shape[1:]) for k, a in fields.items()}
 
 
+def sample_key_groups(tr, t, points):
+    """Which points share a transformation sample key at time t, from one
+    ``sample_key`` call per point: ``(first, of)``, where ``first[k]`` is the
+    index of the first point with the k-th distinct key (keys numbered in
+    order of first appearance) and ``of[i]`` is the key number of point i."""
+    keys = {}
+    of = np.array([keys.setdefault(tr.sample_key(t, x), len(keys)) for x in points], dtype=int)
+    return np.unique(of, return_index=True)[1], of
+
+
 class LevelCache:
     """Values keyed by transformation sample key, for the two most recent
     time levels (the current step pair).
@@ -777,8 +787,7 @@ class AdmissibilityReport:
         return "\n".join(lines)
 
 
-def validate_admissibility(tr, grid=32, n_times=9, t_final=1.0,
-                           macro_samples=None) -> AdmissibilityReport:
+def validate_admissibility(tr, grid=32, n_times=9, t_final=1.0) -> AdmissibilityReport:
     """Sample the transformation on a grid and check the standing assumptions.
 
     Violations are reported with locations, never raised.
@@ -787,8 +796,6 @@ def validate_admissibility(tr, grid=32, n_times=9, t_final=1.0,
     axes = [np.linspace(0.0, 1.0, grid) for _ in range(d)]
     Y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     times = np.linspace(0.0, t_final, n_times)
-    if macro_samples is None:
-        macro_samples = [np.full(d, 0.5), np.zeros(d), np.ones(d)]
 
     violations = []
     min_det, max_det = np.inf, -np.inf
@@ -810,7 +817,7 @@ def validate_admissibility(tr, grid=32, n_times=9, t_final=1.0,
     near = np.min(np.minimum(Y, 1.0 - Y), axis=1) < 0.5 * tr.boundary_margin
 
     initial_defect = 0.0
-    for x in macro_samples:
+    for x in (np.full(d, 0.5), np.zeros(d), np.ones(d)):     # macro samples
         initial_defect = max(
             initial_defect, float(np.max(np.abs(tr.map_points(0.0, x, Y) - Y)))
         )

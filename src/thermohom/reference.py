@@ -36,11 +36,15 @@ from .kinematics import (
     LevelCache,
     coefficient_fields,
     interface_batch,
+    sample_key_groups,
     scaled_coefficients,
     zero_sources,
 )
-from .mesh import build_epsilon_mesh, tile_anchors
-from .twoscale import BundleError, FixedPointError, SolverSettings, TwoScaleSolver
+from .cell import CellContext
+from .effective import EffectiveProvider
+from .mesh import build_epsilon_mesh, build_uniform_mesh, tile_anchors
+from .twoscale import (BundleError, FixedPointError, SolverSettings, TwoScaleSolver,
+                       step_count)
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +85,16 @@ class EpsilonCoefficients:
         """Pulled-back, eps-scaled coefficient fields of both phases as
         (n_elements, nq, ...) arrays over the whole epsilon mesh."""
         tr, d = self.transformation, self.mesh.dim
-        keys = {}
-        tile_key = np.array([keys.setdefault(tr.sample_key(t, x), len(keys))
-                             for x in self.anchors])
+        first, tile_key = sample_key_groups(tr, t, self.anchors)
         # the cell's points once per key, each copy at the anchor of the
         # key's first tile, in one batch per phase
-        key_anchor = self.anchors[np.unique(tile_key, return_index=True)[1]]
+        key_anchor = self.anchors[first]
         out = {}
         for phase, space, elements, rows in self._phases:
             y = space.qpoints.reshape(-1, d)
             f = coefficient_fields(space, tr, self.scaled, phase, t,
                                    np.repeat(key_anchor, len(y), axis=0),
-                                   np.tile(y, (len(keys), 1)))
+                                   np.tile(y, (len(first), 1)))
             at = tile_key[self.mesh.cell_tile[elements]] * len(space.cells) + rows
             for name, a in f.items():
                 if name not in out:
@@ -252,9 +254,8 @@ class EpsilonSolver:
         us = [u.copy()]
         fp_counts = []
 
-        n_steps = max(0, math.ceil(t_final / dt - 1e-12))
         t = 0.0
-        for _ in range(n_steps):
+        for _ in range(step_count(t_final, dt)):
             step = min(dt, t_final - t)
             t_new = t + step
             b_new = self.bundle(t_new)
@@ -506,24 +507,15 @@ class CompareRow:
 
 def two_scale_compare(cell_mesh, material, transformation, eps_list, t_final, dt,
                       theta0, macro_resolution=8, settings=None, sources=None,
-                      latent_in_load=True, hom_solver=None, hom_states=None):
-    """Temperature error between the resolved and homogenized solutions.
-
-    Returns one row per eps plus the homogenized solver/states (reused when
-    passed in, so sweeps share a single homogenized run).
-    """
-    from .mesh import build_uniform_mesh
-    from .cell import CellContext
-    from .effective import EffectiveProvider
-
+                      latent_in_load=True):
+    """Temperature error between the resolved and homogenized solutions: one
+    row per eps, every eps against one homogenized run."""
     settings = settings if settings is not None else SolverSettings()
-    if hom_solver is None:
-        ctx = CellContext(cell_mesh, material, transformation)
-        provider = EffectiveProvider(ctx, sources=sources,
-                                     latent_in_source=latent_in_load)
-        macro = build_uniform_mesh(macro_resolution, dim=cell_mesh.dim)
-        hom_solver = TwoScaleSolver(macro, provider, settings)
-        hom_states = hom_solver.run(t_final, dt, theta0)
+    ctx = CellContext(cell_mesh, material, transformation)
+    provider = EffectiveProvider(ctx, sources=sources, latent_in_source=latent_in_load)
+    macro = build_uniform_mesh(macro_resolution, dim=cell_mesh.dim)
+    hom_solver = TwoScaleSolver(macro, provider, settings)
+    hom_states = hom_solver.run(t_final, dt, theta0)
 
     rows = []
     for eps in eps_list:
@@ -532,7 +524,7 @@ def two_scale_compare(cell_mesh, material, transformation, eps_list, t_final, dt
                                latent_in_load=latent_in_load)
         sol = solver.solve(t_final, dt, theta0)
         rows.append(_compare_one(sol, hom_solver, hom_states, dt))
-    return rows, hom_solver, hom_states
+    return rows
 
 
 def _compare_one(sol: EpsilonSolution, hom_solver, hom_states, dt) -> CompareRow:

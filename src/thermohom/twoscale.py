@@ -10,7 +10,8 @@ macro balance).
 
 The micro state is three host-indexed arrays (inclusion temperatures,
 deformations and heat contents); :class:`MicroModel` works on blocks of the
-hosts that share a transformation sample key.
+hosts that share a transformation sample key, a grouping made once per time
+level (:meth:`TwoScaleSolver.level`) and read by every use of the keys.
 
 Time stepping is implicit Euler, and each step is solved exactly.  Within a
 step the whole system is linear, and every inclusion problem is driven only
@@ -46,7 +47,8 @@ from .fem import (
     quadrature_load_map,
     vector_mass,
 )
-from .kinematics import PHASE_B, LevelCache, coefficient_fields, zero_sources
+from .kinematics import (PHASE_B, LevelCache, coefficient_fields, sample_key_groups,
+                         zero_sources)
 
 
 @dataclass
@@ -74,6 +76,11 @@ class TwoScaleState:
 
 class FixedPointError(RuntimeError):
     pass
+
+
+def step_count(t_final, dt):
+    """Implicit-Euler steps from 0 to t_final, the last one shortened to end there."""
+    return max(0, math.ceil(t_final / dt - 1e-12))
 
 
 class BundleError(RuntimeError):
@@ -105,13 +112,15 @@ class MicroModel:
     right-hand side, ``y = K^-T [content_I; 0]`` and ``c_tr``: a host's
     content after the step is ``y . r_prev + c_tr . (theta_h, u_h)``.
 
-    :meth:`initial_states` solves the hosts of each sample key as one block,
+    Given each level's :func:`sample_key_groups` of the hosts,
+    :meth:`initial_states` solves the hosts of each key as one block,
     :meth:`responses` takes one block product per pair of old- and new-level
-    keys, and :meth:`step` advances one host, one solve of ``K``; micro states
-    are host-indexed arrays.  Sources are the unit loads scaled by
-    ``sources(t)`` at the t of each call, so one bundle serves every t of a
-    static geometry.  The cache keeps the bundles of the current step pair.
-    A bundle that cannot be built raises :class:`BundleError` naming t and x.
+    keys, and :meth:`step` advances one host with the bundles of its keys
+    (:meth:`step_bundles`, once per key), one solve of ``K``; no host
+    evaluates its key.  Sources are the unit loads scaled by ``sources(t)``
+    at the t of each call, so one bundle serves every t of a static
+    geometry.  The cache keeps the bundles of the current step pair.  A
+    bundle that cannot be built raises :class:`BundleError` naming t and x.
     """
 
     def __init__(self, ctx: CellContext, sources=None):
@@ -188,18 +197,18 @@ class MicroModel:
         b.update(dt=round(float(dt), 14), lu=lu, trace=trace, y=y, c_tr=c_tr)
         return b
 
-    def groups(self, xs, *ts):
-        """Index arrays of the points xs that share their sample keys at ts."""
-        key = self.ctx.transformation.sample_key
-        groups = {}
-        for i, x in enumerate(xs):
-            groups.setdefault(tuple(key(t, x) for t in ts), []).append(i)
-        return [np.array(g) for g in groups.values()]
+    def step_bundles(self, t_new, dt, xs, groups):
+        """The bundles of each sample key of the step's old and new level,
+        ``groups`` being the :func:`sample_key_groups` of xs at t_new - dt and
+        t_new; each is fetched once, at the key's first point."""
+        (old_first, _), (new_first, _) = groups
+        return ([self.bundle(t_new - dt, xs[i]) for i in old_first],
+                [self.bundle(t_new, xs[i], dt) for i in new_first])
 
-    def initial_states(self, t, xs, traces_theta, traces_u, theta_fields=None):
+    def initial_states(self, t, xs, groups, traces_theta, traces_u, theta_fields=None):
         """Consistent micro state arrays (theta, u, content) of the hosts at
-        xs: the given temperatures (default: the trace) with the trace rows
-        overwritten, and the quasi-static deformation."""
+        xs, grouped by key at t: the given temperatures (default: the trace)
+        with the trace rows overwritten, and the quasi-static deformation."""
         n, ns = len(xs), self.space.n_scalar
         theta = np.repeat(traces_theta[:, None], ns, axis=1) if theta_fields is None \
             else np.array(theta_fields, dtype=float)
@@ -208,8 +217,10 @@ class MicroModel:
         u[:, self.boundary_vector] = np.tile(traces_u, len(self.boundary_nodes))
         content = np.empty(n)
         _, f_u_b, _, _ = self.sources(t)
-        for hosts in self.groups(xs, t):
-            b = self.bundle(t, xs[hosts[0]])
+        first, of = groups
+        for k, i in enumerate(first):
+            hosts = np.flatnonzero(of == k)
+            b = self.bundle(t, xs[i])
             if "mech_lu" not in b:      # factored on first use: a step solves with K
                 b["mech_lu"] = spla.splu(b["E"][:, self.interior_vector].tocsc())
             # u holds the traces and zero interior values here
@@ -219,28 +230,31 @@ class MicroModel:
             content[hosts] = theta[hosts] @ b["content"]
         return theta, u, content
 
-    def responses(self, t_new, dt, xs, prev_theta, prev_u):
+    def responses(self, t_new, dt, xs, groups, prev_theta, prev_u):
         """The hosts' heat contents after the step as affine functions of
         their traces: ``c0 + c_tr . (theta_h, u_h)`` row by row."""
         c0 = np.empty(len(xs))
         c_tr = np.empty((len(xs), 1 + self.dim))
         _, f_u_b, _, f_th_b = self.sources(t_new)
         nI = len(self.interior_scalar)
-        for hosts in self.groups(xs, t_new - dt, t_new):
-            b_new = self.bundle(t_new, xs[hosts[0]], dt)
-            b_old = self.bundle(t_new - dt, xs[hosts[0]])
-            heat = ((b_old["M_c"] @ prev_theta[hosts].T + b_old["S"] @ prev_u[hosts].T) / dt
-                    + f_th_b * b_new["l_J"][:, None])
-            y = b_new["y"]
-            c0[hosts] = y[:nI] @ heat + y[nI:] @ (b_new["L_J"] @ np.asarray(f_u_b))
-            c_tr[hosts] = b_new["c_tr"]
+        b_old, b_new = self.step_bundles(t_new, dt, xs, groups)
+        (_, old_of), (new_first, new_of) = groups
+        _, first, pair_of = np.unique(old_of * len(new_first) + new_of,
+                                      return_index=True, return_inverse=True)
+        for k, i in enumerate(first):
+            hosts = np.flatnonzero(pair_of == k)
+            bo, bn = b_old[old_of[i]], b_new[new_of[i]]
+            heat = ((bo["M_c"] @ prev_theta[hosts].T + bo["S"] @ prev_u[hosts].T) / dt
+                    + f_th_b * bn["l_J"][:, None])
+            y = bn["y"]
+            c0[hosts] = y[:nI] @ heat + y[nI:] @ (bn["L_J"] @ np.asarray(f_u_b))
+            c_tr[hosts] = bn["c_tr"]
         return c0, c_tr
 
-    def step(self, t_new, dt, x, trace_theta, trace_u, prev_theta, prev_u):
-        """One implicit Euler step of the coupled inclusion heat and
-        quasi-static elasticity problem at x: the host's (theta, u, content)."""
-        b_new = self.bundle(t_new, x, dt)
-        b_old = self.bundle(t_new - dt, x)
+    def step(self, t_new, dt, b_new, b_old, trace_theta, trace_u, prev_theta, prev_u):
+        """One implicit Euler step of a host's coupled inclusion heat and
+        quasi-static elasticity problem, given the bundles of its keys at
+        t_new (with dt) and t_new - dt: the host's (theta, u, content)."""
         _, f_u_b, _, f_th_b = self.sources(t_new)
         heat = (b_old["M_c"] @ prev_theta + b_old["S"] @ prev_u) / dt + f_th_b * b_new["l_J"]
         traces = np.concatenate([[trace_theta], trace_u])
@@ -295,23 +309,22 @@ class TwoScaleSolver:
 
         bdofs = np.flatnonzero(np.repeat(macro_mesh.boundary_vertex_mask(), d))
         self.mech_basis = constraint_basis(space.n_vector, ConstraintSet.dirichlet_only(bdofs))
-        self._operators = LevelCache()
+        self._levels = LevelCache()
 
     # -- effective coefficient fields -----------------------------------------
 
-    def effective_fields(self, t):
+    def effective_fields(self, t, groups):
         """Per-quadrature-point arrays of every effective quantity at time t,
-        evaluated once per sample key."""
+        evaluated at the first point of each sample key of ``groups`` (the
+        quadrature points' :func:`sample_key_groups` at t)."""
         e, nq = len(self.space.cells), len(self.space.qweights)
         pts = self.space.qpoints.reshape(-1, self.dim)
-        keys = {}
-        key_of = np.array([keys.setdefault(self.provider.ctx.transformation.sample_key(t, p),
-                                           len(keys)) for p in pts])
-        effs = [self.provider.at(t, pts[i]) for i in np.unique(key_of, return_index=True)[1]]
-        out = {name: np.array([getattr(eff, name) for eff in effs])[key_of]
+        first, of = groups
+        effs = [self.provider.at(t, pts[i]) for i in first]
+        out = {name: np.array([getattr(eff, name) for eff in effs])[of]
                for name in _EFFECTIVE_FIELDS}
         out["latent"] = self.settings.latent_sign * np.array(
-            [eff.latent_source for eff in effs])[key_of]
+            [eff.latent_source for eff in effs])[of]
         return {k: v.reshape((e, nq) + v.shape[1:]) for k, v in out.items()}
 
     def macro_operators(self, fields):
@@ -329,10 +342,18 @@ class TwoScaleSolver:
         return dict(M_c=M_c, A_K=A_K, E=E, G_alpha=G_alpha, G_gamma=G_gamma,
                     heat_load=heat_load, mech_load=mech_load)
 
-    def operators(self, t):
-        """The macro operators at time t, built once per time level."""
-        return self._operators.get(t, round(float(t), 12),
-                                   lambda: self.macro_operators(self.effective_fields(t)))
+    def level(self, t):
+        """The record of time level t, built once: the macro operators and the
+        key groupings of the quadrature points and of the hosts."""
+        return self._levels.get(t, round(float(t), 12), lambda: self._build_level(t))
+
+    def _build_level(self, t):
+        tr = self.provider.ctx.transformation
+        qp = sample_key_groups(tr, t, self.space.qpoints.reshape(-1, self.dim))
+        hosts = (sample_key_groups(tr, t, self.host_points)
+                 if self.settings.micro_per_element else qp)
+        return dict(self.macro_operators(self.effective_fields(t, qp)),
+                    qp_groups=qp, host_groups=hosts)
 
     # -- micro coupling --------------------------------------------------------
 
@@ -340,16 +361,19 @@ class TwoScaleSolver:
         """Macro temperature/deformation evaluated at the hosting points."""
         return self.trace_map @ theta, self.trace_map @ u.reshape(-1, self.dim)
 
-    def micro_sweep(self, t_new, dt, theta, u, prev_theta, prev_u):
+    def micro_sweep(self, t_new, dt, groups, theta, u, prev_theta, prev_u):
         """Every host advanced with its traces of (theta, u), one row each."""
         traces_th, traces_u = self.traces_at_hosts(theta, u)
         model = self.micro_model
+        b_old, b_new = model.step_bundles(t_new, dt, self.host_points, groups)
+        (_, old_of), (_, new_of) = groups
         micro_theta = np.empty_like(prev_theta)
         micro_u = np.empty_like(prev_u)
         content = np.empty(self.n_hosts)
-        for i, x in enumerate(self.host_points):
+        for i in range(self.n_hosts):
             micro_theta[i], micro_u[i], content[i] = model.step(
-                t_new, dt, x, traces_th[i], traces_u[i], prev_theta[i], prev_u[i])
+                t_new, dt, b_new[new_of[i]], b_old[old_of[i]], traces_th[i], traces_u[i],
+                prev_theta[i], prev_u[i])
         return micro_theta, micro_u, content
 
     # -- initialization ---------------------------------------------------------
@@ -361,7 +385,7 @@ class TwoScaleSolver:
         Dirichlet trace rows are overwritten by the macro values.
         """
         theta = np.asarray(theta0(self.mesh.vertices), dtype=float)
-        ops = self.operators(0.0)
+        ops = self.level(0.0)
         E_red = self.mech_basis.reduce_matrix(ops["E"]).tocsc()
         u = self.mech_basis.restriction @ spla.splu(
             E_red, permc_spec="MMD_AT_PLUS_A").solve(self._mech_rhs(ops, theta))
@@ -370,7 +394,7 @@ class TwoScaleSolver:
         fields = None if micro_theta0 is None else [
             micro_theta0(x, self.micro_model.mesh.vertices) for x in self.host_points]
         state = TwoScaleState(0.0, theta, u, *self.micro_model.initial_states(
-            0.0, self.host_points, traces_th, traces_u, fields))
+            0.0, self.host_points, ops["host_groups"], traces_th, traces_u, fields))
         self._record_content(state, ops)
         return state
 
@@ -407,11 +431,12 @@ class TwoScaleSolver:
         in (theta, reduced u) for one sparse LU; one micro sweep then
         advances every host with the exact traces."""
         t_new = state.t + dt
-        ops_new, ops_old = self.operators(t_new), self.operators(state.t)
+        ops_new, ops_old = self.level(t_new), self.level(state.t)
+        groups = (ops_old["host_groups"], ops_new["host_groups"])
         R = self.mech_basis.restriction
         E_red = self.mech_basis.reduce_matrix(ops_new["E"])
 
-        c0, c_tr = self.micro_model.responses(t_new, dt, self.host_points,
+        c0, c_tr = self.micro_model.responses(t_new, dt, self.host_points, groups,
                                               state.micro_theta, state.micro_u)
         Q = self.content_map
         C_theta, *C_u = (Q @ sp.diags(c) @ self.trace_map for c in c_tr.T)
@@ -429,8 +454,8 @@ class TwoScaleSolver:
         ns = self.space.n_scalar
         theta, u = z[:ns], R @ z[ns:]
         new_state = TwoScaleState(
-            t_new, theta, u, *self.micro_sweep(t_new, dt, theta, u, state.micro_theta,
-                                               state.micro_u),
+            t_new, theta, u, *self.micro_sweep(t_new, dt, groups, theta, u,
+                                               state.micro_theta, state.micro_u),
             fixed_point_iterations=1,
             mech_residual=self._mech_residual(E_red, ops_new, theta, u))
         self._record_content(new_state, ops_new)
@@ -448,8 +473,7 @@ class TwoScaleSolver:
         states = [state]
         if observer is not None:
             observer(state)
-        n_steps = max(0, math.ceil(t_final / dt - 1e-12))
-        for k in range(n_steps):
+        for k in range(step_count(t_final, dt)):
             step = min(dt, t_final - state.t)
             state = self.macro_step(state, step)
             states.append(state)

@@ -112,7 +112,7 @@ class EinsumMicroModel(MicroModel):
         return MicroRecord(theta=theta, u=u,
                            heat_content=self.heat_content(b["fields"], theta))
 
-    def initial_states(self, t, xs, traces_theta, traces_u, theta_fields=None):
+    def initial_states(self, t, xs, groups, traces_theta, traces_u, theta_fields=None):
         return stack([self.initial_state(t, x, traces_theta[i], traces_u[i],
                                          None if theta_fields is None else theta_fields[i])
                       for i, x in enumerate(xs)])

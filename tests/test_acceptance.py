@@ -317,13 +317,13 @@ class TestCriterion08TwoScaleConvergence:
         decoupled = default_material(
             2, expansion_a=0.0, expansion_b=0.0, dissipation_a=0.0,
             dissipation_b=0.0, surface_tension=0.0, latent_heat=0.0)
-        rows_d, _, _ = two_scale_compare(
+        rows_d = two_scale_compare(
             cell, decoupled, IdentityTransform(dim=2, inclusion_radius=RADIUS),
             eps_list, T_FINAL, DT, standard_theta0, macro_resolution=8)
         errs = [r.error_matrix for r in rows_d]
         assert errs[0] > errs[1] > errs[2], f"decoupled errors {errs}"
 
-        rows_c, _, _ = two_scale_compare(
+        rows_c = two_scale_compare(
             cell, standard_material(), standard_transform(), eps_list,
             T_FINAL, DT, standard_theta0, macro_resolution=8,
             sources=standard_sources())

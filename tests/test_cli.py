@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from thermohom.cli import main
-from thermohom.config import ConfigError, RunConfig, parse_config
+from thermohom.config import _SECTIONS, ConfigError, RunConfig, parse_config
 
 
 BASE = """\
@@ -86,11 +87,60 @@ class TestParsing:
         with pytest.raises(ConfigError, match="dt"):
             parse_config(write_cfg(tmp_path, text))
 
+    def test_every_key_parses_its_default_text(self, tmp_path):
+        default, lines = RunConfig(), []
+        for section, keys in _SECTIONS.items():
+            lines.append(f"[{section}]")
+            for key in keys:
+                value = getattr(default, key)
+                text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+                lines.append(f"{key} = {text}")
+        cfg = parse_config(write_cfg(tmp_path, "\n".join(lines) + "\n"))
+        keys = [key for section in _SECTIONS.values() for key in section]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
+        for key in keys:
+            got, want = getattr(cfg, key), getattr(default, key)
+            assert type(got) is type(want) and got == want, key
+
+    @pytest.mark.parametrize("line", ["cell_resolution = 2.5", "radius = wide",
+                                      "eps_list = 1/2 x", "radius = 1/0"])
+    def test_malformed_value_names_its_line(self, tmp_path, line):
+        text = BASE.format(out=tmp_path).replace("[transformation]",
+                                                 f"{line}\n\n[transformation]")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"line 8: invalid value for '{key}'"):
+            parse_config(write_cfg(tmp_path, text))
+
+    def test_malformed_bool_names_its_line(self, tmp_path):
+        text = BASE.format(out=tmp_path) + "\n[flags]\nvtk = maybe\n"
+        with pytest.raises(ConfigError, match="invalid value for 'vtk': expected a boolean"):
+            parse_config(write_cfg(tmp_path, text))
+
     def test_canonical_hash_ignores_workers(self, tmp_path):
         cfg1 = parse_config(write_cfg(tmp_path))
         cfg2 = parse_config(write_cfg(tmp_path))
         cfg2.workers = 8
         assert cfg1.config_hash() == cfg2.config_hash()
+
+
+@pytest.mark.parametrize("sub, old, new, message", [
+    ("micro", "eps_list = 1/2", "eps_list = 0",
+     "eps must be 1/n for an integer n >= 1, got eps = 0.0"),
+    ("micro", "eps_list = 1/2", "eps_list = -1/2",
+     "eps must be 1/n for an integer n >= 1, got eps = -0.5"),
+    ("micro", "eps_list = 1/2", "eps_list = 1/2 0.3",
+     "eps must be 1/n for an integer n >= 1, got eps = 0.3"),
+    ("micro", "eps_list = 1/2", "eps_list =", "eps_list must not be empty"),
+    ("macro", "macro_resolution = 4", "macro_resolution = 0",
+     "macro_resolution must be at least 1"),
+    ("macro", "t_final = 0.05", "t_final = -1", "t_final must not be negative"),
+], ids=["eps_zero", "eps_negative", "eps_not_reciprocal", "eps_empty", "resolution_zero",
+         "t_final_negative"])
+def test_invalid_setting_exits_one_naming_the_file(tmp_path, capsys, sub, old, new, message):
+    cfg = write_cfg(tmp_path, BASE.format(out=tmp_path / "out").replace(old, new))
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"thermohom: {cfg}: {message}\n"
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
@@ -122,6 +172,18 @@ class TestSubcommands:
         manifest = json.loads((tmp_path / "eff" / "manifest.json").read_text())
         assert manifest["command"] == "effective"
         assert len(manifest["config_hash"]) == 64
+
+    def test_effective_time_levels_are_the_macro_levels(self, tmp_path):
+        # 0.5 is no multiple of dt: the last step is shortened to end there
+        text = BASE.format(out=tmp_path / "out").replace(
+            "t_final = 0.05", "t_final = 0.5").replace("dt = 0.05", "dt = 0.3")
+        cfg = write_cfg(tmp_path, text)
+        times = {}
+        for sub, name in (("effective", "effective.csv"), ("macro", "diagnostics.csv")):
+            assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+            rows = (tmp_path / sub / name).read_text().strip().split("\n")[1:]
+            times[sub] = sorted({float(r.split(",")[0]) for r in rows})
+        assert times["effective"] == times["macro"] == [0.0, 0.3, 0.5]
 
     def test_macro_diagnostics(self, tmp_path):
         cfg = write_cfg(tmp_path)

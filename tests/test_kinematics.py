@@ -15,6 +15,7 @@ from thermohom.kinematics import (
     eval_kinematics,
     isotropic_stiffness,
     mandel_matrix,
+    sample_key_groups,
     scaled_coefficients,
     transformed_coefficients,
     validate_admissibility,
@@ -367,6 +368,17 @@ def _numpy_amplitude(amp, t, x):
     return p * spatial, q * spatial
 
 
+def assert_groups_match_keys(tr, t, points):
+    """``sample_key_groups`` against the per-point keys: the first point of
+    each distinct key in order of appearance, and every point's key number."""
+    keys = [tr.sample_key(t, x) for x in points]
+    distinct = list(dict.fromkeys(keys))
+    first, of = sample_key_groups(tr, t, points)
+    assert first.tolist() == [keys.index(k) for k in distinct]
+    assert of.tolist() == [distinct.index(k) for k in keys]
+    return keys
+
+
 class TestScalarAmplitude:
     def test_sample_keys_match_numpy_formula_on_graded_hosts(self):
         from thermohom.fem import P1Space
@@ -377,7 +389,7 @@ class TestScalarAmplitude:
         hosts = P1Space(build_uniform_mesh(8, dim=2)).qpoints.reshape(-1, 2)
         dt = 0.05
         for t in (0.0, dt, 2 * dt):
-            keys = [tr.sample_key(t, x) for x in hosts]
+            keys = assert_groups_match_keys(tr, t, hosts)
             old = []
             for x in hosts:
                 g, gdot = _numpy_amplitude(amp, t, x)
@@ -385,6 +397,14 @@ class TestScalarAmplitude:
             assert keys == old
             if t > 0.0:
                 assert len(set(keys)) == 129
+        # a two-anchor table: every host takes the key of its nearest anchor
+        times, grid_n = np.linspace(0.0, 1.0, 3), 3
+        Y = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, grid_n)] * 2, indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+        tab = TabulatedTransform(2, times, [[0.75, 0.5], [0.25, 0.5]], grid_n,
+                                 np.broadcast_to(Y, (3, 2) + Y.shape))
+        keys = assert_groups_match_keys(tab, dt, hosts)
+        assert {k[2] for k in keys} == {0, 1}
 
     @pytest.mark.parametrize("coeffs", [(0.0, 0.1), (0.0, 0.3, -0.2, 0.05, 0.01)])
     def test_bitwise_equal_to_numpy_formula(self, coeffs):

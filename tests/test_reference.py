@@ -307,7 +307,7 @@ class TestTwoScaleCompare:
     def test_constant_solution_all_errors_vanish(self, cell8):
         mat = default_material(2, dissipation_a=0.0, dissipation_b=0.0,
                                latent_heat=0.0, surface_tension=0.0)
-        rows, _, _ = two_scale_compare(
+        rows = two_scale_compare(
             cell8, mat, IdentityTransform(dim=2), [0.5], 0.1, 0.05,
             lambda x: np.full(len(x), 2.0), macro_resolution=4,
         )
@@ -316,7 +316,7 @@ class TestTwoScaleCompare:
 
     def test_one_row_per_eps(self, cell8):
         mat = decoupled_material()
-        rows, _, _ = two_scale_compare(
+        rows = two_scale_compare(
             cell8, mat, IdentityTransform(dim=2), [0.5, 0.25], 0.05, 0.05,
             lambda x: np.cos(np.pi * x[:, 0]), macro_resolution=4,
         )

@@ -68,7 +68,7 @@ def test_resolved_step(setting):
 
 def test_two_scale_compare(setting):
     cell, mat, tr = setting
-    rows, _, _ = two_scale_compare(
+    rows = two_scale_compare(
         cell, mat, tr, [0.5], 0.05, 0.05, theta0, macro_resolution=2,
         settings=SolverSettings(micro_per_element=True))
     assert len(rows) == 1

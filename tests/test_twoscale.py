@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +7,14 @@ from micro_oracle import EinsumMicroModel
 from twoscale_oracle import StaggeredTwoScaleSolver, state_deviation
 
 from thermohom.cell import CellContext
-from thermohom.config import TableSource
+from thermohom.config import TableSource, parse_config
 from thermohom.effective import EffectiveProvider
 from thermohom.kinematics import (
     IdentityTransform,
     PolynomialAmplitude,
     RadialGrowth,
     default_material,
+    sample_key_groups,
 )
 from thermohom.mesh import build_cell_mesh, build_uniform_mesh
 from thermohom.twoscale import BundleError, SolverSettings, TwoScaleSolver
@@ -147,11 +149,7 @@ class TestEnergyStability:
         mat = default_material(2, dissipation_a=0.0, dissipation_b=0.0,
                                latent_heat=0.0, surface_tension=0.0)
         solver = make_solver(material=mat)
-        from thermohom.fem import assemble_operator
-
-        fields = solver.effective_fields(0.0)
-        M_c = assemble_operator(solver.mesh, "mass", fields["heat_capacity"],
-                                space=solver.space)
+        M_c = solver.level(0.0)["M_c"]
         theta0 = lambda x: np.cos(np.pi * x[:, 0]) * np.cos(2 * np.pi * x[:, 1])
         state = solver.init_state(theta0)
         energy = state.theta @ (M_c @ state.theta)
@@ -268,6 +266,7 @@ class TestMicroParity:
                                   micro_theta0=micro_theta0)
         traces_th, traces_u = solver.traces_at_hosts(state.theta, state.u)
         dt = 0.05
+        one = (np.array([0]), np.array([0]))    # the grouping of a single host
         for i, x in enumerate(solver.host_points):
             ref = oracle.initial_state(0.0, x, traces_th[i], traces_u[i],
                                        theta_field=micro_theta0(x, model.mesh.vertices))
@@ -278,8 +277,10 @@ class TestMicroParity:
             # content of the step
             for k in (1, 2):
                 th, u = traces_th[i] + 0.2 * k, 0.9 * traces_u[i]
-                c0, c_tr = model.responses(k * dt, dt, x[None], new[0][None], new[1][None])
-                new = model.step(k * dt, dt, x, th, u, new[0], new[1])
+                c0, c_tr = model.responses(k * dt, dt, x[None], (one, one),
+                                           new[0][None], new[1][None])
+                (b_old,), (b_new,) = model.step_bundles(k * dt, dt, x[None], (one, one))
+                new = model.step(k * dt, dt, b_new, b_old, th, u, new[0], new[1])
                 ref = oracle.coupled_step(k * dt, dt, x, th, u, ref)
                 assert_micro_close(new, ref)
                 content = c0[0] + c_tr[0] @ np.concatenate([[th], u])
@@ -294,13 +295,14 @@ class TestMicroParity:
         model, xs = solver.micro_model, solver.host_points
         oracle = EinsumMicroModel(model.ctx, sources=ramp_sources)
         t, dt = 0.05, 0.05
-        assert len(model.groups(xs, t)) > 1
+        groups = [sample_key_groups(model.ctx.transformation, s, xs) for s in (t, t + dt)]
+        assert len(groups[0][0]) > 1
         traces_th = 1.0 + np.cos(np.pi * xs[:, 0])
         traces_u = 0.01 * np.sin(np.pi * xs)
         fields = [1.0 + x[0] + model.mesh.vertices[:, 0] * model.mesh.vertices[:, 1]
                   for x in xs]
-        theta, u, content = model.initial_states(t, xs, traces_th, traces_u, fields)
-        c0, c_tr = model.responses(t + dt, dt, xs, theta, u)
+        theta, u, content = model.initial_states(t, xs, groups[0], traces_th, traces_u, fields)
+        c0, c_tr = model.responses(t + dt, dt, xs, groups, theta, u)
         for i, x in enumerate(xs):
             ref = oracle.initial_state(t, x, traces_th[i], traces_u[i], theta_field=fields[i])
             assert_micro_close((theta[i], u[i], content[i]), ref)
@@ -387,3 +389,36 @@ class TestMicroCache:
         solver.run(0.2, 0.01, lambda x: np.cos(np.pi * x[:, 0]), observer=observer)
         assert len(sizes) == 21
         assert sizes == [1] + [2] * 20      # the bundles of the current step pair
+
+
+class CountingTransform:
+    """A transformation that counts its ``sample_key`` calls."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def sample_key(self, t, x):
+        self.calls += 1
+        return self.inner.sample_key(t, x)
+
+
+class TestSampleKeyCalls:
+    # a 2-step standard.cfg run keys every quadrature point once per time
+    # level (3 x 384), the provider and the micro bundles once per key:
+    # 1 key per level, or 129 with the x slope
+    @pytest.mark.parametrize("slope, bound", [((), 1200), ((0.5, 0.25), 2700)],
+                             ids=["standard", "x_slope"])
+    def test_two_step_standard_run(self, slope, bound):
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "standard.cfg")
+        cfg.amplitude_x_slope, cfg.t_final = slope, 2 * cfg.dt
+        tr = CountingTransform(cfg.transformation())
+        ctx = CellContext(build_cell_mesh(cfg.radius, cfg.cell_resolution), cfg.material(), tr)
+        provider = EffectiveProvider(ctx, sources=cfg.sources())
+        solver = TwoScaleSolver(build_uniform_mesh(cfg.macro_resolution), provider,
+                                cfg.settings())
+        states = solver.run(cfg.t_final, cfg.dt, cfg.theta0_profile())
+        assert len(states) == 3 and solver.n_hosts == 384
+        assert tr.calls <= bound

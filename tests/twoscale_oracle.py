@@ -49,8 +49,7 @@ class StaggeredTwoScaleSolver(TwoScaleSolver):
 
     def macro_step(self, state: TwoScaleState, dt) -> TwoScaleState:
         t_new = state.t + dt
-        ops_new = self.macro_operators(self.effective_fields(t_new))
-        ops_old = self.macro_operators(self.effective_fields(state.t))
+        ops_new, ops_old = self.level(t_new), self.level(state.t)
         R = self.mech_basis.restriction
         E_red = self.mech_basis.reduce_matrix(ops_new["E"])
         mech_lu = spla.splu(E_red.tocsc())
