@@ -42,16 +42,6 @@ def strain_pads(dim):
     return pads
 
 
-def pad_displacement(space: P1Space, j, k):
-    """Nodal values of the linear pad d_jk(y) = y_j e_k, symmetrized over (j, k)."""
-    y = space.mesh.vertices
-    d = space.dim
-    out = np.zeros(space.n_vector)
-    out[k::d] += 0.5 * y[:, j]
-    out[j::d] += 0.5 * y[:, k]
-    return out
-
-
 class CellContext:
     """Meshes, spaces, and the constrained spaces shared by all cell solves."""
 

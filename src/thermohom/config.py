@@ -119,7 +119,8 @@ class RunConfig:
         for name in ("fixed_point_tol", "corrector_tol", "dt"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("cell_resolution", "macro_resolution", "fixed_point_max_iter"):
+        for name in ("cell_resolution", "macro_resolution", "fixed_point_max_iter",
+                     "validation_grid"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         if self.t_final < 0.0:
@@ -322,26 +323,26 @@ def parse_config(path) -> RunConfig:
     section = None
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
+            where = f"{path}: line {lineno}"
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip()
                 if section not in _SECTIONS:
-                    raise ConfigError(f"line {lineno}: unknown section [{section}]")
+                    raise ConfigError(f"{where}: unknown section [{section}]")
                 continue
             if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value'")
+                raise ConfigError(f"{where}: expected 'key = value'")
             if section is None:
-                raise ConfigError(f"line {lineno}: setting outside any section")
+                raise ConfigError(f"{where}: setting outside any section")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _SECTIONS[section]:
-                raise ConfigError(
-                    f"line {lineno}: unknown key {key!r} in section [{section}]")
+                raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
             try:
                 setattr(cfg, key, _CONVERT[type(getattr(RunConfig, key))](value))
             except Exception as exc:
-                raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}")
+                raise ConfigError(f"{where}: invalid value for {key!r}: {exc}")
     try:
         cfg.validate()
     except ConfigError as exc:

@@ -149,8 +149,7 @@ def compute_effective_mechanics(ctx: CellContext, correctors: Correctors, t, x,
 
 
 def compute_effective_heat(ctx: CellContext, correctors: Correctors, t, x,
-                           fields=None, latent_in_source=True,
-                           include_inclusion_dissipation=True, interface=None):
+                           fields=None, latent_in_source=True, interface=None):
     """Effective conductivity, heat capacity, dissipation, and interface sources."""
     fields = fields if fields is not None else ctx.matrix_fields(t, x)
     space = ctx.space_a
@@ -182,8 +181,7 @@ def compute_effective_heat(ctx: CellContext, correctors: Correctors, t, x,
             gamma_eff[k, j] += coupling
 
     inclusion_measure = ctx.inclusion_measure(t, x)
-    if include_inclusion_dissipation:
-        gamma_eff += ctx.material.dissipation_b * inclusion_measure * np.eye(d)
+    gamma_eff += ctx.material.dissipation_b * inclusion_measure * np.eye(d)
 
     _, W, _, _, J = interface if interface is not None else _interface(ctx, t, x)
     interface_speed = float(np.einsum("f,f->", J * W, ctx.facet_areas))
@@ -198,12 +196,11 @@ class EffectiveProvider:
     """Caches correctors and effective bundles keyed by the transformation sample."""
 
     def __init__(self, ctx: CellContext, sources=None, latent_in_source=True,
-                 include_inclusion_dissipation=True, solver_tol=1e-10):
+                 solver_tol=1e-10):
         self.ctx = ctx
         # spatially constant phase sources (f_u_A, f_u_B, f_th_A, f_th_B) at t
         self.sources = sources if sources is not None else zero_sources(ctx.dim)
         self.latent_in_source = latent_in_source
-        self.include_inclusion_dissipation = include_inclusion_dissipation
         self.solver_tol = solver_tol
         self.cache = LevelCache()
 
@@ -237,9 +234,7 @@ class EffectiveProvider:
         (K_eff, c_eff, gamma_eff, latent_source, interface_speed, inclusion_measure,
          voigt_bound) = compute_effective_heat(
             self.ctx, cors, t, x, fields=fields,
-            latent_in_source=self.latent_in_source,
-            include_inclusion_dissipation=self.include_inclusion_dissipation,
-            interface=interface,
+            latent_in_source=self.latent_in_source, interface=interface,
         )
         return dict(
             correctors=cors, stiffness=C_eff, expansion=alpha_eff,
@@ -274,37 +269,22 @@ class EffectiveProvider:
 # tabulation
 
 
+# the tabulated quantities after t and x, in column order, with their rank
+_EFFECTIVE_COLUMNS = (("stiffness", 4), ("expansion", 2), ("conductivity", 2),
+                      ("heat_capacity", 0), ("dissipation", 2), ("curvature_force", 1),
+                      ("latent_source", 0), ("interface_speed", 0), ("source_u", 1),
+                      ("source_theta", 0), ("matrix_measure", 0), ("inclusion_measure", 0))
+
+
 def effective_header(dim):
-    cols = ["t"] + [f"x{i}" for i in range(dim)]
-    for j, k, m, n in np.ndindex(dim, dim, dim, dim):
-        cols.append(f"stiffness_{j}{k}{m}{n}")
-    for j, k in np.ndindex(dim, dim):
-        cols.append(f"expansion_{j}{k}")
-    for j, k in np.ndindex(dim, dim):
-        cols.append(f"conductivity_{j}{k}")
-    cols.append("heat_capacity")
-    for j, k in np.ndindex(dim, dim):
-        cols.append(f"dissipation_{j}{k}")
-    cols += [f"curvature_force_{j}" for j in range(dim)]
-    cols += ["latent_source", "interface_speed"]
-    cols += [f"source_u_{j}" for j in range(dim)]
-    cols += ["source_theta", "matrix_measure", "inclusion_measure"]
-    return cols
+    return ["t"] + [f"x{i}" for i in range(dim)] + [
+        name + "_" + "".join(map(str, idx)) if rank else name
+        for name, rank in _EFFECTIVE_COLUMNS for idx in np.ndindex((dim,) * rank)]
 
 
 def effective_row(eff: EffectiveCoefficients):
-    dim = eff.conductivity.shape[0]
-    row = [eff.t] + list(eff.x)
-    row += [eff.stiffness[idx] for idx in np.ndindex(dim, dim, dim, dim)]
-    row += [eff.expansion[idx] for idx in np.ndindex(dim, dim)]
-    row += [eff.conductivity[idx] for idx in np.ndindex(dim, dim)]
-    row.append(eff.heat_capacity)
-    row += [eff.dissipation[idx] for idx in np.ndindex(dim, dim)]
-    row += list(eff.curvature_force)
-    row += [eff.latent_source, eff.interface_speed]
-    row += list(eff.source_u)
-    row += [eff.source_theta, eff.matrix_measure, eff.inclusion_measure]
-    return row
+    return [eff.t, *eff.x] + [v for name, _ in _EFFECTIVE_COLUMNS
+                              for v in np.ravel(getattr(eff, name))]
 
 
 def tabulate_effective(provider: EffectiveProvider, times, points):

@@ -316,6 +316,8 @@ class TabulatedTransform:
         expect = (len(self.times), self.anchors.shape[0], self.grid_n**self.dim, self.dim)
         if self.values.shape != expect:
             raise ValueError(f"table shape {self.values.shape}, expected {expect}")
+        if 2.0 * self.fd_step * (self.grid_n - 1) > 1.0:
+            raise ValueError(f"grid_n = {self.grid_n} has intervals below 2 fd_step")
         self._lattice = self.values.reshape(
             (len(self.times), self.anchors.shape[0]) + (self.grid_n,) * self.dim + (self.dim,)
         )
@@ -341,16 +343,18 @@ class TabulatedTransform:
         w = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
         return i, i + 1, w
 
-    def _interp(self, lattice, y):
-        """Multilinear interpolation of a lattice field at cell points y."""
-        n = self.grid_n
-        y = np.clip(y, 0.0, 1.0) * (n - 1)
-        i0 = np.clip(y.astype(int), 0, n - 2)
-        w = y - i0
+    def _cell(self, y):
+        """The lattice cell i0 of each cell point of y, and its weights w there."""
+        s = np.clip(y, 0.0, 1.0) * (self.grid_n - 1)
+        i0 = np.clip(s.astype(int), 0, self.grid_n - 2)
+        return i0, s - i0
+
+    def _interp(self, lattice, i0, w):
+        """Multilinear interpolation of a lattice field in the cells i0 at w."""
         out = 0.0
         for corner in range(2**self.dim):
             bits = [(corner >> k) & 1 for k in range(self.dim)]
-            cw = np.ones(y.shape[0])
+            cw = np.ones(i0.shape[0])
             idx = []
             for k, b in enumerate(bits):
                 cw = cw * (w[:, k] if b else 1.0 - w[:, k])
@@ -358,18 +362,44 @@ class TabulatedTransform:
             out = out + cw[:, None] * lattice[tuple(idx)]
         return out
 
-    def map_points(self, t, x, y):
-        y = _check_cell_points(y, self.dim)
-        anchor = np.broadcast_to(self._anchor_index(x), len(y))
+    def _difference_quotient(self, lattice, ym, yp, k):
+        """``(f(yp) - f(ym)) / (yp_k - ym_k)`` of the interpolant f of lattice,
+        for points apart along axis k only, by at most one lattice interval:
+        the slopes of the intervals along k, weighted by their share of
+        [ym_k, yp_k].  Differencing two values of f would amplify the
+        rounding of the points by 1 / fd_step."""
+        n = self.grid_n
+        slopes = np.diff(lattice, axis=k, append=np.take(lattice, [-1], axis=k)) * (n - 1)
+        i0, w = self._cell(ym)
+        jp = self._cell(yp)[0][:, k]
+        sm, sp = ym[:, k] * (n - 1), yp[:, k] * (n - 1)
+        share = np.where(jp > i0[:, k], (sp - jp) / (sp - sm), 0.0)
+        w[:, k] = 0.0          # one interval's slope along k, interpolated off k
+        out = (1.0 - share)[:, None] * self._interp(slopes, i0, w)
+        i0[:, k] = jp
+        return out + share[:, None] * self._interp(slopes, i0, w)
+
+    def _lattice_at(self, t, ia):
         t0, t1, w = self._time_weights(t)
+        return (1.0 - w) * self._lattice[t0, ia] + w * self._lattice[t1, ia]
+
+    def _per_anchor(self, x, y, value):
+        """``value(ia, rows)`` for the rows of y whose nearest anchor is ia."""
+        anchor = np.broadcast_to(self._anchor_index(x), len(y))
         out = np.empty_like(y)
         for ia in np.unique(anchor):
             rows = anchor == ia
-            lat = (1.0 - w) * self._lattice[t0, ia] + w * self._lattice[t1, ia]
-            out[rows] = self._interp(lat, y[rows])
+            out[rows] = value(ia, rows)
         return out
 
+    def map_points(self, t, x, y):
+        y = _check_cell_points(y, self.dim)
+        return self._per_anchor(x, y, lambda ia, rows: self._interp(
+            self._lattice_at(t, ia), *self._cell(y[rows])))
+
     def kinematics_batch(self, t, x, y):
+        """F and v as difference quotients of the map with step fd_step, each
+        taken on the lattice before one interpolation at y."""
         y = _check_cell_points(y, self.dim)
         h = self.fd_step
         d = self.dim
@@ -380,9 +410,8 @@ class TabulatedTransform:
             step[k] = h
             yp = np.clip(y + step, 0.0, 1.0)
             ym = np.clip(y - step, 0.0, 1.0)
-            F[:, :, k] = (self.map_points(t, x, yp) - self.map_points(t, x, ym)) / (
-                yp[:, k] - ym[:, k]
-            )[:, None]
+            F[:, :, k] = self._per_anchor(x, y, lambda ia, rows: self._difference_quotient(
+                self._lattice_at(t, ia), ym[rows], yp[rows], k))
         J = np.linalg.det(F)
         if np.any(J <= 0.0):
             raise InadmissibleTransformError("tabulated map has non-positive determinant")
@@ -390,7 +419,9 @@ class TabulatedTransform:
         tp = min(float(t) + dt_fd, float(self.times[-1]))
         tm = max(float(t) - dt_fd, float(self.times[0]))
         if tp > tm:
-            v = (self.map_points(tp, x, y) - self.map_points(tm, x, y)) / (tp - tm)
+            v = self._per_anchor(x, y, lambda ia, rows: self._interp(
+                (self._lattice_at(tp, ia) - self._lattice_at(tm, ia)) / (tp - tm),
+                *self._cell(y[rows])))
         else:
             v = np.zeros((m, d))
         return F, J, v

@@ -15,12 +15,13 @@ level (:meth:`TwoScaleSolver.level`) and read by every use of the keys.
 
 Time stepping is implicit Euler, and each step is solved exactly.  Within a
 step the whole system is linear, and every inclusion problem is driven only
-by its two traces, so its heat content after the step is an affine function
-of them (:meth:`MicroModel.responses`).  Eliminating the inclusions this way
+by its two traces tau = (theta_h, u_h), so its unknowns after the step are
+an affine map ``w0 + W tau`` of them, and so is its heat content
+(:meth:`MicroModel.responses`).  Eliminating the inclusions this way
 (static condensation) leaves one macro heat-elasticity block, solved with
-one sparse LU per step; one micro sweep with the exact traces then advances
-every host, one row per :meth:`MicroModel.step`.  The accepted state
-satisfies the discrete macro balance to round-off against the stored
+one sparse LU per step; one micro sweep with the exact traces then completes
+every host's affine map, one row per :meth:`MicroModel.step`.  The accepted
+state satisfies the discrete macro balance to round-off against the stored
 inclusion heat content, which is what the conservation diagnostics check.
 """
 
@@ -108,19 +109,20 @@ class MicroModel:
         K = [[H_II, (S/dt + A)[I, Iv]], [-G[Iv, I], E[Iv, Iv]]],
         H = M_c/dt + N + A_K  (A: the advective dissipation map),
 
-    the 1 + d columns ``trace`` carrying the traces (theta, then u) into its
-    right-hand side, ``y = K^-T [content_I; 0]`` and ``c_tr``: a host's
-    content after the step is ``y . r_prev + c_tr . (theta_h, u_h)``.
+    the response ``W`` of its unknowns to unit traces (theta, then u; 1 + d
+    columns) and ``c_tr``, the content after the step per unit trace.
 
-    Given each level's :func:`sample_key_groups` of the hosts,
-    :meth:`initial_states` solves the hosts of each key as one block,
-    :meth:`responses` takes one block product per pair of old- and new-level
-    keys, and :meth:`step` advances one host with the bundles of its keys
-    (:meth:`step_bundles`, once per key), one solve of ``K``; no host
-    evaluates its key.  Sources are the unit loads scaled by ``sources(t)``
-    at the t of each call, so one bundle serves every t of a static
-    geometry.  The cache keeps the bundles of the current step pair.  A
-    bundle that cannot be built raises :class:`BundleError` naming t and x.
+    A host's unknowns after the step are ``w0 + W tau``: ``w0`` solves ``K``
+    against the previous state and the sources with zero traces, and tau
+    holds the host's traces.  Given each level's :func:`sample_key_groups`
+    of the hosts, :meth:`initial_states` solves the hosts of each key as one
+    block, :meth:`responses` gets ``w0`` with one block solve per pair of
+    old- and new-level keys, and :meth:`step` completes one host's map with
+    the bundle of its new key, without a solve; no host evaluates its key.
+    Sources are the unit loads scaled by ``sources(t)`` at the t of each
+    call, so one bundle serves every t of a static geometry.  The cache
+    keeps the bundles of the current step pair.  A bundle that cannot be
+    built raises :class:`BundleError` naming t and x.
     """
 
     def __init__(self, ctx: CellContext, sources=None):
@@ -189,21 +191,17 @@ class MicroModel:
         # the rows of K over every stacked (theta, u) dof
         rows = sp.bmat([[H, S / dt + A], [-G, E]], format="csc")
         lu = spla.splu(rows[:, self._unknowns], permc_spec="MMD_AT_PLUS_A")
-        trace = -(rows[:, self._boundary] @ np.eye(1 + d)[self._trace_of])
+        W = lu.solve(-(rows[:, self._boundary] @ np.eye(1 + d)[self._trace_of]))
         content = b["content"]
-        y = lu.solve(np.concatenate([content[I], np.zeros(len(Iv))]), trans="T")
-        c_tr = y @ trace
+        c_tr = content[I] @ W[:len(I)]
         c_tr[0] += content[self.boundary_scalar].sum()
-        b.update(dt=round(float(dt), 14), lu=lu, trace=trace, y=y, c_tr=c_tr)
+        b.update(dt=round(float(dt), 14), lu=lu, W=W, c_tr=c_tr)
         return b
 
-    def step_bundles(self, t_new, dt, xs, groups):
-        """The bundles of each sample key of the step's old and new level,
-        ``groups`` being the :func:`sample_key_groups` of xs at t_new - dt and
-        t_new; each is fetched once, at the key's first point."""
-        (old_first, _), (new_first, _) = groups
-        return ([self.bundle(t_new - dt, xs[i]) for i in old_first],
-                [self.bundle(t_new, xs[i], dt) for i in new_first])
+    def level_bundles(self, t, xs, groups, dt=None):
+        """The bundle of each sample key of ``groups`` (the
+        :func:`sample_key_groups` of xs at t), fetched at the key's first point."""
+        return [self.bundle(t, xs[i], dt) for i in groups[0]]
 
     def initial_states(self, t, xs, groups, traces_theta, traces_u, theta_fields=None):
         """Consistent micro state arrays (theta, u, content) of the hosts at
@@ -217,10 +215,8 @@ class MicroModel:
         u[:, self.boundary_vector] = np.tile(traces_u, len(self.boundary_nodes))
         content = np.empty(n)
         _, f_u_b, _, _ = self.sources(t)
-        first, of = groups
-        for k, i in enumerate(first):
-            hosts = np.flatnonzero(of == k)
-            b = self.bundle(t, xs[i])
+        for k, b in enumerate(self.level_bundles(t, xs, groups)):
+            hosts = np.flatnonzero(groups[1] == k)
             if "mech_lu" not in b:      # factored on first use: a step solves with K
                 b["mech_lu"] = spla.splu(b["E"][:, self.interior_vector].tocsc())
             # u holds the traces and zero interior values here
@@ -231,13 +227,17 @@ class MicroModel:
         return theta, u, content
 
     def responses(self, t_new, dt, xs, groups, prev_theta, prev_u):
-        """The hosts' heat contents after the step as affine functions of
-        their traces: ``c0 + c_tr . (theta_h, u_h)`` row by row."""
-        c0 = np.empty(len(xs))
-        c_tr = np.empty((len(xs), 1 + self.dim))
+        """The step of every host with zero traces, and its heat content as an
+        affine function of the traces: ``(w0, c0, c_tr)``, where row h of
+        ``w0`` holds the unknowns of ``K`` and host h's content after the
+        step is ``c0[h] + c_tr[h] . (theta_h, u_h)``.  The hosts sharing a
+        pair of old- and new-level keys are solved as one block."""
+        n, I = len(xs), self.interior_scalar
+        w0 = np.empty((n, len(self._unknowns)))
+        c0 = np.empty(n)
         _, f_u_b, _, f_th_b = self.sources(t_new)
-        nI = len(self.interior_scalar)
-        b_old, b_new = self.step_bundles(t_new, dt, xs, groups)
+        b_old = self.level_bundles(t_new - dt, xs, groups[0])
+        b_new = self.level_bundles(t_new, xs, groups[1], dt)
         (_, old_of), (new_first, new_of) = groups
         _, first, pair_of = np.unique(old_of * len(new_first) + new_of,
                                       return_index=True, return_inverse=True)
@@ -246,21 +246,19 @@ class MicroModel:
             bo, bn = b_old[old_of[i]], b_new[new_of[i]]
             heat = ((bo["M_c"] @ prev_theta[hosts].T + bo["S"] @ prev_u[hosts].T) / dt
                     + f_th_b * bn["l_J"][:, None])
-            y = bn["y"]
-            c0[hosts] = y[:nI] @ heat + y[nI:] @ (bn["L_J"] @ np.asarray(f_u_b))
-            c_tr[hosts] = bn["c_tr"]
-        return c0, c_tr
+            mech = np.repeat((bn["L_J"] @ np.asarray(f_u_b))[:, None], len(hosts), axis=1)
+            w0[hosts] = bn["lu"].solve(np.vstack([heat, mech])).T
+            c0[hosts] = w0[hosts, :len(I)] @ bn["content"][I]
+        return w0, c0, np.array([b["c_tr"] for b in b_new])[new_of]
 
-    def step(self, t_new, dt, b_new, b_old, trace_theta, trace_u, prev_theta, prev_u):
+    def step(self, b_new, w0_h, trace_theta, trace_u):
         """One implicit Euler step of a host's coupled inclusion heat and
-        quasi-static elasticity problem, given the bundles of its keys at
-        t_new (with dt) and t_new - dt: the host's (theta, u, content)."""
-        _, f_u_b, _, f_th_b = self.sources(t_new)
-        heat = (b_old["M_c"] @ prev_theta + b_old["S"] @ prev_u) / dt + f_th_b * b_new["l_J"]
+        quasi-static elasticity problem, completed from its zero-trace step
+        ``w0_h`` (a row of :meth:`responses`) with the bundle ``b_new`` of its
+        key at the step's end: the host's (theta, u, content)."""
         traces = np.concatenate([[trace_theta], trace_u])
         w = np.empty(len(self._unknowns) + len(self._boundary))
-        w[self._unknowns] = b_new["lu"].solve(
-            np.concatenate([heat, b_new["L_J"] @ np.asarray(f_u_b)]) + b_new["trace"] @ traces)
+        w[self._unknowns] = w0_h + b_new["W"] @ traces
         w[self._boundary] = traces[self._trace_of]
         theta = w[:self.space.n_scalar]
         return theta, w[self.space.n_scalar:], float(b_new["content"] @ theta)
@@ -361,19 +359,19 @@ class TwoScaleSolver:
         """Macro temperature/deformation evaluated at the hosting points."""
         return self.trace_map @ theta, self.trace_map @ u.reshape(-1, self.dim)
 
-    def micro_sweep(self, t_new, dt, groups, theta, u, prev_theta, prev_u):
-        """Every host advanced with its traces of (theta, u), one row each."""
+    def micro_sweep(self, t_new, dt, groups, theta, u, w0):
+        """Every host advanced with its traces of (theta, u), one row each,
+        from its zero-trace step ``w0`` (:meth:`MicroModel.responses`)."""
         traces_th, traces_u = self.traces_at_hosts(theta, u)
         model = self.micro_model
-        b_old, b_new = model.step_bundles(t_new, dt, self.host_points, groups)
-        (_, old_of), (_, new_of) = groups
-        micro_theta = np.empty_like(prev_theta)
-        micro_u = np.empty_like(prev_u)
+        b_new = model.level_bundles(t_new, self.host_points, groups[1], dt)
+        new_of = groups[1][1]
+        micro_theta = np.empty((self.n_hosts, model.space.n_scalar))
+        micro_u = np.empty((self.n_hosts, model.space.n_vector))
         content = np.empty(self.n_hosts)
         for i in range(self.n_hosts):
             micro_theta[i], micro_u[i], content[i] = model.step(
-                t_new, dt, b_new[new_of[i]], b_old[old_of[i]], traces_th[i], traces_u[i],
-                prev_theta[i], prev_u[i])
+                b_new[new_of[i]], w0[i], traces_th[i], traces_u[i])
         return micro_theta, micro_u, content
 
     # -- initialization ---------------------------------------------------------
@@ -436,8 +434,8 @@ class TwoScaleSolver:
         R = self.mech_basis.restriction
         E_red = self.mech_basis.reduce_matrix(ops_new["E"])
 
-        c0, c_tr = self.micro_model.responses(t_new, dt, self.host_points, groups,
-                                              state.micro_theta, state.micro_u)
+        w0, c0, c_tr = self.micro_model.responses(t_new, dt, self.host_points, groups,
+                                                  state.micro_theta, state.micro_u)
         Q = self.content_map
         C_theta, *C_u = (Q @ sp.diags(c) @ self.trace_map for c in c_tr.T)
         C_u = sum(sp.kron(C, np.eye(self.dim)[[c]]) for c, C in enumerate(C_u))
@@ -454,8 +452,7 @@ class TwoScaleSolver:
         ns = self.space.n_scalar
         theta, u = z[:ns], R @ z[ns:]
         new_state = TwoScaleState(
-            t_new, theta, u, *self.micro_sweep(t_new, dt, groups, theta, u,
-                                               state.micro_theta, state.micro_u),
+            t_new, theta, u, *self.micro_sweep(t_new, dt, groups, theta, u, w0),
             fixed_point_iterations=1,
             mech_residual=self._mech_residual(E_red, ops_new, theta, u))
         self._record_content(new_state, ops_new)

@@ -85,7 +85,6 @@ class TestPerforatedCell:
     def test_galerkin_orthogonality(self, ctx16):
         fields = ctx16.matrix_fields(0.0, np.zeros(2))
         mech, _, pads, _ = solve_elastic_correctors(ctx16, 0.0, np.zeros(2), fields=fields)
-        from thermohom.cell import pad_displacement
         from thermohom.fem import assemble_strain_load
 
         space = ctx16.space_a

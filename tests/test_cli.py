@@ -134,8 +134,12 @@ class TestParsing:
     ("macro", "macro_resolution = 4", "macro_resolution = 0",
      "macro_resolution must be at least 1"),
     ("macro", "t_final = 0.05", "t_final = -1", "t_final must not be negative"),
+    ("macro", "radius = 0.25", "radius = wide",
+     "line 3: invalid value for 'radius': could not convert string to float: 'wide'"),
+    ("checks", "family = identity", "family = identity\nvalidation_grid = 0",
+     "validation_grid must be at least 1"),
 ], ids=["eps_zero", "eps_negative", "eps_not_reciprocal", "eps_empty", "resolution_zero",
-         "t_final_negative"])
+         "t_final_negative", "malformed_value", "validation_grid_zero"])
 def test_invalid_setting_exits_one_naming_the_file(tmp_path, capsys, sub, old, new, message):
     cfg = write_cfg(tmp_path, BASE.format(out=tmp_path / "out").replace(old, new))
     assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1

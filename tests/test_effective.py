@@ -53,8 +53,7 @@ class TestEmptyCellLimit:
         mesh.periodic_pairs = _periodic_pairs_from_coords(mesh.vertices)
         mat = default_material(2)
         ctx = CellContext(mesh, mat, IdentityTransform(dim=2))
-        eff = EffectiveProvider(ctx, include_inclusion_dissipation=False,
-                                solver_tol=1e-13).at(0.0, np.zeros(2))
+        eff = EffectiveProvider(ctx, solver_tol=1e-13).at(0.0, np.zeros(2))
         assert np.max(np.abs(eff.stiffness - mat.stiffness_a)) < 1e-10
         assert np.max(np.abs(eff.expansion - mat.expansion_a * np.eye(2))) < 1e-10
         assert np.max(np.abs(eff.conductivity - mat.conductivity_a)) < 1e-10

@@ -19,6 +19,7 @@ from thermohom.kinematics import (
     IdentityTransform,
     PolynomialAmplitude,
     RadialGrowth,
+    TabulatedTransform,
     default_material,
 )
 from thermohom.mesh import build_cell_mesh
@@ -32,9 +33,25 @@ LOADS = ("mech_surface", "heat_surface", "f_theta", "f_u")
 MESHES = {2: dict(eps=0.25, resolution=8), 3: dict(eps=0.5, resolution=4)}
 
 
+def two_anchor_table():
+    """Radial growth at rates 0.1 and 0.3 tabulated at the anchors (0.25, 0.5)
+    and (0.75, 0.5): the tiles of each half of the unit square share a key."""
+    anchors, times, grid_n = np.array([[0.25, 0.5], [0.75, 0.5]]), np.linspace(0, 1, 11), 41
+    Y = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, grid_n)] * 2, indexing="ij"),
+                 axis=-1).reshape(-1, 2)
+    vals = np.array([[RadialGrowth(dim=2, inclusion_radius=0.25, boundary_margin=0.1,
+                                   amplitude=PolynomialAmplitude((0.0, rate))
+                                   ).map_points(t, a, Y)
+                      for a, rate in zip(anchors, (0.1, 0.3))] for t in times])
+    return TabulatedTransform(2, times, anchors, grid_n, vals, inclusion_radius=0.25,
+                              boundary_margin=0.1)
+
+
 def transformation(family, d):
     if family == "identity":
         return IdentityTransform(dim=d)
+    if family == "two_anchor_table":
+        return two_anchor_table()
     # a slope along x only: tiles in one column share a key, columns differ
     slope = (0.5,) + (0.0,) * (d - 1) if family == "amplitude_x_slope" else ()
     return RadialGrowth(dim=d, inclusion_radius=0.25,
@@ -57,7 +74,8 @@ def relative(a, b):
 
 
 FAMILIES = ("identity", "radial_growth", "amplitude_x_slope")
-ALL_CASES = [(f, d) for d in (2, 3) for f in FAMILIES]
+# a per-tile pullback of a table with one anchor per half of the domain
+ALL_CASES = [(f, d) for d in (2, 3) for f in FAMILIES] + [("two_anchor_table", 2)]
 # a three-step 3D solve pair takes about 40 s, mostly in the SuperLU
 # factorizations and solves that both sides run alike; in 3D the fields are
 # compared on the slope case, which has several keys and the advective path
@@ -114,4 +132,4 @@ def test_slope_tiles_have_distinct_and_shared_keys(pair):
     if family == "amplitude_x_slope":
         assert 1 < n_keys < len(keys)
     else:
-        assert n_keys == 1
+        assert n_keys == (2 if family == "two_anchor_table" else 1)

@@ -17,7 +17,7 @@ from thermohom.kinematics import (
     sample_key_groups,
 )
 from thermohom.mesh import build_cell_mesh, build_uniform_mesh
-from thermohom.twoscale import BundleError, SolverSettings, TwoScaleSolver
+from thermohom.twoscale import BundleError, MicroModel, SolverSettings, TwoScaleSolver
 
 
 def make_solver(material=None, transform=None, cell_n=8, macro_n=4, sources=None,
@@ -277,10 +277,10 @@ class TestMicroParity:
             # content of the step
             for k in (1, 2):
                 th, u = traces_th[i] + 0.2 * k, 0.9 * traces_u[i]
-                c0, c_tr = model.responses(k * dt, dt, x[None], (one, one),
-                                           new[0][None], new[1][None])
-                (b_old,), (b_new,) = model.step_bundles(k * dt, dt, x[None], (one, one))
-                new = model.step(k * dt, dt, b_new, b_old, th, u, new[0], new[1])
+                w0, c0, c_tr = model.responses(k * dt, dt, x[None], (one, one),
+                                               new[0][None], new[1][None])
+                (b_new,) = model.level_bundles(k * dt, x[None], one, dt)
+                new = model.step(b_new, w0[0], th, u)
                 ref = oracle.coupled_step(k * dt, dt, x, th, u, ref)
                 assert_micro_close(new, ref)
                 content = c0[0] + c_tr[0] @ np.concatenate([[th], u])
@@ -302,7 +302,7 @@ class TestMicroParity:
         fields = [1.0 + x[0] + model.mesh.vertices[:, 0] * model.mesh.vertices[:, 1]
                   for x in xs]
         theta, u, content = model.initial_states(t, xs, groups[0], traces_th, traces_u, fields)
-        c0, c_tr = model.responses(t + dt, dt, xs, groups, theta, u)
+        _, c0, c_tr = model.responses(t + dt, dt, xs, groups, theta, u)
         for i, x in enumerate(xs):
             ref = oracle.initial_state(t, x, traces_th[i], traces_u[i], theta_field=fields[i])
             assert_micro_close((theta[i], u[i], content[i]), ref)
@@ -405,20 +405,79 @@ class CountingTransform:
         return self.inner.sample_key(t, x)
 
 
+class CountingLU:
+    """A factorization that logs each solve: whether it ran inside
+    ``MicroModel.step`` (the flag list is not empty then)."""
+
+    def __init__(self, lu, log, inside_step):
+        self.lu, self.log, self.inside_step = lu, log, inside_step
+
+    def solve(self, rhs, *args, **kwargs):
+        self.log.append(bool(self.inside_step))
+        return self.lu.solve(rhs, *args, **kwargs)
+
+
+@pytest.fixture(scope="module", params=[((), 1200), ((0.5, 0.25), 2700)],
+                ids=["standard", "x_slope"])
+def standard_run(request):
+    """A 2-step standard.cfg run (1 sample key per time level, or 129 with
+    the x slope) with a counting transformation and every stepping bundle's
+    LU wrapped in a :class:`CountingLU`: the solver, the transformation, the
+    states, the LU solves of each step and the sample-key call bound."""
+    slope, bound = request.param
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "standard.cfg")
+    cfg.amplitude_x_slope, cfg.t_final = slope, 2 * cfg.dt
+    tr = CountingTransform(cfg.transformation())
+    ctx = CellContext(build_cell_mesh(cfg.radius, cfg.cell_resolution), cfg.material(), tr)
+    provider = EffectiveProvider(ctx, sources=cfg.sources())
+    solver = TwoScaleSolver(build_uniform_mesh(cfg.macro_resolution), provider,
+                            cfg.settings())
+    log, inside_step, solves = [], [], []
+    maps, step = MicroModel._maps, MicroModel.step
+
+    def counted_maps(self, t, x, dt):
+        b = maps(self, t, x, dt)
+        if dt is not None:
+            b["lu"] = CountingLU(b["lu"], log, inside_step)
+        return b
+
+    def flagged_step(self, *args):
+        inside_step.append(True)
+        try:
+            return step(self, *args)
+        finally:
+            inside_step.pop()
+
+    def observer(state):
+        solves.append(log[:])
+        log.clear()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MicroModel, "_maps", counted_maps)
+        mp.setattr(MicroModel, "step", flagged_step)
+        states = solver.run(cfg.t_final, cfg.dt, cfg.theta0_profile(), observer=observer)
+    return solver, tr, states, solves, bound
+
+
 class TestSampleKeyCalls:
     # a 2-step standard.cfg run keys every quadrature point once per time
     # level (3 x 384), the provider and the micro bundles once per key:
     # 1 key per level, or 129 with the x slope
-    @pytest.mark.parametrize("slope, bound", [((), 1200), ((0.5, 0.25), 2700)],
-                             ids=["standard", "x_slope"])
-    def test_two_step_standard_run(self, slope, bound):
-        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "standard.cfg")
-        cfg.amplitude_x_slope, cfg.t_final = slope, 2 * cfg.dt
-        tr = CountingTransform(cfg.transformation())
-        ctx = CellContext(build_cell_mesh(cfg.radius, cfg.cell_resolution), cfg.material(), tr)
-        provider = EffectiveProvider(ctx, sources=cfg.sources())
-        solver = TwoScaleSolver(build_uniform_mesh(cfg.macro_resolution), provider,
-                                cfg.settings())
-        states = solver.run(cfg.t_final, cfg.dt, cfg.theta0_profile())
+    def test_two_step_standard_run(self, standard_run):
+        solver, tr, states, _, bound = standard_run
         assert len(states) == 3 and solver.n_hosts == 384
         assert tr.calls <= bound
+
+
+class TestMicroSolves:
+    def test_one_block_solve_per_key_pair_and_none_per_host(self, standard_run):
+        # each step solves K once per (old, new) pair of host keys, for the
+        # block of the pair's hosts; the per-host completion never solves
+        solver, tr, states, solves, _ = standard_run
+        assert solves[0] == []                      # the initial state
+        for k in (1, 2):
+            old, new = (sample_key_groups(tr.inner, states[j].t, solver.host_points)
+                        for j in (k - 1, k))
+            pairs = len(np.unique(old[1] * len(new[0]) + new[1]))
+            assert len(solves[k]) == pairs < solver.n_hosts
+            assert not any(solves[k])
