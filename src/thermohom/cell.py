@@ -5,9 +5,15 @@ of the cell and three families of correctors are solved for: one vector field
 per independent symmetric unit strain, one vector field driven by thermal
 expansion, and one scalar field per coordinate direction for heat flux.  All
 correctors live in the periodic zero-mean space on the matrix phase; the
-inclusion boundary carries the natural condition.  The constrained spaces
-depend on the cell mesh only and are reduced once per :class:`CellContext`;
-at each (t, x) every family is solved as one block with a single sparse LU.
+inclusion boundary carries the natural condition.
+
+The constrained spaces depend on the cell mesh only.  Each
+:class:`CellContext` therefore maps the element blocks of either family once,
+straight to the data of its reduced system with explicit zero-mean
+multipliers (:meth:`ConstraintBasis.augmented_scatter`).
+:func:`solve_correctors_batch` builds the fields, blocks and loads of many
+(t, x) samples in one batch and then solves each sample's family with a
+single sparse LU; :func:`solve_correctors` is the batch of one.
 """
 
 from __future__ import annotations
@@ -15,19 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .fem import (
     ConstraintSet,
     P1Space,
     SolverError,
-    assemble_gradient_load,
-    assemble_operator,
     assemble_scalar_load,
-    assemble_strain_load,
     constraint_basis,
-    solve_block,
+    key_einsum,
 )
-from .kinematics import PHASE_A, PHASE_B, coefficient_fields, sym_index_pairs
+from .kinematics import PHASE_A, PHASE_B, key_fields, sym_index_pairs
 from .mesh import extract_phase_submesh
 
 
@@ -69,11 +73,16 @@ class CellContext:
             w[c::d] = self.volume_weights
             self.vector_weights.append(w)
 
-        # periodic zero-mean spaces, reduced once; each key only forms R^T A R
+        # periodic zero-mean spaces and the scatters of each family's element
+        # blocks into its augmented reduced system, built once
         self.scalar_basis = constraint_basis(self.space_a.n_scalar, ConstraintSet(
             periodic=pairs, zero_mean_weights=[self.volume_weights]))
         self.vector_basis = constraint_basis(self.space_a.n_vector, ConstraintSet(
             periodic=self.periodic_vector, zero_mean_weights=list(self.vector_weights)))
+        self.thermal_scatter = self.scalar_basis.augmented_scatter(
+            self.space_a.pattern("scalar"))
+        self.elastic_scatter = self.vector_basis.augmented_scatter(
+            self.space_a.pattern("vector"))
 
         # interface data lives on the full cell mesh
         self.facet_centroids = cell_mesh.facet_centroids()
@@ -82,18 +91,22 @@ class CellContext:
 
     # -- coefficient fields --------------------------------------------------
 
-    def matrix_fields(self, t, x):
-        """Pulled-back coefficient fields at the matrix-phase quadrature points."""
-        return coefficient_fields(self.space_a, self.transformation, self.material,
-                                  PHASE_A, t, x)
+    def matrix_fields(self, t, xs):
+        """Pulled-back coefficient fields at the matrix-phase quadrature
+        points, for one macro point x or each of (k, d) points xs: (k * e,
+        nq, ...) arrays, key by key."""
+        return key_fields(self.space_a, self.transformation, self.material, PHASE_A, t,
+                          np.atleast_2d(xs))
 
-    def inclusion_measure(self, t, x):
-        """Deformed measure of the inclusion part of the cell."""
-        space = self.space_b
-        pts = space.qpoints.reshape(-1, self.dim)
-        _, J, _ = self.transformation.kinematics_batch(t, x, pts)
-        J = J.reshape(len(space.cells), len(space.qweights))
-        return float(np.einsum("eq,q,e->", J, space.qweights, space.volumes))
+    def inclusion_measure(self, t, xs):
+        """Deformed measure of the inclusion part of the cell at each of the
+        (k, d) macro points xs."""
+        space, k = self.space_b, len(xs)
+        y = space.qpoints.reshape(-1, self.dim)
+        _, J, _ = self.transformation.kinematics_batch(
+            t, np.repeat(xs, len(y), axis=0), np.tile(y, (k, 1)))
+        J = J.reshape(k, len(space.cells), len(space.qweights))
+        return key_einsum("keq,q,e->k", J, space.qweights, space.volumes)
 
 
 @dataclass
@@ -109,78 +122,77 @@ class Correctors:
     residuals: dict
 
 
-def _solve_family(basis, A, loads, names, t, x, tol):
-    """One direct solve for all loads on A; each column's relative residual
-    must stay within ``tol``.  Returns the solutions (one per row) and the
-    residuals by name."""
-    sol, res = solve_block(basis.reduce(A, np.column_stack(loads)))
-    residuals = dict(zip(names, res.tolist()))
-    for name, r in residuals.items():
-        if not r <= tol:
-            raise SolverError(
-                f"cell corrector {name} at t={float(t):g}, "
-                f"x={np.asarray(x, dtype=float).tolist()}: relative residual "
-                f"{r:.3e} exceeds corrector_tol {tol:g}",
-                list(residuals.values()),
-            )
-    return sol.T.copy(), residuals
+def _solve_family(scatter, basis, dofs, blocks, loads, names, t, xs, tol):
+    """Every key's family: one sparse LU of its augmented reduced system,
+    from the element blocks ``blocks`` (k, e, ...), for all of its element
+    loads ``loads`` (k, m, e, ...) on ``dofs``; each column's relative
+    residual must stay within ``tol``.  Returns the solutions (k, m, n_full)
+    and each key's residuals by name."""
+    k, m = loads.shape[:2]
+    data = scatter.data(blocks)
+    n_aug = scatter.shape[0]
+    rows = basis.reduced_index[dofs].ravel()   # periodic bases pin no dof
+    rhs = np.bincount((np.arange(k * m)[:, None] * n_aug + rows).ravel(),
+                      weights=loads.ravel(), minlength=k * m * n_aug)
+    rhs = rhs.reshape(k, m, n_aug).transpose(0, 2, 1)
+    R = basis.restriction
+    out = np.empty((k, m, R.shape[0]))
+    residuals = []
+    for i in range(k):
+        K, B = scatter.matrix(data[i]), rhs[i]
+        Z = spla.splu(K, permc_spec="MMD_AT_PLUS_A").solve(B)
+        scale = np.linalg.norm(B, axis=0)
+        res = np.linalg.norm(K @ Z - B, axis=0) / np.where(scale > 0.0, scale, 1.0)
+        residuals.append(dict(zip(names, res.tolist())))
+        for name, r in residuals[-1].items():
+            if not r <= tol:
+                raise SolverError(
+                    f"cell corrector {name} at t={float(t):g}, "
+                    f"x={np.asarray(xs[i], dtype=float).tolist()}: relative residual "
+                    f"{r:.3e} exceeds corrector_tol {tol:g}",
+                    res.tolist(),
+                )
+        out[i] = (R @ Z[: R.shape[1]]).T
+    return out, residuals
 
 
-def solve_elastic_correctors(ctx: CellContext, t, x, fields=None, tol=1e-10):
-    """Strain correctors for every independent pad plus the expansion corrector."""
-    fields = fields if fields is not None else ctx.matrix_fields(t, x)
-    space = ctx.space_a
-    A = assemble_operator(ctx.sub_a.mesh, "elasticity", fields["stiffness"], space=space)
-    pads = strain_pads(ctx.dim)
-    loads = [-assemble_strain_load(space, np.einsum("eqabcd,cd->eqab",
-                                                    fields["stiffness"], E))
-             for E in pads.values()]
-    loads.append(assemble_strain_load(space, fields["expansion"]))
-    names = [("mechanical", j, k) for j, k in pads] + ["thermal_stress"]
-    sol, residuals = _solve_family(ctx.vector_basis, A, loads, names, t, x, tol)
-    mechanical = dict(zip(pads, sol[:-1]))
-    return mechanical, sol[-1], pads, residuals
+def solve_correctors_batch(ctx: CellContext, t, xs, tol=1e-10, fields=None):
+    """The :class:`Correctors` of each (k, d) macro point of xs at t, the
+    fields, element blocks and loads of all keys built together.  ``tol``
+    bounds the relative residual of each corrector's direct solve; a breach
+    raises :class:`SolverError` naming that key's t and x.  ``fields`` are
+    :meth:`CellContext.matrix_fields` of xs."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    fields = fields if fields is not None else ctx.matrix_fields(t, xs)
+    space, d, k = ctx.space_a, ctx.dim, len(xs)
+    G, w, vol = space.gradients, space.qweights, space.volumes
+    shape = (k, len(space.cells), len(w))
+    pads = strain_pads(d)
 
+    C = fields["stiffness"].reshape(shape + (d,) * 4)
+    stresses = np.concatenate([
+        -key_einsum("keqabcd,pcd->kpeqab", C, np.array(list(pads.values()))),
+        fields["expansion"].reshape(shape + (d, d))[:, None]], axis=1)
+    elastic, res_m = _solve_family(
+        ctx.elastic_scatter, ctx.vector_basis, space.vector_dofs(),
+        key_einsum("keqacbd,eic,ejd,q,e->keiajb", C, G, G, w, vol),
+        key_einsum("kpeqac,eic,q,e->kpeia", stresses, G, w, vol),
+        [("mechanical", j, kk) for j, kk in pads] + ["thermal_stress"], t, xs, tol)
 
-def solve_thermal_correctors(ctx: CellContext, t, x, fields=None, tol=1e-10):
-    """Flux correctors: K^ref (grad tau_j + e_j) weakly divergence free."""
-    fields = fields if fields is not None else ctx.matrix_fields(t, x)
-    space = ctx.space_a
-    A = assemble_operator(ctx.sub_a.mesh, "scalar_diffusion", fields["conductivity"],
-                          space=space)
-    loads = [assemble_gradient_load(space, -fields["conductivity"][:, :, :, j])
-             for j in range(ctx.dim)]
-    names = [("thermal", j) for j in range(ctx.dim)]
-    sol, residuals = _solve_family(ctx.scalar_basis, A, loads, names, t, x, tol)
-    return list(sol), residuals
+    K = fields["conductivity"].reshape(shape + (d, d))
+    thermal, res_t = _solve_family(
+        ctx.thermal_scatter, ctx.scalar_basis, space.scalar_dofs(),
+        key_einsum("eia,keqab,ejb,q,e->keij", G, K, G, w, vol),
+        key_einsum("keqaj,eia,q,e->kjei", -K, G, w, vol),
+        [("thermal", j) for j in range(d)], t, xs, tol)
+
+    return [Correctors(t=float(t), x=x, mechanical=dict(zip(pads, elastic[i, :-1])),
+                       thermal_stress=elastic[i, -1], thermal=list(thermal[i]),
+                       pads=strain_pads(d), residuals={**res_m[i], **res_t[i]})
+            for i, x in enumerate(xs)]
 
 
 def solve_correctors(ctx: CellContext, t, x, tol=1e-10, fields=None) -> Correctors:
-    """All cell correctors at (t, x).  ``tol`` bounds the relative residual of
-    each corrector's direct solve; a breach raises :class:`SolverError`."""
-    fields = fields if fields is not None else ctx.matrix_fields(t, x)
-    mechanical, thermal_stress, pads, res_m = solve_elastic_correctors(
-        ctx, t, x, fields=fields, tol=tol
-    )
-    thermal, res_t = solve_thermal_correctors(ctx, t, x, fields=fields, tol=tol)
-    res_m.update(res_t)
-    return Correctors(
-        t=float(t), x=np.asarray(x, dtype=float), mechanical=mechanical,
-        thermal_stress=thermal_stress, thermal=thermal, pads=pads, residuals=res_m,
-    )
-
-
-# -- helpers used by the effective-coefficient assembly ----------------------
-
-
-def element_vector_gradients(space: P1Space, field):
-    """Per-element gradient (d x d) of a P1 vector field."""
-    d = space.dim
-    nodal = field.reshape(-1, d)[space.cells]              # (e, nloc, d)
-    return np.einsum("eia,eib->eab", nodal, space.gradients)
-
-
-def element_scalar_gradients(space: P1Space, field):
-    nodal = field[space.cells]
-    return np.einsum("ei,eib->eb", nodal, space.gradients)
-
+    """All cell correctors at (t, x): :func:`solve_correctors_batch` of one."""
+    return solve_correctors_batch(ctx, t, np.asarray(x, dtype=float)[None], tol=tol,
+                                  fields=fields)[0]

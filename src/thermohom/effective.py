@@ -3,7 +3,10 @@
 Every quantity is a plain (t, x)-sample; the provider caches correctors and
 coefficient bundles keyed by the transformation's own sample key, so macro
 sweeps over many quadrature points reuse one cell solve whenever the growth
-amplitude does not vary in x.
+amplitude does not vary in x.  Bundles are built in batches: every uncached
+key of a request (:meth:`EffectiveProvider.at_points`) goes through one
+batched pull-back, corrector build and effective assembly with a leading key
+axis; a single :meth:`EffectiveProvider.at` is the batch of one.
 """
 
 from __future__ import annotations
@@ -12,17 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import (
-    CellContext,
-    Correctors,
-    element_scalar_gradients,
-    element_vector_gradients,
-    solve_correctors,
-    strain_pads,
-)
-from .fem import SolverError, einsum
+from .cell import CellContext, solve_correctors_batch, strain_pads
+from .fem import key_einsum
 from .kinematics import (
     LevelCache,
+    build_batched,
     interface_batch,
     mandel_matrix,
     sym_index_pairs,
@@ -87,109 +84,93 @@ class EffectiveCoefficients:
         assert self.heat_capacity > 0.0, "effective heat capacity not positive"
 
 
-def _element_average(space, field):
-    """Quadrature average over q of an (e, nq, ...) coefficient array."""
-    return np.einsum("eq...,q->e...", field, space.qweights)
+def _vector_gradients(space, fields):
+    """Per-element gradients (..., e, d, d) of P1 vector fields (..., n_vector)."""
+    nodal = fields.reshape(fields.shape[:-1] + (-1, space.dim))[..., space.cells, :]
+    return np.einsum("...eia,eib->...eab", nodal, space.gradients)
 
 
-def _interface(ctx: CellContext, t, x):
-    return interface_batch(ctx.transformation, t, x, ctx.facet_centroids,
-                           ctx.facet_normals)
+def _interface(ctx: CellContext, t, xs):
+    """:func:`interface_batch` at the cell's facets for each macro point of xs."""
+    nf = len(ctx.facet_areas)
+    return interface_batch(ctx.transformation, t, np.repeat(xs, nf, axis=0),
+                           np.tile(ctx.facet_centroids, (len(xs), 1)),
+                           np.tile(ctx.facet_normals, (len(xs), 1)))
 
 
-def compute_effective_mechanics(ctx: CellContext, correctors: Correctors, t, x,
-                                fields=None, interface=None):
-    """Effective stiffness, expansion, curvature force, and matrix measure.
+def compute_effective(ctx: CellContext, correctors, t, xs, fields=None,
+                      latent_in_source=True):
+    """Every geometry-derived effective quantity at the (k, d) macro points
+    xs, from their :class:`Correctors` (one per point) and ``fields``
+    (:meth:`CellContext.matrix_fields` of xs): a dict of arrays with a
+    leading key axis.  Sources are not included; they depend on t alone."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    fields = fields if fields is not None else ctx.matrix_fields(t, xs)
+    space, d, k = ctx.space_a, ctx.dim, len(xs)
+    mat, vols = ctx.material, space.volumes
+    shape = (k, len(space.cells), len(space.qweights))
 
-    ``fields`` and ``interface`` (the :func:`interface_batch` tuple at the
-    cell's facets) are computed here when not given.
-    """
-    fields = fields if fields is not None else ctx.matrix_fields(t, x)
-    space = ctx.space_a
-    d = ctx.dim
-    vols = space.volumes
-    Cbar = _element_average(space, fields["stiffness"])  # (e, d, d, d, d)
+    def average(name, rank):
+        """Quadrature average per element, (k, e) + (d,) * rank."""
+        return np.einsum("keq...,q->ke...", fields[name].reshape(shape + (d,) * rank),
+                         space.qweights)
 
     pairs = sym_index_pairs(d)
-    pads = strain_pads(d)
-    strains = []
-    for jk in pairs:
-        g = element_vector_gradients(space, correctors.mechanical[jk])
-        strains.append(0.5 * (g + np.transpose(g, (0, 2, 1))) + pads[jk])
-    strains = np.stack(strains)                            # (nv, e, d, d)
+    pair_of = np.empty((d, d), dtype=int)
+    for v, (j, jj) in enumerate(pairs):
+        pair_of[j, jj] = pair_of[jj, j] = v
+    mechanical = np.array([[c.mechanical[jk] for jk in pairs] for c in correctors])
+    g = _vector_gradients(space, mechanical)                       # (k, v, e, d, d)
+    strains = 0.5 * (g + np.swapaxes(g, -1, -2)) + np.array(
+        list(strain_pads(d).values()))[:, None]
+    Cbar = average("stiffness", 4)
+    stress = key_einsum("keabcd,kvecd->kveab", Cbar, strains)
+    C_voigt = key_einsum("kveab,kweab,e->kvw", stress, strains, vols)
+    stiffness = C_voigt[:, pair_of[:, :, None, None], pair_of[None, None, :, :]]
 
-    stress = einsum("eabcd,vecd->veab", Cbar, strains)
-    C_voigt = einsum("veab,weab,e->vw", stress, strains, vols)
+    g_ts = _vector_gradients(space, np.array([c.thermal_stress for c in correctors]))
+    e_ts = 0.5 * (g_ts + np.swapaxes(g_ts, -1, -2))
+    expansion = np.einsum("keab,e->kab", average("expansion", 2), vols) - key_einsum(
+        "keabcd,kecd,e->kab", Cbar, e_ts, vols)
 
-    C_eff = np.zeros((d, d, d, d))
-    for a, (j, k) in enumerate(pairs):
-        for b, (m, n) in enumerate(pairs):
-            val = C_voigt[a, b]
-            for (p, q) in {(j, k), (k, j)}:
-                for (r, s) in {(m, n), (n, m)}:
-                    C_eff[p, q, r, s] = val
+    thermal = np.array([c.thermal for c in correctors])           # (k, d, n_scalar)
+    fluxes = np.einsum("kjei,eib->kjeb", thermal[:, :, space.cells],
+                       space.gradients) + np.eye(d)[:, None]
+    Kbar = average("conductivity", 2)
+    conductivity = key_einsum("kjea,keab,kieb,e->kij", fluxes, Kbar, fluxes, vols)
 
-    g_ts = element_vector_gradients(space, correctors.thermal_stress)
-    e_ts = 0.5 * (g_ts + np.transpose(g_ts, (0, 2, 1)))
-    alpha_bar = _element_average(space, fields["expansion"])
-    alpha_eff = np.einsum("eab,e->ab", alpha_bar, vols) - einsum(
-        "eabcd,ecd,e->ab", Cbar, e_ts, vols)
+    matrix_measure = key_einsum("keq,q,e->k", fields["jacobian"].reshape(shape),
+                            space.qweights, vols)
+    heat_capacity = (mat.density_a * mat.heat_capacity_a * matrix_measure
+                     + mat.expansion_a * np.einsum("keaa,e->k", g_ts, vols))
 
-    # curvature force density: surface integral of the pulled-back stress normal
-    _, _, H, F, J = interface if interface is not None else _interface(ctx, t, x)
-    Finv = np.linalg.inv(F)
-    sigma0 = ctx.material.surface_tension
-    integrand = sigma0 * (J * H)[:, None] * np.einsum(
-        "fab,fb->fa", Finv, ctx.facet_normals
-    )
-    curvature_force = np.einsum("fa,f->a", integrand, ctx.facet_areas)
+    gamma_bar = average("dissipation", 2)
+    dissipation = np.einsum("keab,e->kab", gamma_bar, vols)
+    coupling = np.einsum("keab,kveab,e->kv", gamma_bar, g, vols)
+    for v, (j, jj) in enumerate(pairs):
+        dissipation[:, j, jj] += coupling[:, v]
+        if j != jj:
+            dissipation[:, jj, j] += coupling[:, v]
+    inclusion_measure = ctx.inclusion_measure(t, xs)
+    dissipation += mat.dissipation_b * inclusion_measure[:, None, None] * np.eye(d)
 
-    matrix_measure = float(np.einsum("eq,q,e->", fields["jacobian"], space.qweights, vols))
-    return C_eff, alpha_eff, curvature_force, matrix_measure
+    # curvature force density: surface integral of the pulled-back stress
+    # normal; interface speed: the surface integral of J W
+    _, W, H, F, J = _interface(ctx, t, xs)
+    normals = np.tile(ctx.facet_normals, (k, 1))
+    integrand = mat.surface_tension * (J * H)[:, None] * np.einsum(
+        "fab,fb->fa", np.linalg.inv(F), normals)
+    curvature_force = np.einsum("kfa,f->ka", integrand.reshape(k, -1, d), ctx.facet_areas)
+    interface_speed = np.einsum("kf,f->k", (J * W).reshape(k, -1), ctx.facet_areas)
 
-
-def compute_effective_heat(ctx: CellContext, correctors: Correctors, t, x,
-                           fields=None, latent_in_source=True, interface=None):
-    """Effective conductivity, heat capacity, dissipation, and interface sources."""
-    fields = fields if fields is not None else ctx.matrix_fields(t, x)
-    space = ctx.space_a
-    d = ctx.dim
-    vols = space.volumes
-    Kbar = _element_average(space, fields["conductivity"])
-
-    fluxes = []
-    for j in range(d):
-        g = element_scalar_gradients(space, correctors.thermal[j])
-        g = g + np.eye(d)[j]
-        fluxes.append(g)
-    fluxes = np.stack(fluxes)                              # (d, e, d)
-    K_eff = einsum("jea,eab,ieb,e->ij", fluxes, Kbar, fluxes, vols)
-
-    matrix_measure = float(np.einsum("eq,q,e->", fields["jacobian"], space.qweights, vols))
-    g_ts = element_vector_gradients(space, correctors.thermal_stress)
-    div_ts = np.einsum("eaa,e->", g_ts, vols)
-    c_eff = (ctx.material.density_a * ctx.material.heat_capacity_a * matrix_measure
-             + ctx.material.expansion_a * div_ts)
-
-    gamma_bar = _element_average(space, fields["dissipation"])
-    gamma_eff = np.einsum("eab,e->ab", gamma_bar, vols)
-    for (j, k) in sym_index_pairs(d):
-        g = element_vector_gradients(space, correctors.mechanical[(j, k)])
-        coupling = np.einsum("eab,eab,e->", gamma_bar, g, vols)
-        gamma_eff[j, k] += coupling
-        if j != k:
-            gamma_eff[k, j] += coupling
-
-    inclusion_measure = ctx.inclusion_measure(t, x)
-    gamma_eff += ctx.material.dissipation_b * inclusion_measure * np.eye(d)
-
-    _, W, _, _, J = interface if interface is not None else _interface(ctx, t, x)
-    interface_speed = float(np.einsum("f,f->", J * W, ctx.facet_areas))
-    latent_source = (ctx.material.latent_heat if latent_in_source else 1.0) * interface_speed
-
-    voigt_bound = np.einsum("eab,e->ab", Kbar, vols)
-    return (K_eff, c_eff, gamma_eff, latent_source, interface_speed,
-            inclusion_measure, voigt_bound)
+    return dict(stiffness=stiffness, expansion=expansion, conductivity=conductivity,
+                heat_capacity=heat_capacity, dissipation=dissipation,
+                curvature_force=curvature_force,
+                latent_source=(mat.latent_heat if latent_in_source else 1.0)
+                * interface_speed,
+                interface_speed=interface_speed, matrix_measure=matrix_measure,
+                inclusion_measure=inclusion_measure,
+                voigt_bound=np.einsum("keab,e->kab", Kbar, vols))
 
 
 class EffectiveProvider:
@@ -204,51 +185,48 @@ class EffectiveProvider:
         self.solver_tol = solver_tol
         self.cache = LevelCache()
 
-    def _bundle(self, t, x):
-        """Geometry-derived quantities, cached by the transformation sample key.
+    def _bundles(self, t, xs, keys):
+        """Geometry-derived quantities of the points xs with sample keys
+        ``keys``, cached by key; the uncached keys are built in batches.
 
         Within one key the kinematic fields, correctors, and every effective
         quantity except the time-dependent sources are identical.
         """
-        key = self.ctx.transformation.sample_key(t, x)
-        return self.cache.get(t, key, lambda: self._build_bundle(t, x))
+        return self.cache.get_many(t, keys, lambda missing: build_batched(
+            self._coefficients, t, xs[missing], len(self.ctx.space_a.cells),
+            "the effective coefficients"))
 
-    def _build_bundle(self, t, x):
-        from .twoscale import BundleError   # twoscale imports this module
+    def _coefficients(self, t, xs):
+        fields = self.ctx.matrix_fields(t, xs)
+        cors = solve_correctors_batch(self.ctx, t, xs, tol=self.solver_tol, fields=fields)
+        eff = compute_effective(self.ctx, cors, t, xs, fields=fields,
+                                latent_in_source=self.latent_in_source)
+        return [dict(correctors=c, **{name: float(a[i]) if a.ndim == 1 else a[i]
+                                      for name, a in eff.items()})
+                for i, c in enumerate(cors)]
 
-        try:
-            return self._coefficients(t, x)
-        except SolverError:          # a corrector residual breach names t and x
-            raise
-        except (ValueError, RuntimeError) as exc:  # inadmissible map, singular LU
-            raise BundleError(f"two-scale solver: cannot build the effective coefficients "
-                              f"at t = {t:.6g}, x = {np.asarray(x).tolist()}: {exc}") from exc
+    def _bundle(self, t, x, key=None):
+        x = np.asarray(x, dtype=float)
+        if key is None:
+            key = self.ctx.transformation.sample_key(t, x)
+        return self._bundles(t, x[None], [key])[0]
 
-    def _coefficients(self, t, x):
-        fields = self.ctx.matrix_fields(t, x)
-        cors = solve_correctors(self.ctx, t, x, tol=self.solver_tol, fields=fields)
-        interface = _interface(self.ctx, t, x)
-        C_eff, alpha_eff, curvature_force, matrix_measure = compute_effective_mechanics(
-            self.ctx, cors, t, x, fields=fields, interface=interface
-        )
-        (K_eff, c_eff, gamma_eff, latent_source, interface_speed, inclusion_measure,
-         voigt_bound) = compute_effective_heat(
-            self.ctx, cors, t, x, fields=fields,
-            latent_in_source=self.latent_in_source, interface=interface,
-        )
-        return dict(
-            correctors=cors, stiffness=C_eff, expansion=alpha_eff,
-            conductivity=K_eff, heat_capacity=c_eff, dissipation=gamma_eff,
-            curvature_force=curvature_force, latent_source=latent_source,
-            interface_speed=interface_speed, matrix_measure=matrix_measure,
-            inclusion_measure=inclusion_measure, voigt_bound=voigt_bound,
-        )
-
-    def correctors(self, t, x) -> Correctors:
+    def correctors(self, t, x):
+        """The cell :class:`Correctors` at (t, x)."""
         return self._bundle(t, x)["correctors"]
 
-    def at(self, t, x) -> EffectiveCoefficients:
-        b = self._bundle(t, x)
+    def at_points(self, t, xs):
+        """:meth:`at` of each macro point of xs ((k, d)); every uncached
+        sample key among them is built in one batched pass."""
+        xs = np.asarray(xs, dtype=float)
+        keys = [self.ctx.transformation.sample_key(t, x) for x in xs]
+        self._bundles(t, xs, keys)
+        return [self.at(t, x, key) for x, key in zip(xs, keys)]
+
+    def at(self, t, x, key=None) -> EffectiveCoefficients:
+        """The effective coefficients at (t, x); ``key`` is x's sample key
+        at t where the caller has it."""
+        b = self._bundle(t, x, key)
         f_u_a, f_u_b, f_th_a, f_th_b = self.sources(t)
         return EffectiveCoefficients(
             t=float(t), x=np.asarray(x, dtype=float),
@@ -292,8 +270,7 @@ def tabulate_effective(provider: EffectiveProvider, times, points):
     header = effective_header(provider.ctx.dim)
     rows = []
     for t in times:
-        for x in points:
-            eff = provider.at(t, np.asarray(x, dtype=float))
+        for eff in provider.at_points(t, points):
             eff.validate()
             rows.append(effective_row(eff))
     return header, rows

@@ -49,6 +49,16 @@ def einsum(subscripts, *operands):
     return np.einsum(subscripts, *operands, optimize=path)
 
 
+def key_einsum(subscripts, *operands):
+    """:func:`einsum` over a leading key axis ``k``, on the contraction path
+    planned for one key: each key's result is then bitwise that of its batch
+    of one, whatever the batch it is built in."""
+    specs = subscripts.split("->")[0].split(",")
+    shapes = tuple((1,) + np.shape(op)[1:] if spec.startswith("k") else np.shape(op)
+                   for spec, op in zip(specs, operands))
+    return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, shapes))
+
+
 # ---------------------------------------------------------------------------
 # quadrature (order 2, exact for quadratic integrands on affine simplices)
 
@@ -118,6 +128,71 @@ class CsrPattern:
         A.has_canonical_format = True
         return A
 
+    def rows(self):
+        """The row of each entry of the data array."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+
+@dataclass(frozen=True)
+class BlockScatter:
+    """Element blocks of many keys summed straight into the data arrays of
+    one fixed CSC structure.
+
+    Entry i of an element-block array (in the entry order of a
+    :class:`CsrPattern`) lands in data slot ``slot[i]``; a slot equal to the
+    number of entries drops it.  ``fixed`` holds the data of entries that do
+    not depend on the key.  Built once per layout and restriction
+    (:meth:`of`), it replaces per-key CSR assembly, row and column slicing
+    and ``R^T A R`` products by one ``np.bincount`` per batch of keys.
+    """
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+    fixed: np.ndarray
+
+    @staticmethod
+    def of(pattern: CsrPattern, row_of, col_of, shape, extra=None):
+        """The scatter onto ``shape`` of the matrices on ``pattern``: pattern
+        row r goes to row ``row_of[r]`` and column c to ``col_of[c]``, or is
+        dropped where that is negative; entries meeting in one position sum.
+        ``extra`` = (rows, cols, values) adds key-independent entries."""
+        rows, cols = row_of[pattern.rows()], col_of[pattern.indices]
+        keep = (rows >= 0) & (cols >= 0)
+        n_kept = int(keep.sum())
+        er, ec, ev = extra if extra is not None else ((), (), ())
+        position = np.concatenate([cols[keep] * shape[0] + rows[keep],
+                                   np.asarray(ec, dtype=np.int64) * shape[0]
+                                   + np.asarray(er, dtype=np.int64)])
+        unique, at = np.unique(position, return_inverse=True)
+        n = len(unique)
+        data_slot = np.full(len(rows), n)
+        data_slot[keep] = at[:n_kept]
+        indptr = np.zeros(shape[1] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(unique // shape[0], minlength=shape[1]), out=indptr[1:])
+        fixed = np.bincount(at[n_kept:], weights=np.asarray(ev, dtype=float), minlength=n)
+        return BlockScatter(shape=tuple(shape), indptr=indptr,
+                            indices=(unique % shape[0]).astype(np.int32),
+                            slot=data_slot[pattern.slot], fixed=fixed)
+
+    def data(self, blocks):
+        """The data arrays (k x nnz) of k keys' element blocks, given in any
+        shape (k, ...) that ravels each key's blocks in pattern entry order."""
+        blocks = np.asarray(blocks, dtype=float).reshape(len(blocks), -1)
+        if not np.all(np.isfinite(blocks)):
+            raise ValueError("assembly produced non-finite entries")
+        k, n = len(blocks), len(self.fixed)
+        at = (np.arange(k)[:, None] * (n + 1) + self.slot).ravel()
+        data = np.bincount(at, weights=blocks.ravel(), minlength=k * (n + 1))
+        return data.reshape(k, n + 1)[:, :n] + self.fixed
+
+    def matrix(self, data):
+        """The CSC matrix of one key's data array."""
+        A = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+        A.has_sorted_indices = True
+        return A
+
 
 # ---------------------------------------------------------------------------
 # P1 spaces
@@ -175,7 +250,9 @@ class P1Space:
         """The sparsity of one dof layout on this space, built on first use.
 
         Element layouts take (e, rows, cols) local matrices: "scalar" and
-        "vector" (square) and "coupling" (vector rows, scalar columns).
+        "vector" (square), "coupling" (vector rows, scalar columns) and
+        "coupled", square on the stacked (scalar, then vector) dofs with each
+        element's scalar dofs first.
         Quadrature layouts index quadrature points as ``e * nq + q``:
         "qp_load" maps point values to scalar loads, taking (e, nq, d+1)
         entries; "qp_gradient" maps vector dofs to point values, taking
@@ -186,10 +263,12 @@ class P1Space:
             S, V, nq = self.scalar_dofs(), self.vector_dofs(), len(self.qweights)
             points = np.arange(len(self.cells) * nq)[:, None]  # one block per point
             ns, nv, n_qp = self.n_scalar, self.n_vector, len(points)
+            SV = np.hstack([S, ns + V])
             blocks = {
                 "scalar": (S, S, (ns, ns)),
                 "vector": (V, V, (nv, nv)),
                 "coupling": (V, S, (nv, ns)),
+                "coupled": (SV, SV, (ns + nv, ns + nv)),
                 "qp_load": (np.repeat(S, nq, axis=0), points, (ns, n_qp)),
                 "qp_gradient": (points, np.repeat(V, nq, axis=0), (n_qp, nv)),
             }
@@ -428,6 +507,34 @@ class ConstraintBasis:
         """``R^T A R`` in CSR."""
         R = self.restriction
         return (R.T @ A @ R).tocsr()
+
+    def augmented_scatter(self, pattern: CsrPattern) -> BlockScatter:
+        """The map from element blocks on ``pattern`` to the CSC data of the
+        augmented reduced matrix ``[[R^T A R, M], [M^T, 0]]``
+        (:meth:`ReducedSystem.augmented`, M the reduced zero-mean weights).
+        R selects (one unit entry per unpinned row), so ``R^T A R`` sums the
+        entries of A by the reduced index of their row and column."""
+        n_red = self.restriction.shape[1]
+        extra = None
+        if self.constraints:
+            M = np.column_stack(self.constraints)
+            i, j = np.nonzero(M)
+            extra = (np.concatenate([i, n_red + j]), np.concatenate([n_red + j, i]),
+                     np.concatenate([M[i, j], M[i, j]]))
+        n_aug = n_red + len(self.constraints)
+        return BlockScatter.of(pattern, self.reduced_index, self.reduced_index,
+                               (n_aug, n_aug), extra)
+
+    @functools.cached_property
+    def reduced_index(self):
+        """The reduced dof of each full dof, -1 where pinned; only for a
+        selecting restriction (one unit entry per unpinned row)."""
+        R = self.restriction.tocsr()
+        if np.any(R.data != 1.0):
+            raise ConstraintError("the restriction does not select dofs")
+        reduced = np.full(R.shape[0], -1)
+        reduced[np.repeat(np.arange(R.shape[0]), np.diff(R.indptr))] = R.indices
+        return reduced
 
     def reduce(self, A, b) -> ReducedSystem:
         """``R^T A R`` and the reduced right-hand side (a vector or a block)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import einsum
+from .fem import SolverError, einsum
 
 PHASE_A = 0  # connected matrix
 PHASE_B = 1  # disconnected inclusions
@@ -700,6 +700,15 @@ def coefficient_fields(space, tr, mat: MaterialParams, phase, t, x, y=None):
     return {k: a.reshape((-1, nq) + a.shape[1:]) for k, a in fields.items()}
 
 
+def key_fields(space, tr, mat: MaterialParams, phase, t, xs):
+    """:func:`coefficient_fields` at the quadrature points of ``space`` for
+    each macro point of xs ((k, d)) in one batch: (k * e, nq, ...) arrays,
+    one copy of the cell's points per macro point."""
+    y = space.qpoints.reshape(-1, space.dim)
+    return coefficient_fields(space, tr, mat, phase, t, np.repeat(xs, len(y), axis=0),
+                              np.tile(y, (len(xs), 1)))
+
+
 def sample_key_groups(tr, t, points):
     """Which points share a transformation sample key at time t, from one
     ``sample_key`` call per point: ``(first, of)``, where ``first[k]`` is the
@@ -723,20 +732,70 @@ class LevelCache:
         self.levels = {}         # time level -> {sample key: value}
 
     def get(self, t, key, build, valid=None):
-        """The value of ``key`` at time t; ``build()`` makes it on a miss.  A
-        new time level drops every level but the most recently opened one."""
+        """The value of ``key`` at time t; ``build()`` makes it on a miss."""
+        return self.get_many(t, [key], lambda missing: [build()], valid)[0]
+
+    def get_many(self, t, keys, build, valid=None):
+        """The value of each of ``keys`` at time t; ``build(missing)`` makes
+        the values of the keys that miss in one call, given the position in
+        ``keys`` of each one's first occurrence.  A new time level drops
+        every level but the most recently opened one."""
         level = round(float(t), 12)
         if level not in self.levels:
             self.levels = dict(list(self.levels.items())[-1:])
             self.levels[level] = {}
         current = self.levels[level]
-        value = current.get(key)
-        if value is None:
-            value = next((c[key] for c in self.levels.values() if key in c), None)
-        if value is None or (valid is not None and not valid(value)):
-            value = build()
-        current[key] = value
-        return value
+        first = {}
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+        found = {}
+        for key in first:
+            value = current.get(key)
+            if value is None:
+                value = next((c[key] for c in self.levels.values() if key in c), None)
+            if value is not None and (valid is None or valid(value)):
+                found[key] = value
+        missing = [i for key, i in first.items() if key not in found]
+        if missing:
+            found.update(zip((keys[i] for i in missing), build(missing), strict=True))
+        current.update(found)
+        return [found[key] for key in keys]
+
+
+class BundleError(RuntimeError):
+    """A solver could not build the operators of some time level."""
+
+
+# keys x cell elements built in one batch: bounds the transient arrays of a
+# batched build (about 5 MiB for the 2D cells of the shipped configurations)
+BATCH_ELEMENTS = 1536
+
+
+def build_batched(build, t, xs, n_elements, what):
+    """``build(t, chunk)`` (a list, one value per point) over the macro points
+    xs in chunks of ``BATCH_ELEMENTS // n_elements`` points, concatenated.
+
+    A chunk that fails is built again one point at a time, so the error names
+    the point at fault: a :class:`BundleError` naming the solver, ``what``, t
+    and x, or the :class:`SolverError` of a breached corrector residual,
+    which names them itself.
+    """
+    size = max(1, BATCH_ELEMENTS // n_elements)
+    out = []
+    for start in range(0, len(xs), size):
+        chunk = xs[start:start + size]
+        try:
+            out += build(t, chunk)
+        except SolverError:
+            raise
+        except (ValueError, RuntimeError) as exc:  # inadmissible map, singular LU
+            if len(chunk) == 1:
+                raise BundleError(f"two-scale solver: cannot build {what} at t = "
+                                  f"{t:.6g}, x = {chunk[0].tolist()}: {exc}") from exc
+            for x in chunk:         # the first point at fault raises
+                build_batched(build, t, x[None], n_elements, what)
+            raise
+    return out
 
 
 def zero_sources(dim):

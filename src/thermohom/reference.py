@@ -34,8 +34,8 @@ from .kinematics import (
     PHASE_A,
     PHASE_B,
     LevelCache,
-    coefficient_fields,
     interface_batch,
+    key_fields,
     sample_key_groups,
     scaled_coefficients,
     zero_sources,
@@ -84,17 +84,14 @@ class EpsilonCoefficients:
     def fields(self, t):
         """Pulled-back, eps-scaled coefficient fields of both phases as
         (n_elements, nq, ...) arrays over the whole epsilon mesh."""
-        tr, d = self.transformation, self.mesh.dim
+        tr = self.transformation
         first, tile_key = sample_key_groups(tr, t, self.anchors)
         # the cell's points once per key, each copy at the anchor of the
         # key's first tile, in one batch per phase
         key_anchor = self.anchors[first]
         out = {}
         for phase, space, elements, rows in self._phases:
-            y = space.qpoints.reshape(-1, d)
-            f = coefficient_fields(space, tr, self.scaled, phase, t,
-                                   np.repeat(key_anchor, len(y), axis=0),
-                                   np.tile(y, (len(first), 1)))
+            f = key_fields(space, tr, self.scaled, phase, t, key_anchor)
             at = tile_key[self.mesh.cell_tile[elements]] * len(space.cells) + rows
             for name, a in f.items():
                 if name not in out:

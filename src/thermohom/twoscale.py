@@ -38,18 +38,25 @@ import scipy.sparse.linalg as spla
 from .cell import CellContext
 from .effective import EffectiveProvider
 from .fem import (
+    BlockScatter,
     ConstraintSet,
     P1Space,
     assemble_operator,
     assemble_scalar_load,
     assemble_vector_load,
     constraint_basis,
-    dissipation_maps,
-    quadrature_load_map,
+    key_einsum,
     vector_mass,
 )
-from .kinematics import (PHASE_B, LevelCache, coefficient_fields, sample_key_groups,
-                         zero_sources)
+from .kinematics import (  # noqa: F401  (BundleError is raised for this module)
+    PHASE_B,
+    BundleError,
+    LevelCache,
+    build_batched,
+    key_fields,
+    sample_key_groups,
+    zero_sources,
+)
 
 
 @dataclass
@@ -84,10 +91,6 @@ def step_count(t_final, dt):
     return max(0, math.ceil(t_final / dt - 1e-12))
 
 
-class BundleError(RuntimeError):
-    """A solver could not build the operators of some time level."""
-
-
 # ---------------------------------------------------------------------------
 # micro problems on the reference inclusion
 
@@ -98,19 +101,27 @@ class MicroModel:
     Within one implicit-Euler step the micro heat and elasticity problems are
     one linear system whose matrices depend on the host only through the
     transformation sample key, so hosts with the same key share one bundle.
-    A bundle holds, restricted to interior rows: ``M_c``; ``S``, the
-    dissipation load ``int (gamma : grad u) phi_i`` as a map of u;
-    ``content``, the weights ``rho c int J phi_i`` (all rows); the unit
-    source loads ``l_J`` and ``L_J``; the elasticity ``E`` and the
-    thermal-stress coupling ``G``.  :meth:`initial_states` adds the LU of
-    ``E[Iv, Iv]`` on first use.  With the dt of the step ending at its level
-    a bundle also holds the LU of the coupled interior block
+    On the stacked (theta, u) dofs, a bundle holds ``prev = [M_c, S]`` on
+    the interior heat rows (the heat capacity mass and the dissipation load
+    ``int (gamma : grad u) phi_i`` as a map of u), ``mech = [-G, E]`` on the
+    interior mechanics rows (thermal-stress coupling and elasticity),
+    ``content``, the weights ``rho c int J phi_i`` (all rows), and the unit
+    source loads ``l_J`` and ``L_J``.  :meth:`initial_states` adds the LU
+    of ``E[Iv, Iv]`` on first use.  With the dt of the step ending at its
+    level a bundle also holds the LU of the coupled interior block
 
         K = [[H_II, (S/dt + A)[I, Iv]], [-G[Iv, I], E[Iv, Iv]]],
         H = M_c/dt + N + A_K  (A: the advective dissipation map),
 
     the response ``W`` of its unknowns to unit traces (theta, then u; 1 + d
     columns) and ``c_tr``, the content after the step per unit trace.
+
+    Bundles are built in batches: :meth:`level_bundles` pulls back the
+    coefficients of every uncached key of a level together, forms each
+    operator's element blocks with one einsum over a leading key axis and
+    sums them into every restricted matrix above with one scatter each
+    (:class:`BlockScatter`, mapped once per model); then one sparse LU per
+    key.  :meth:`bundle` is the batch of one.
 
     A host's unknowns after the step are ``w0 + W tau``: ``w0`` solves ``K``
     against the previous state and the sources with zero traces, and tau
@@ -144,64 +155,103 @@ class MicroModel:
         self.boundary_vector = np.flatnonzero(vmask)
         # among the stacked (theta, u) dofs: the unknowns of K, the boundary
         # dofs and the trace (theta_h, then u_h) each of them takes
-        ns = self.space.n_scalar
+        ns, nv = self.space.n_scalar, self.space.n_vector
         self._unknowns = np.concatenate([self.interior_scalar, ns + self.interior_vector])
         self._boundary = np.concatenate([self.boundary_scalar, ns + self.boundary_vector])
         self._trace_of = np.concatenate([np.zeros(len(boundary), dtype=int),
                                          np.tile(np.arange(1, d + 1), len(boundary))])
+
+        def position(dofs, values=None):
+            """The position of each stacked dof in ``dofs`` (or its entry of
+            ``values``), -1 for the others."""
+            out = np.full(ns + nv, -1)
+            out[dofs] = np.arange(len(dofs)) if values is None else values
+            return out
+
+        coupled = self.space.pattern("coupled")
+        stacked = np.arange(ns + nv)
+        heat, mech = position(self.interior_scalar), position(ns + self.interior_vector)
+        unknowns = position(self._unknowns)
+        self._scatter = dict(
+            prev=BlockScatter.of(coupled, heat, stacked, (len(self.interior_scalar), ns + nv)),
+            mech=BlockScatter.of(coupled, mech, stacked, (len(self.interior_vector), ns + nv)),
+            K=BlockScatter.of(coupled, unknowns, unknowns, (len(self._unknowns),) * 2),
+            trace=BlockScatter.of(coupled, unknowns, position(self._boundary, self._trace_of),
+                                  (len(self._unknowns), 1 + d)),
+        )
         self.cache = LevelCache()
 
-    def bundle(self, t, x, dt=None):
+    def bundle(self, t, x, dt=None, key=None):
         """The maps of the micro step at (t, x); with dt, also the coupled
         factorization of an implicit-Euler step of length dt ending at t.  A
-        cached bundle without that factorization is rebuilt."""
-        key = self.ctx.transformation.sample_key(t, x)
-        valid = None if dt is None else (lambda b: b["dt"] == round(float(dt), 14))
-        return self.cache.get(t, key, lambda: self._build_bundle(t, x, dt), valid)
-
-    def _build_bundle(self, t, x, dt):
-        try:
-            return self._maps(t, x, dt)
-        except (ValueError, RuntimeError) as exc:  # inadmissible map, singular LU
-            raise BundleError(f"two-scale solver: cannot build the micro bundle at t = "
-                              f"{t:.6g}, x = {np.asarray(x).tolist()}: {exc}") from exc
-
-    def _maps(self, t, x, dt):
-        ctx = self.ctx
-        f = coefficient_fields(self.space, ctx.transformation, ctx.material, PHASE_B, t, x)
-        mesh, space, d = self.mesh, self.space, self.dim
-        I, Iv = self.interior_scalar, self.interior_vector
-
-        S, A = dissipation_maps(space, f["dissipation"], f["velocity"])
-        S, A = S[I], A[I]
-        l_J = quadrature_load_map(space) @ f["jacobian"].ravel()
-        cap = self.ctx.material.density_b * self.ctx.material.heat_capacity_b
-        M_c = assemble_operator(mesh, "mass", f["heat_capacity"], space=space)[I]
-        b = dict(dt=None, M_c=M_c, S=S, content=cap * l_J, l_J=l_J[I],
-                 L_J=np.kron(l_J[:, None], np.eye(d))[Iv])
-        E = b["E"] = assemble_operator(mesh, "elasticity", f["stiffness"], space=space)[Iv]
-        G = b["G"] = assemble_operator(mesh, "coupling", f["expansion"], space=space)[Iv]
-        if dt is None:
-            return b
-
-        flux = f["heat_capacity"][:, :, None] * f["velocity"]
-        H = (M_c / dt
-             + assemble_operator(mesh, "advection", flux, space=space)[I]
-             + assemble_operator(mesh, "scalar_diffusion", f["conductivity"], space=space)[I])
-        # the rows of K over every stacked (theta, u) dof
-        rows = sp.bmat([[H, S / dt + A], [-G, E]], format="csc")
-        lu = spla.splu(rows[:, self._unknowns], permc_spec="MMD_AT_PLUS_A")
-        W = lu.solve(-(rows[:, self._boundary] @ np.eye(1 + d)[self._trace_of]))
-        content = b["content"]
-        c_tr = content[I] @ W[:len(I)]
-        c_tr[0] += content[self.boundary_scalar].sum()
-        b.update(dt=round(float(dt), 14), lu=lu, W=W, c_tr=c_tr)
-        return b
+        cached bundle without that factorization is rebuilt.  ``key`` is x's
+        sample key at t where the caller has it."""
+        x = np.asarray(x, dtype=float)
+        if key is None:
+            key = self.ctx.transformation.sample_key(t, x)
+        return self._bundles(t, x[None], [key], dt)[0]
 
     def level_bundles(self, t, xs, groups, dt=None):
         """The bundle of each sample key of ``groups`` (the
-        :func:`sample_key_groups` of xs at t), fetched at the key's first point."""
-        return [self.bundle(t, xs[i], dt) for i in groups[0]]
+        :func:`sample_key_groups` of xs at t), fetched at the key's first
+        point; the keys missing from the cache are built in one batched pass."""
+        first = groups[0]
+        keys = [self.ctx.transformation.sample_key(t, xs[i]) for i in first]
+        self._bundles(t, xs[first], keys, dt)
+        return [self.bundle(t, xs[i], dt, key) for i, key in zip(first, keys)]
+
+    def _bundles(self, t, xs, keys, dt):
+        valid = None if dt is None else (lambda b: b["dt"] == round(float(dt), 14))
+        return self.cache.get_many(t, keys, lambda missing: build_batched(
+            lambda t, chunk: self._maps(t, chunk, dt), t, xs[missing],
+            len(self.space.cells), "the micro bundle"), valid)
+
+    def _maps(self, t, xs, dt):
+        """The bundles of the (k, d) macro points xs at t, built together."""
+        ctx, space, d, k = self.ctx, self.space, self.dim, len(xs)
+        G, N, w, vol = space.gradients, space.shape_values, space.qweights, space.volumes
+        n, ns = d + 1, space.n_scalar
+        f = {name: a.reshape((k, len(space.cells)) + a.shape[1:]) for name, a in key_fields(
+            space, ctx.transformation, ctx.material, PHASE_B, t, xs).items()}
+        c, v, gamma = f["heat_capacity"], f["velocity"], f["dissipation"]
+
+        # element blocks on the stacked dofs: [[M_c, S], [-G, E]]
+        M = key_einsum("keq,qi,qj,q,e->keij", c, N, N, w, vol)
+        S = key_einsum("qi,keqab,ejb,q,e->keija", N, gamma, G, w, vol).reshape(M.shape[:3] + (-1,))
+        Gc = key_einsum("keqac,eic,qj,q,e->keiaj", f["expansion"], G, N, w, vol)
+        E = key_einsum("keqacbd,eic,ejd,q,e->keiajb", f["stiffness"], G, G, w, vol)
+        lower = np.concatenate([-Gc.reshape(k, -1, n * d, n),
+                                E.reshape(k, -1, n * d, n * d)], axis=3)
+        blocks = np.concatenate([np.concatenate([M, S], axis=3), lower], axis=2)
+
+        loads = key_einsum("keq,qi,q,e->kei", f["jacobian"], N, w, vol)
+        l_J = np.bincount((np.arange(k)[:, None] * ns + space.cells.ravel()).ravel(),
+                          weights=loads.ravel(), minlength=k * ns).reshape(k, ns)
+        L_J = (l_J[:, :, None, None] * np.eye(d)).reshape(k, -1, d)[:, self.interior_vector]
+        cap = ctx.material.density_b * ctx.material.heat_capacity_b
+        I = self.interior_scalar
+        prev, mech = (self._scatter[name].data(blocks) for name in ("prev", "mech"))
+        bundles = [dict(dt=None, prev=self._scatter["prev"].matrix(prev[i]),
+                        mech=self._scatter["mech"].matrix(mech[i]), content=cap * l_J[i],
+                        l_J=l_J[i, I], L_J=L_J[i]) for i in range(k)]
+        if dt is None:
+            return bundles
+
+        # the coupled block: H = M_c/dt + N + A_K and S/dt + A in the heat rows
+        N_adv = key_einsum("keqa,eia,qj,q,e->keij", c[..., None] * v, G, N, w, vol)
+        A_K = key_einsum("eia,keqab,ejb,q,e->keij", G, f["conductivity"], G, w, vol)
+        A = key_einsum("keqc,eic,keqab,ejb,q,e->keija", v, G, gamma, G, w, vol)
+        upper = np.concatenate([M / dt + N_adv + A_K, S / dt + A.reshape(S.shape)], axis=3)
+        blocks = np.concatenate([upper, lower], axis=2)
+        K, trace = (self._scatter[name].data(blocks) for name in ("K", "trace"))
+        for i, b in enumerate(bundles):
+            lu = spla.splu(self._scatter["K"].matrix(K[i]), permc_spec="MMD_AT_PLUS_A")
+            W = lu.solve(-self._scatter["trace"].matrix(trace[i]).toarray())
+            content = b["content"]
+            c_tr = content[I] @ W[:len(I)]
+            c_tr[0] += content[self.boundary_scalar].sum()
+            b.update(dt=round(float(dt), 14), lu=lu, W=W, c_tr=c_tr)
+        return bundles
 
     def initial_states(self, t, xs, groups, traces_theta, traces_u, theta_fields=None):
         """Consistent micro state arrays (theta, u, content) of the hosts at
@@ -218,10 +268,10 @@ class MicroModel:
         for k, b in enumerate(self.level_bundles(t, xs, groups)):
             hosts = np.flatnonzero(groups[1] == k)
             if "mech_lu" not in b:      # factored on first use: a step solves with K
-                b["mech_lu"] = spla.splu(b["E"][:, self.interior_vector].tocsc())
+                b["mech_lu"] = spla.splu(b["mech"][:, ns + self.interior_vector])
             # u holds the traces and zero interior values here
-            r = (b["G"] @ theta[hosts].T + (b["L_J"] @ np.asarray(f_u_b))[:, None]
-                 - b["E"] @ u[hosts].T)
+            r = ((b["L_J"] @ np.asarray(f_u_b))[:, None]
+                 - b["mech"] @ np.hstack([theta[hosts], u[hosts]]).T)
             u[np.ix_(hosts, self.interior_vector)] = b["mech_lu"].solve(r).T
             content[hosts] = theta[hosts] @ b["content"]
         return theta, u, content
@@ -244,7 +294,7 @@ class MicroModel:
         for k, i in enumerate(first):
             hosts = np.flatnonzero(pair_of == k)
             bo, bn = b_old[old_of[i]], b_new[new_of[i]]
-            heat = ((bo["M_c"] @ prev_theta[hosts].T + bo["S"] @ prev_u[hosts].T) / dt
+            heat = (bo["prev"] @ np.hstack([prev_theta[hosts], prev_u[hosts]]).T / dt
                     + f_th_b * bn["l_J"][:, None])
             mech = np.repeat((bn["L_J"] @ np.asarray(f_u_b))[:, None], len(hosts), axis=1)
             w0[hosts] = bn["lu"].solve(np.vstack([heat, mech])).T
@@ -318,7 +368,7 @@ class TwoScaleSolver:
         e, nq = len(self.space.cells), len(self.space.qweights)
         pts = self.space.qpoints.reshape(-1, self.dim)
         first, of = groups
-        effs = [self.provider.at(t, pts[i]) for i in first]
+        effs = self.provider.at_points(t, pts[first])
         out = {name: np.array([getattr(eff, name) for eff in effs])[of]
                for name in _EFFECTIVE_FIELDS}
         out["latent"] = self.settings.latent_sign * np.array(

@@ -3,12 +3,7 @@ import pytest
 from cell_oracle import ORACLE_TOL, assert_max_close, cell_context, solve_correctors_cg
 from helpers import mean_over_matrix
 
-from thermohom.cell import (
-    CellContext,
-    solve_correctors,
-    solve_elastic_correctors,
-    solve_thermal_correctors,
-)
+from thermohom.cell import CellContext, solve_correctors
 from thermohom.fem import SolverError, assemble_operator
 from thermohom.kinematics import (
     IdentityTransform,
@@ -84,7 +79,8 @@ class TestPerforatedCell:
 
     def test_galerkin_orthogonality(self, ctx16):
         fields = ctx16.matrix_fields(0.0, np.zeros(2))
-        mech, _, pads, _ = solve_elastic_correctors(ctx16, 0.0, np.zeros(2), fields=fields)
+        cors = solve_correctors(ctx16, 0.0, np.zeros(2), fields=fields)
+        mech, pads = cors.mechanical, cors.pads
         from thermohom.fem import assemble_strain_load
 
         space = ctx16.space_a

@@ -12,8 +12,7 @@ from thermohom import effective
 from thermohom.cell import CellContext, solve_correctors
 from thermohom.effective import (
     EffectiveProvider,
-    compute_effective_heat,
-    compute_effective_mechanics,
+    compute_effective,
     effective_header,
     probe_vectors,
     tabulate_effective,
@@ -92,20 +91,16 @@ class TestRepresentativeInvariance:
     def test_constant_shift_changes_nothing(self, provider16):
         ctx = provider16.ctx
         cors = solve_correctors(ctx, 0.0, np.zeros(2))
-        base_heat = compute_effective_heat(ctx, cors, 0.0, np.zeros(2))
-        base_mech = compute_effective_mechanics(ctx, cors, 0.0, np.zeros(2))
+        base = compute_effective(ctx, [cors], 0.0, np.zeros((1, 2)))
         cors.thermal[0] = cors.thermal[0] + 3.7
         cors.mechanical[(0, 1)] = cors.mechanical[(0, 1)] + np.tile([0.4, -1.1],
                                                                     ctx.space_a.n_vertices)
         cors.thermal_stress = cors.thermal_stress + np.tile([5.0, 2.0],
                                                             ctx.space_a.n_vertices)
-        shifted_heat = compute_effective_heat(ctx, cors, 0.0, np.zeros(2))
-        shifted_mech = compute_effective_mechanics(ctx, cors, 0.0, np.zeros(2))
-        assert np.max(np.abs(base_heat[0] - shifted_heat[0])) < 1e-10  # conductivity
-        assert abs(base_heat[1] - shifted_heat[1]) < 1e-10             # heat capacity
-        assert np.max(np.abs(base_heat[2] - shifted_heat[2])) < 1e-10  # dissipation
-        assert np.max(np.abs(base_mech[0] - shifted_mech[0])) < 1e-10  # stiffness
-        assert np.max(np.abs(base_mech[1] - shifted_mech[1])) < 1e-10  # expansion
+        shifted = compute_effective(ctx, [cors], 0.0, np.zeros((1, 2)))
+        for name in ("conductivity", "heat_capacity", "dissipation", "stiffness",
+                     "expansion"):
+            assert np.max(np.abs(base[name] - shifted[name])) < 1e-10, name
 
 
 class TestSmallInclusion:
@@ -169,12 +164,19 @@ class TestTabulation:
 @pytest.mark.parametrize("name", ["identity", "radial_growth", "amplitude_x_slope"])
 def test_provider_matches_cg_oracle(dim, name, monkeypatch):
     """EffectiveProvider.at on the block direct solve against the CG oracle,
-    at max-norm rtol PARITY_RTOL (1e-9) per quantity."""
+    at max-norm rtol PARITY_RTOL (1e-9) per quantity.  The oracle replaces
+    the provider's batched corrector entry point and must be called."""
     t, x = 0.6, np.array([0.7, 0.2, 0.4])[:dim]
     new = EffectiveProvider(cell_context(dim, name)).at(t, x)
-    monkeypatch.setattr(effective, "solve_correctors",
-                        lambda *a, **k: solve_correctors_cg(*a, **{**k, "tol": ORACLE_TOL}))
+    calls = []
+
+    def oracle(ctx, t, xs, tol=None, fields=None):
+        calls.append(len(xs))
+        return [solve_correctors_cg(ctx, t, x, tol=ORACLE_TOL) for x in xs]
+
+    monkeypatch.setattr(effective, "solve_correctors_batch", oracle)
     ref = EffectiveProvider(cell_context(dim, name)).at(t, x)
+    assert calls == [1]
     for field in ("stiffness", "expansion", "conductivity", "heat_capacity",
                   "dissipation", "curvature_force", "latent_source", "interface_speed",
                   "matrix_measure", "inclusion_measure", "voigt_bound"):

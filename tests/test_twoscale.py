@@ -435,11 +435,11 @@ def standard_run(request):
     log, inside_step, solves = [], [], []
     maps, step = MicroModel._maps, MicroModel.step
 
-    def counted_maps(self, t, x, dt):
-        b = maps(self, t, x, dt)
-        if dt is not None:
+    def counted_maps(self, t, xs, dt):
+        bundles = maps(self, t, xs, dt)     # one batch of keys
+        for b in bundles if dt is not None else ():
             b["lu"] = CountingLU(b["lu"], log, inside_step)
-        return b
+        return bundles
 
     def flagged_step(self, *args):
         inside_step.append(True)
