@@ -128,10 +128,6 @@ class CsrPattern:
         A.has_canonical_format = True
         return A
 
-    def rows(self):
-        """The row of each entry of the data array."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
 
 @dataclass(frozen=True)
 class BlockScatter:
@@ -158,7 +154,8 @@ class BlockScatter:
         row r goes to row ``row_of[r]`` and column c to ``col_of[c]``, or is
         dropped where that is negative; entries meeting in one position sum.
         ``extra`` = (rows, cols, values) adds key-independent entries."""
-        rows, cols = row_of[pattern.rows()], col_of[pattern.indices]
+        rows = row_of[np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))]
+        cols = col_of[pattern.indices]
         keep = (rows >= 0) & (cols >= 0)
         n_kept = int(keep.sum())
         er, ec, ev = extra if extra is not None else ((), (), ())

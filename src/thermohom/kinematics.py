@@ -767,7 +767,9 @@ class BundleError(RuntimeError):
 
 
 # keys x cell elements built in one batch: bounds the transient arrays of a
-# batched build (about 5 MiB for the 2D cells of the shipped configurations)
+# batched build.  The 2D cells of the shipped configurations (192 matrix and
+# 168 inclusion elements) take 8 and 9 keys per batch, at 3-6 MiB (measured
+# with tracemalloc); a 3D cell of resolution 4 (2 592 and 1 944) takes one.
 BATCH_ELEMENTS = 1536
 
 

@@ -48,7 +48,7 @@ from .fem import (
     key_einsum,
     vector_mass,
 )
-from .kinematics import (  # noqa: F401  (BundleError is raised for this module)
+from .kinematics import (  # noqa: F401  (BundleError: re-exported)
     PHASE_B,
     BundleError,
     LevelCache,
