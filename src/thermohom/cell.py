@@ -30,6 +30,8 @@ from .fem import (
     assemble_scalar_load,
     constraint_basis,
     key_einsum,
+    scatter_load,
+    weak_form,
 )
 from .kinematics import PHASE_A, PHASE_B, key_fields, sym_index_pairs
 from .mesh import extract_phase_submesh
@@ -131,10 +133,8 @@ def _solve_family(scatter, basis, dofs, blocks, loads, names, t, xs, tol):
     k, m = loads.shape[:2]
     data = scatter.data(blocks)
     n_aug = scatter.shape[0]
-    rows = basis.reduced_index[dofs].ravel()   # periodic bases pin no dof
-    rhs = np.bincount((np.arange(k * m)[:, None] * n_aug + rows).ravel(),
-                      weights=loads.ravel(), minlength=k * m * n_aug)
-    rhs = rhs.reshape(k, m, n_aug).transpose(0, 2, 1)
+    rows = basis.reduced_index[dofs]             # periodic bases pin no dof
+    rhs = scatter_load(rows, n_aug, loads).reshape(k, m, n_aug).transpose(0, 2, 1)
     R = basis.restriction
     out = np.empty((k, m, R.shape[0]))
     residuals = []
@@ -165,8 +165,7 @@ def solve_correctors_batch(ctx: CellContext, t, xs, tol=1e-10, fields=None):
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     fields = fields if fields is not None else ctx.matrix_fields(t, xs)
     space, d, k = ctx.space_a, ctx.dim, len(xs)
-    G, w, vol = space.gradients, space.qweights, space.volumes
-    shape = (k, len(space.cells), len(w))
+    shape = (k, len(space.cells), len(space.qweights))
     pads = strain_pads(d)
 
     C = fields["stiffness"].reshape(shape + (d,) * 4)
@@ -175,15 +174,15 @@ def solve_correctors_batch(ctx: CellContext, t, xs, tol=1e-10, fields=None):
         fields["expansion"].reshape(shape + (d, d))[:, None]], axis=1)
     elastic, res_m = _solve_family(
         ctx.elastic_scatter, ctx.vector_basis, space.vector_dofs(),
-        key_einsum("keqacbd,eic,ejd,q,e->keiajb", C, G, G, w, vol),
-        key_einsum("kpeqac,eic,q,e->kpeia", stresses, G, w, vol),
+        weak_form(space, "elasticity", C), weak_form(space, "strain_load", stresses),
         [("mechanical", j, kk) for j, kk in pads] + ["thermal_stress"], t, xs, tol)
 
+    # the flux load of direction j: the gradient load of -K e_j
     K = fields["conductivity"].reshape(shape + (d, d))
     thermal, res_t = _solve_family(
         ctx.thermal_scatter, ctx.scalar_basis, space.scalar_dofs(),
-        key_einsum("eia,keqab,ejb,q,e->keij", G, K, G, w, vol),
-        key_einsum("keqaj,eia,q,e->kjei", -K, G, w, vol),
+        weak_form(space, "scalar_diffusion", K),
+        weak_form(space, "gradient_load", np.moveaxis(-K, -1, 1)),
         [("thermal", j) for j in range(d)], t, xs, tol)
 
     return [Correctors(t=float(t), x=x, mechanical=dict(zip(pads, elastic[i, :-1])),

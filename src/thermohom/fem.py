@@ -2,12 +2,17 @@
 
 Scalar fields carry one degree of freedom per vertex; vector fields use the
 interleaved ordering ``dof = vertex * dim + component``.  Sparse matrices are
-scipy CSR; assembly batches all elements with einsum and scatters in a fixed
-element order, so results do not depend on any worker count.  Each
-:class:`P1Space` builds the CSR sparsity pattern of a dof layout on its first
-assembly and keeps it (:meth:`P1Space.pattern`); every later assembly on
-that layout is one ``np.bincount`` of the element entries into the pattern's
-data array, with no COO conversion, sort or duplicate sum.
+scipy CSR.  Every element matrix and load is written once, in the form table
+:data:`FORMS`: one einsum of its coefficients against the space's gradients,
+shape values, quadrature weights and element volumes, over all elements at
+once and for any number of leading batch axes (sample keys, load indices).
+Each :class:`P1Space` builds the CSR sparsity pattern of a dof layout on its
+first assembly and keeps it (:meth:`P1Space.pattern`); every later assembly
+on that layout is one ``np.bincount`` of the element blocks into the
+pattern's data array, with no COO conversion, sort or duplicate sum.  Loads
+are summed into their dofs by one ``np.bincount`` as well
+(:func:`scatter_load`).  Both sum in a fixed element order, so results do not
+depend on any worker count.
 
 Coefficient fields passed to the assemblers may be constants (scalar, matrix,
 or rank-4 tensor), per-quadrature-point arrays of shape ``(n_elements, n_qp,
@@ -42,19 +47,18 @@ def _einsum_path(subscripts, shapes):
     return np.einsum_path(subscripts, *stand_ins, optimize=True)[0]
 
 
-def einsum(subscripts, *operands):
-    """``np.einsum(..., optimize=True)`` with the contraction path planned once
-    per (subscripts, operand shapes); the result is bitwise the same."""
-    path = _einsum_path(subscripts, tuple(np.shape(op) for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
 def key_einsum(subscripts, *operands):
-    """:func:`einsum` over a leading key axis ``k``, on the contraction path
-    planned for one key: each key's result is then bitwise that of its batch
-    of one, whatever the batch it is built in."""
+    """``np.einsum(..., optimize=True)`` on a contraction path planned once
+    per (subscripts, operand shapes), with the key axis ``k``, where the
+    subscripts have one, planned at size one.  Without a key axis the result
+    is bitwise that of ``optimize=True``; with one, every batch takes the
+    contraction sequence of its batch of one.  Each key's result is then
+    bitwise that of its batch of one wherever numpy's kernels sum in an
+    order independent of the batch size, which the tests check for every
+    keyed contraction of the forms.  The subscripts are explicit (no
+    ellipsis)."""
     specs = subscripts.split("->")[0].split(",")
-    shapes = tuple((1,) + np.shape(op)[1:] if spec.startswith("k") else np.shape(op)
+    shapes = tuple(tuple(1 if label == "k" else n for label, n in zip(spec, np.shape(op)))
                    for spec, op in zip(specs, operands))
     return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, shapes))
 
@@ -246,28 +250,22 @@ class P1Space:
     def pattern(self, layout) -> CsrPattern:
         """The sparsity of one dof layout on this space, built on first use.
 
-        Element layouts take (e, rows, cols) local matrices: "scalar" and
-        "vector" (square), "coupling" (vector rows, scalar columns) and
-        "coupled", square on the stacked (scalar, then vector) dofs with each
-        element's scalar dofs first.
-        Quadrature layouts index quadrature points as ``e * nq + q``:
-        "qp_load" maps point values to scalar loads, taking (e, nq, d+1)
-        entries; "qp_gradient" maps vector dofs to point values, taking
-        (e, nq, d+1, d) entries.
+        Layouts take (e, rows, cols) local matrices: "scalar" and "vector"
+        (square), "coupling" (vector rows, scalar columns), "dissipation"
+        (scalar rows, vector columns) and "coupled", square on the stacked
+        (scalar, then vector) dofs with each element's scalar dofs first.
         """
         p = self._patterns.get(layout)
         if p is None:
-            S, V, nq = self.scalar_dofs(), self.vector_dofs(), len(self.qweights)
-            points = np.arange(len(self.cells) * nq)[:, None]  # one block per point
-            ns, nv, n_qp = self.n_scalar, self.n_vector, len(points)
+            S, V = self.scalar_dofs(), self.vector_dofs()
+            ns, nv = self.n_scalar, self.n_vector
             SV = np.hstack([S, ns + V])
             blocks = {
                 "scalar": (S, S, (ns, ns)),
                 "vector": (V, V, (nv, nv)),
                 "coupling": (V, S, (nv, ns)),
+                "dissipation": (S, V, (ns, nv)),
                 "coupled": (SV, SV, (ns + nv, ns + nv)),
-                "qp_load": (np.repeat(S, nq, axis=0), points, (ns, n_qp)),
-                "qp_gradient": (points, np.repeat(V, nq, axis=0), (n_qp, nv)),
             }
             p = self._patterns[layout] = CsrPattern.of(*blocks[layout])
         return p
@@ -294,11 +292,74 @@ class P1Space:
 
 
 # ---------------------------------------------------------------------------
-# operator assembly
+# weak forms
+
+
+# Every P1 element matrix (e, test dofs, trial dofs) and element load
+# (e, test dofs), written once: (subscripts without batch axes, one letter
+# per operand, layout).  Operands: c the coefficients, (e, nq) + values
+# arrays in the order given; G gradients, N shape values, w quadrature
+# weights, v element volumes.  Layout: the pattern of a form's blocks, or the
+# dofs of a load.
+FORMS = {
+    "mass": ("eq,qi,qj,q,e->eij", "cNNwv", "scalar"),
+    "scalar_diffusion": ("eia,eqab,ejb,q,e->eij", "GcGwv", "scalar"),
+    "elasticity": ("eqacbd,eic,ejd,q,e->eiajb", "cGGwv", "vector"),
+    # int phi_j w . grad phi_i
+    "advection": ("eqa,eia,qj,q,e->eij", "cGNwv", "scalar"),
+    # int phi_j alpha : grad(phi_i e_a), scalar trials to vector tests
+    "coupling": ("eqac,eic,qj,q,e->eiaj", "cGNwv", "coupling"),
+    # int (gamma : grad(phi_j e_a)) v . grad phi_i, coefficients v and gamma
+    "advective_dissipation": ("eqc,eic,eqab,ejb,q,e->eija", "cGcGwv", "dissipation"),
+    "scalar_load": ("eq,qi,q,e->ei", "cNwv", "scalar"),
+    "vector_load": ("eqa,qi,q,e->eia", "cNwv", "vector"),
+    "gradient_load": ("eqa,eia,q,e->ei", "cGwv", "scalar"),
+    "strain_load": ("eqac,eic,q,e->eia", "cGwv", "vector"),
+}
+
+
+def weak_form(space: P1Space, name, *coefficients):
+    """The element blocks (or element loads) of the form ``name`` of
+    :data:`FORMS` on ``space``.  Leading axes of the coefficients beyond
+    (e, nq) + values are batch axes, the same on every coefficient: a
+    sample key, then possibly a load index.  They lead the result, and the
+    contraction is planned for one key (:func:`key_einsum`)."""
+    subscripts, names, _ = FORMS[name]
+    specs, out = subscripts.split("->")
+    specs = specs.split(",")
+    batch = "klmn"[:np.ndim(coefficients[0]) - len(specs[names.index("c")])]
+    known = dict(G=space.gradients, N=space.shape_values, w=space.qweights,
+                 v=space.volumes)
+    given = iter(coefficients)
+    operands = [next(given) if o == "c" else known[o] for o in names]
+    specs = [batch + s if o == "c" else s for s, o in zip(specs, names)]
+    return key_einsum(",".join(specs) + "->" + batch + out, *operands)
+
+
+def _integrate(space: P1Space, name, coeff):
+    """:func:`weak_form` of a one-coefficient form, the coefficient in any
+    form :meth:`P1Space.eval_coefficient` takes."""
+    subscripts, names, _ = FORMS[name]
+    rank = len(subscripts.split(",")[names.index("c")]) - 2
+    return weak_form(space, name, space.eval_coefficient(coeff, (space.dim,) * rank))
+
+
+def scatter_load(dofs, n, loads):
+    """Element loads summed into load vectors of n dofs by one
+    ``np.bincount``, each dof adding its entries in the order given:
+    ``loads`` holds, for each of m batch entries, one entry per dof of
+    ``dofs`` (the dofs of each element), in that order.  Returns (m, n)."""
+    m = np.size(loads) // dofs.size
+    at = (np.arange(m)[:, None] * n + dofs.ravel()).ravel()
+    return np.bincount(at, weights=np.ravel(loads), minlength=m * n).reshape(m, n)
+
+
+# ---------------------------------------------------------------------------
+# operator and load assembly
 
 
 def assemble_operator(mesh, kind, coeff, element_mask=None, space=None):
-    """Galerkin matrix of one of the standard bilinear forms.
+    """Galerkin matrix of one of the standard bilinear forms of :data:`FORMS`.
 
     kind: "scalar_diffusion" (matrix coefficient), "mass" (scalar),
     "elasticity" (rank-4), "advection" (vector flux w; assembles
@@ -307,30 +368,9 @@ def assemble_operator(mesh, kind, coeff, element_mask=None, space=None):
     scalar trials to vector tests).
     """
     s = space if space is not None else P1Space(mesh, element_mask)
-    G, N, w, vol = s.gradients, s.shape_values, s.qweights, s.volumes
-    d = s.dim
-
-    if kind == "scalar_diffusion":
-        K = s.eval_coefficient(coeff, (d, d))
-        loc = einsum("eia,eqab,ejb,q,e->eij", G, K, G, w, vol)
-        return s.pattern("scalar").matrix(loc)
-    if kind == "mass":
-        c = s.eval_coefficient(coeff, ())
-        loc = einsum("eq,qi,qj,q,e->eij", c, N, N, w, vol)
-        return s.pattern("scalar").matrix(loc)
-    if kind == "elasticity":
-        C = s.eval_coefficient(coeff, (d, d, d, d))
-        loc = einsum("eqacbd,eic,ejd,q,e->eiajb", C, G, G, w, vol)
-        return s.pattern("vector").matrix(loc)
-    if kind == "advection":
-        W = s.eval_coefficient(coeff, (d,))
-        loc = einsum("eqa,eia,qj,q,e->eij", W, G, N, w, vol)
-        return s.pattern("scalar").matrix(loc)
-    if kind == "coupling":
-        alpha = s.eval_coefficient(coeff, (d, d))
-        loc = einsum("eqac,eic,qj,q,e->eiaj", alpha, G, N, w, vol)
-        return s.pattern("coupling").matrix(loc)
-    raise ValueError(f"unknown operator kind: {kind}")
+    if kind not in FORMS or kind.endswith("_load") or FORMS[kind][1].count("c") != 1:
+        raise ValueError(f"unknown operator kind: {kind}")
+    return s.pattern(FORMS[kind][2]).matrix(_integrate(s, kind, coeff))
 
 
 def vector_mass(mesh, coeff, element_mask=None, space=None):
@@ -339,69 +379,30 @@ def vector_mass(mesh, coeff, element_mask=None, space=None):
     return sp.kron(M, sp.eye(mesh.dim, format="csr"), format="csr")
 
 
-# ---------------------------------------------------------------------------
-# load assembly
-
-
-def _scatter_load(loc, dofs, n):
-    out = np.zeros(n)
-    np.add.at(out, dofs.ravel(), loc.ravel())
-    return out
+def _load(space: P1Space, name, coeff):
+    dofs, n = ((space.scalar_dofs(), space.n_scalar) if FORMS[name][2] == "scalar"
+               else (space.vector_dofs(), space.n_vector))
+    return scatter_load(dofs, n, _integrate(space, name, coeff))[0]
 
 
 def assemble_scalar_load(space: P1Space, f):
     """l_i = int f phi_i."""
-    vals = space.eval_coefficient(f, ())
-    loc = einsum("eq,qi,q,e->ei", vals, space.shape_values, space.qweights,
-                 space.volumes)
-    return _scatter_load(loc, space.scalar_dofs(), space.n_scalar)
+    return _load(space, "scalar_load", f)
 
 
 def assemble_vector_load(space: P1Space, f):
     """l_(i,a) = int f_a phi_i."""
-    vals = space.eval_coefficient(f, (space.dim,))
-    loc = einsum("eqa,qi,q,e->eia", vals, space.shape_values, space.qweights,
-                 space.volumes)
-    return _scatter_load(loc.reshape(len(space.cells), -1), space.vector_dofs(),
-                         space.n_vector)
+    return _load(space, "vector_load", f)
 
 
 def assemble_gradient_load(space: P1Space, w):
     """l_i = int w . grad phi_i for a vector-valued integrand w."""
-    vals = space.eval_coefficient(w, (space.dim,))
-    loc = einsum("eqa,eia,q,e->ei", vals, space.gradients, space.qweights,
-                 space.volumes)
-    return _scatter_load(loc, space.scalar_dofs(), space.n_scalar)
+    return _load(space, "gradient_load", w)
 
 
 def assemble_strain_load(space: P1Space, S):
     """l_(i,a) = int S : grad(phi_i e_a) for a matrix-valued integrand S."""
-    vals = space.eval_coefficient(S, (space.dim, space.dim))
-    loc = einsum("eqac,eic,q,e->eia", vals, space.gradients, space.qweights,
-                 space.volumes)
-    return _scatter_load(loc.reshape(len(space.cells), -1), space.vector_dofs(),
-                         space.n_vector)
-
-
-def quadrature_load_map(space: P1Space, w=None):
-    """Sparse map from values f at the quadrature points (flattened as
-    ``e * nq + q``) to the scalar loads ``int f phi_i``, or, given an
-    (e, nq, d) vector field w, to ``int f w . grad phi_i``."""
-    weights = (space.volumes[:, None] * space.qweights)[:, :, None]
-    if w is None:
-        return space.pattern("qp_load").matrix(weights * space.shape_values)
-    return space.pattern("qp_load").matrix(
-        weights * np.einsum("eqa,eia->eqi", w, space.gradients))
-
-
-def dissipation_maps(space: P1Space, dissipation, velocity):
-    """The dissipation loads as sparse (n_scalar x n_vector) maps of u:
-    ``S u = int (gamma : grad u) phi_i`` and
-    ``A u = int (gamma : grad u) v . grad phi_i``, for (e, nq, d, d) gamma
-    and (e, nq, d) v."""
-    grad = np.einsum("eqab,ejb->eqja", dissipation, space.gradients)
-    D = space.pattern("qp_gradient").matrix(grad)    # u -> gamma : grad u
-    return quadrature_load_map(space) @ D, quadrature_load_map(space, velocity) @ D
+    return _load(space, "strain_load", S)
 
 
 def assemble_interface_load(mesh, density, values=None):
@@ -419,19 +420,14 @@ def assemble_interface_load(mesh, density, values=None):
         values = np.asarray(density(centroids, mesh.interface_normals), dtype=float)
     else:
         values = np.asarray(values, dtype=float)
-    nf, dfac = mesh.interface_facets.shape
-    trace = 1.0 / dfac  # P1 value at the facet centroid
+    facets, nv = mesh.interface_facets, len(mesh.vertices)
+    trace = 1.0 / facets.shape[1]  # P1 value at the facet centroid
     if values.ndim == 1:
-        out = np.zeros(len(mesh.vertices))
-        contrib = np.repeat((values * areas * trace)[:, None], dfac, axis=1)
-        np.add.at(out, mesh.interface_facets.ravel(), contrib.ravel())
-        return out
-    out = np.zeros(len(mesh.vertices) * mesh.dim)
+        contrib = np.repeat((values * areas * trace)[:, None], facets.shape[1], axis=1)
+        return scatter_load(facets, nv, contrib)[0]
+    dofs = facets[:, :, None] * mesh.dim + np.arange(mesh.dim)
     contrib = (values * (areas * trace)[:, None])[:, None, :]  # (nf, 1, d)
-    dofs = mesh.interface_facets[:, :, None] * mesh.dim + np.arange(mesh.dim)
-    np.add.at(out, dofs.ravel(), np.broadcast_to(
-        contrib, (nf, dfac, mesh.dim)).ravel())
-    return out
+    return scatter_load(dofs, nv * mesh.dim, np.broadcast_to(contrib, dofs.shape))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import SolverError, einsum
+from .fem import SolverError, key_einsum
 
 PHASE_A = 0  # connected matrix
 PHASE_B = 1  # disconnected inclusions
@@ -663,10 +663,10 @@ def pullback_fields(F, J, v, mat: MaterialParams, phase):
     """
     Finv = np.linalg.inv(F)
     FinvT = np.transpose(Finv, (0, 2, 1))
-    A = symmetrizer_tensor(F)
-    C = mat.stiffness(phase)
     K = mat.conductivity(phase)
-    stiffness = einsum("m,mpqab,pqrs,mrscd->mabcd", J, A, C, A)
+    # J A^T C A with A = symmetrizer_tensor(F), contracted directly: C's
+    # minor symmetries absorb the symmetrization
+    stiffness = key_einsum("m,map,mcr,pbrd->mabcd", J, Finv, Finv, mat.stiffness(phase))
     expansion = mat.expansion(phase) * J[:, None, None] * FinvT
     conductivity = J[:, None, None] * np.einsum("mij,jk,mlk->mil", Finv, K, Finv)
     heat_capacity = J * mat.volumetric_heat_capacity(phase)

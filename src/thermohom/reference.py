@@ -26,9 +26,9 @@ from .fem import (
     assemble_scalar_load,
     assemble_vector_load,
     constraint_basis,
-    dissipation_maps,
     solve_block,
     vector_mass,
+    weak_form,
 )
 from .kinematics import (
     PHASE_A,
@@ -204,7 +204,8 @@ class EpsilonSolver:
             return assemble_operator(mesh, kind, coeff, space=space)
 
         N = op("advection", f["heat_capacity"][:, :, None] * f["velocity"])
-        _, A_gamma = dissipation_maps(space, f["dissipation"], f["velocity"])
+        A_gamma = space.pattern("dissipation").matrix(
+            weak_form(space, "advective_dissipation", f["velocity"], f["dissipation"]))
         mech_surface, heat_surface = self.coeffs.surface_loads(t, self._latent_factor())
 
         f_u_a, f_u_b, f_th_a, f_th_b = self.sources(t)

@@ -45,8 +45,9 @@ from .fem import (
     assemble_scalar_load,
     assemble_vector_load,
     constraint_basis,
-    key_einsum,
+    scatter_load,
     vector_mass,
+    weak_form,
 )
 from .kinematics import (  # noqa: F401  (BundleError: re-exported)
     PHASE_B,
@@ -103,7 +104,8 @@ class MicroModel:
     transformation sample key, so hosts with the same key share one bundle.
     On the stacked (theta, u) dofs, a bundle holds ``prev = [M_c, S]`` on
     the interior heat rows (the heat capacity mass and the dissipation load
-    ``int (gamma : grad u) phi_i`` as a map of u), ``mech = [-G, E]`` on the
+    ``int (gamma : grad u) phi_i`` as a map of u, ``S = G_gamma^T``, the
+    transposed coupling form of gamma), ``mech = [-G, E]`` on the
     interior mechanics rows (thermal-stress coupling and elasticity),
     ``content``, the weights ``rho c int J phi_i`` (all rows), and the unit
     source loads ``l_J`` and ``L_J``.  :meth:`initial_states` adds the LU
@@ -117,11 +119,12 @@ class MicroModel:
     columns) and ``c_tr``, the content after the step per unit trace.
 
     Bundles are built in batches: :meth:`level_bundles` pulls back the
-    coefficients of every uncached key of a level together, forms each
-    operator's element blocks with one einsum over a leading key axis and
-    sums them into every restricted matrix above with one scatter each
-    (:class:`BlockScatter`, mapped once per model); then one sparse LU per
-    key.  :meth:`bundle` is the batch of one.
+    coefficients of every uncached key of a level together, takes each
+    operator's element blocks from the form table with a leading key axis
+    (:func:`~thermohom.fem.weak_form`) and sums them into every restricted
+    matrix above with one scatter each (:class:`BlockScatter`, mapped once
+    per model); then one sparse LU per key.  :meth:`bundle` is the batch of
+    one.
 
     A host's unknowns after the step are ``w0 + W tau``: ``w0`` solves ``K``
     against the previous state and the sources with zero traces, and tau
@@ -209,24 +212,22 @@ class MicroModel:
     def _maps(self, t, xs, dt):
         """The bundles of the (k, d) macro points xs at t, built together."""
         ctx, space, d, k = self.ctx, self.space, self.dim, len(xs)
-        G, N, w, vol = space.gradients, space.shape_values, space.qweights, space.volumes
         n, ns = d + 1, space.n_scalar
         f = {name: a.reshape((k, len(space.cells)) + a.shape[1:]) for name, a in key_fields(
             space, ctx.transformation, ctx.material, PHASE_B, t, xs).items()}
         c, v, gamma = f["heat_capacity"], f["velocity"], f["dissipation"]
 
-        # element blocks on the stacked dofs: [[M_c, S], [-G, E]]
-        M = key_einsum("keq,qi,qj,q,e->keij", c, N, N, w, vol)
-        S = key_einsum("qi,keqab,ejb,q,e->keija", N, gamma, G, w, vol).reshape(M.shape[:3] + (-1,))
-        Gc = key_einsum("keqac,eic,qj,q,e->keiaj", f["expansion"], G, N, w, vol)
-        E = key_einsum("keqacbd,eic,ejd,q,e->keiajb", f["stiffness"], G, G, w, vol)
+        # element blocks on the stacked dofs: [[M_c, S], [-G, E]], S = G_gamma^T
+        M = weak_form(space, "mass", c)
+        S = weak_form(space, "coupling", gamma).transpose(0, 1, 4, 2, 3).reshape(
+            k, -1, n, n * d)
+        Gc = weak_form(space, "coupling", f["expansion"])
+        E = weak_form(space, "elasticity", f["stiffness"])
         lower = np.concatenate([-Gc.reshape(k, -1, n * d, n),
                                 E.reshape(k, -1, n * d, n * d)], axis=3)
         blocks = np.concatenate([np.concatenate([M, S], axis=3), lower], axis=2)
 
-        loads = key_einsum("keq,qi,q,e->kei", f["jacobian"], N, w, vol)
-        l_J = np.bincount((np.arange(k)[:, None] * ns + space.cells.ravel()).ravel(),
-                          weights=loads.ravel(), minlength=k * ns).reshape(k, ns)
+        l_J = scatter_load(space.cells, ns, weak_form(space, "scalar_load", f["jacobian"]))
         L_J = (l_J[:, :, None, None] * np.eye(d)).reshape(k, -1, d)[:, self.interior_vector]
         cap = ctx.material.density_b * ctx.material.heat_capacity_b
         I = self.interior_scalar
@@ -238,9 +239,9 @@ class MicroModel:
             return bundles
 
         # the coupled block: H = M_c/dt + N + A_K and S/dt + A in the heat rows
-        N_adv = key_einsum("keqa,eia,qj,q,e->keij", c[..., None] * v, G, N, w, vol)
-        A_K = key_einsum("eia,keqab,ejb,q,e->keij", G, f["conductivity"], G, w, vol)
-        A = key_einsum("keqc,eic,keqab,ejb,q,e->keija", v, G, gamma, G, w, vol)
+        N_adv = weak_form(space, "advection", c[..., None] * v)
+        A_K = weak_form(space, "scalar_diffusion", f["conductivity"])
+        A = weak_form(space, "advective_dissipation", v, gamma)
         upper = np.concatenate([M / dt + N_adv + A_K, S / dt + A.reshape(S.shape)], axis=3)
         blocks = np.concatenate([upper, lower], axis=2)
         K, trace = (self._scatter[name].data(blocks) for name in ("K", "trace"))
@@ -268,7 +269,8 @@ class MicroModel:
         for k, b in enumerate(self.level_bundles(t, xs, groups)):
             hosts = np.flatnonzero(groups[1] == k)
             if "mech_lu" not in b:      # factored on first use: a step solves with K
-                b["mech_lu"] = spla.splu(b["mech"][:, ns + self.interior_vector])
+                b["mech_lu"] = spla.splu(b["mech"][:, ns + self.interior_vector],
+                                         permc_spec="MMD_AT_PLUS_A")
             # u holds the traces and zero interior values here
             r = ((b["L_J"] @ np.asarray(f_u_b))[:, None]
                  - b["mech"] @ np.hstack([theta[hosts], u[hosts]]).T)

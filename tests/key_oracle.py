@@ -7,7 +7,9 @@ blocks into every restricted matrix.  The functions here build one (t, x) at
 a time, the way the solvers did before: CSR assembly per operator with
 ``assemble_operator``, ``R^T A R`` by sparse products and explicit
 multipliers (``ConstraintBasis.reduce`` and ``solve_block``), and row and
-column slicing of the micro block.  The parity tests compare the two.
+column slicing of the micro block, with the dissipation loads as products
+of quadrature-point maps (:func:`dissipation_maps`).  The parity tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from thermohom.fem import (
     assemble_gradient_load,
     assemble_operator,
     assemble_strain_load,
-    dissipation_maps,
-    quadrature_load_map,
     solve_block,
 )
 from thermohom.kinematics import (
@@ -34,6 +34,36 @@ from thermohom.kinematics import (
     sym_index_pairs,
 )
 from thermohom.twoscale import MicroModel
+
+
+def quadrature_load_map(space, w=None):
+    """Sparse map from values f at the quadrature points (flattened as
+    ``e * nq + q``) to the scalar loads ``int f phi_i``, or, given an
+    (e, nq, d) vector field w, to ``int f w . grad phi_i``."""
+    e, nq, n = len(space.cells), len(space.qweights), space.dim + 1
+    weights = (space.volumes[:, None] * space.qweights)[:, :, None]
+    entries = weights * (space.shape_values if w is None
+                         else np.einsum("eqa,eia->eqi", w, space.gradients))
+    rows = np.broadcast_to(space.cells[:, None, :], (e, nq, n))
+    cols = np.broadcast_to(np.arange(e * nq).reshape(e, nq, 1), (e, nq, n))
+    return sp.csr_matrix((entries.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(space.n_scalar, e * nq))
+
+
+def dissipation_maps(space, dissipation, velocity):
+    """The dissipation loads as sparse (n_scalar x n_vector) maps of u:
+    ``S u = int (gamma : grad u) phi_i`` and
+    ``A u = int (gamma : grad u) v . grad phi_i``, for (e, nq, d, d) gamma
+    and (e, nq, d) v, through the map D from u to ``gamma : grad u`` at the
+    quadrature points."""
+    e, nq, d = len(space.cells), len(space.qweights), space.dim
+    grad = np.einsum("eqab,ejb->eqja", dissipation, space.gradients)
+    dofs = space.cells[:, :, None] * d + np.arange(d)
+    rows = np.broadcast_to(np.arange(e * nq).reshape(e, nq, 1, 1), grad.shape)
+    cols = np.broadcast_to(dofs[:, None], grad.shape)
+    D = sp.csr_matrix((grad.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=(e * nq, space.n_vector))
+    return quadrature_load_map(space) @ D, quadrature_load_map(space, velocity) @ D
 
 
 def _solve_family(basis, A, loads, names, t, x, tol):

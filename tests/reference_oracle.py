@@ -11,8 +11,9 @@ a sparse direct solve under the default COLAMD ordering when the heat matrix
 is advective, CG (falling back to that direct solve) when it is not.
 ``EpsilonSolver`` instead pulls back once per sample key on the unit cell,
 assembles each operator once on the whole mesh through a cached sparsity
-pattern, applies a precomputed advective dissipation map and solves every
-heat matrix with one minimum-degree direct solve; the tests compare the two.
+pattern, applies the advective dissipation matrix assembled from its weak
+form and solves every heat matrix with one minimum-degree direct solve; the
+tests compare the two.
 """
 
 from __future__ import annotations

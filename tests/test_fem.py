@@ -14,17 +14,22 @@ from hypothesis import strategies as st
 from thermohom.fem import (
     ConstraintError,
     ConstraintSet,
+    FORMS,
     P1Space,
     SolverError,
     apply_constraints,
+    assemble_gradient_load,
     assemble_interface_load,
     assemble_operator,
     assemble_scalar_load,
+    assemble_strain_load,
     assemble_vector_load,
-    einsum,
+    key_einsum,
+    scatter_load,
     solve_block,
     solve_spd,
     vector_mass,
+    weak_form,
 )
 from thermohom.kinematics import isotropic_stiffness
 from thermohom.mesh import Mesh, build_cell_mesh, build_epsilon_mesh, build_uniform_mesh
@@ -115,6 +120,22 @@ class TestAssembly:
         test = mesh.vertices @ g  # affine scalar test function
         lhs = test @ (N @ theta)
         rhs = 0.5 * 2.0 * (wfield @ g)  # int theta * w . grad(test)
+        assert np.isclose(lhs, rhs, rtol=1e-12)
+
+    def test_advective_dissipation_matches_quadrature(self):
+        # int (gamma : grad u) v . grad(test) on a single element, constant
+        # v and gamma, affine u = B x and test function g . x
+        mesh = reference_triangle()
+        space = P1Space(mesh)
+        v, gamma = np.array([0.7, -0.2]), np.array([[2.0, 0.5], [-0.3, 1.0]])
+        A = space.pattern("dissipation").matrix(weak_form(
+            space, "advective_dissipation", np.broadcast_to(v, (1, 3, 2)),
+            np.broadcast_to(gamma, (1, 3, 2, 2))))
+        assert A.shape == (3, 6)
+        B = np.array([[0.25, -0.5], [1.5, 0.75]])
+        g = np.array([0.4, 1.1])
+        lhs = (mesh.vertices @ g) @ (A @ (mesh.vertices @ B.T).ravel())
+        rhs = 0.5 * np.sum(gamma * B) * (v @ g)
         assert np.isclose(lhs, rhs, rtol=1e-12)
 
 
@@ -473,12 +494,58 @@ class TestEinsumPaths:
                            rng.standard_normal((e, nq, d, d, d, d)), G, G, w, vol),
             "coupling": ("eqac,eic,qj,q,e->eiaj",
                          rng.standard_normal((e, nq, d, d)), G, N, w, vol),
-            "pullback": ("m,mpqab,pqrs,mrscd->mabcd", vol,
-                         rng.standard_normal((e, d, d, d, d)),
-                         rng.standard_normal((d, d, d, d)),
-                         rng.standard_normal((e, d, d, d, d))),
+            "pullback": ("m,map,mcr,pbrd->mabcd", vol, rng.standard_normal((e, d, d)),
+                         rng.standard_normal((e, d, d)),
+                         rng.standard_normal((d, d, d, d))),
         }
         for subscripts, *operands in cases.values():
             ref = np.einsum(subscripts, *operands, optimize=True)
             for _ in range(2):    # plans the path, then reuses it
-                assert np.array_equal(einsum(subscripts, *operands), ref)
+                assert np.array_equal(key_einsum(subscripts, *operands), ref)
+
+    @pytest.fixture(scope="class", params=[2, 3], ids=["2d", "3d"])
+    def space(self, request):
+        d = request.param
+        mesh = build_cell_mesh(0.25, 4, dim=d)
+        return P1Space(mesh, element_mask=mesh.phase == 1)
+
+    # the forms built with a key axis alone (micro blocks, cell blocks, l_J);
+    # the gradient load is built with a key and a load axis only
+    @pytest.mark.parametrize("name", ["mass", "scalar_diffusion", "elasticity",
+                                      "advection", "coupling", "advective_dissipation",
+                                      "scalar_load"])
+    def test_each_key_is_bitwise_its_batch_of_one(self, space, name):
+        subscripts, operands, _ = FORMS[name]
+        specs = subscripts.split("->")[0].split(",")
+        rng = np.random.default_rng(23)
+        k, e, nq, d = 5, len(space.cells), len(space.qweights), space.dim
+        coeffs = [rng.standard_normal((k, e, nq) + (d,) * (len(spec) - 2))
+                  for spec, o in zip(specs, operands) if o == "c"]
+        batch = weak_form(space, name, *coeffs)
+        assert batch.shape[0] == k
+        for i in range(k):
+            one = weak_form(space, name, *(c[i:i + 1] for c in coeffs))
+            assert np.array_equal(batch[i], one[0])
+            alone = weak_form(space, name, *(c[i] for c in coeffs))
+            assert np.allclose(batch[i], alone, rtol=1e-13, atol=1e-13 * np.abs(alone).max())
+
+    @pytest.mark.parametrize("name", ["strain_load", "gradient_load"])
+    def test_load_with_two_batch_axes(self, space, name):
+        # key and load index, as the cell correctors build their loads
+        rng = np.random.default_rng(29)
+        k, p, e, nq, d = 5, 4, len(space.cells), len(space.qweights), space.dim
+        vector = name == "strain_load"
+        S = rng.standard_normal((k, p, e, nq, d) + ((d,) if vector else ()))
+        loads = weak_form(space, name, S)
+        assert loads.shape == (k, p, e, d + 1) + ((d,) if vector else ())
+        dofs, n = ((space.vector_dofs(), space.n_vector) if vector
+                   else (space.scalar_dofs(), space.n_scalar))
+        vectors = scatter_load(dofs, n, loads).reshape(k, p, n)
+        for i in range(k):
+            one = weak_form(space, name, S[i:i + 1])[0]
+            assert np.array_equal(loads[i], one)
+            assert np.array_equal(vectors[i], scatter_load(dofs, n, one))
+        assemble = assemble_strain_load if vector else assemble_gradient_load
+        for i, j in np.ndindex(k, p):
+            ref = assemble(space, S[i, j])
+            assert np.allclose(vectors[i, j], ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())

@@ -1,7 +1,8 @@
 """Parity of EpsilonSolver (one pullback per sample key, one assembly per
-operator through the cached pattern, a precomputed advective dissipation
-map, one minimum-degree direct solve per heat system) with the per-phase
-oracle in ``reference_oracle.py`` and its CG-else-COLAMD heat path.
+operator through the cached pattern, the advective dissipation assembled
+as a matrix from its weak form, one minimum-degree direct solve per heat
+system) with the per-phase oracle in ``reference_oracle.py`` and its
+CG-else-COLAMD heat path.
 
 Tolerances, max norm relative to the oracle: 1e-12 on every bundle operator
 and load, whose entries differ only in the order of their sums and in the
@@ -78,8 +79,10 @@ FAMILIES = ("identity", "radial_growth", "amplitude_x_slope")
 ALL_CASES = [(f, d) for d in (2, 3) for f in FAMILIES] + [("two_anchor_table", 2)]
 # a three-step 3D solve pair takes about 40 s, mostly in the SuperLU
 # factorizations and solves that both sides run alike; in 3D the fields are
-# compared on the slope case, which has several keys and the advective path
-FIELD_CASES = [(f, 2) for f in FAMILIES] + [("amplitude_x_slope", 3)]
+# compared on the slope case, which has several keys and the advective path;
+# the two-anchor table drives a per-tile velocity through N and A_gamma
+FIELD_CASES = [(f, 2) for f in FAMILIES] + [("amplitude_x_slope", 3),
+                                            ("two_anchor_table", 2)]
 
 
 def case_id(case):
