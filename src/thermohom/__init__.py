@@ -9,10 +9,7 @@ from .kinematics import (  # noqa: E402,F401
     RadialGrowth,
     TabulatedTransform,
     default_material,
-    eval_interface,
-    eval_kinematics,
     scaled_coefficients,
-    transformed_coefficients,
     validate_admissibility,
 )
 from .mesh import (  # noqa: F401

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .fem import (
     ConstraintSet,
@@ -30,10 +29,11 @@ from .fem import (
     assemble_scalar_load,
     constraint_basis,
     key_einsum,
+    lu_solve,
     scatter_load,
     weak_form,
 )
-from .kinematics import PHASE_A, PHASE_B, key_fields, sym_index_pairs
+from .kinematics import PHASE_A, PHASE_B, key_fields, key_points, sym_index_pairs
 from .mesh import extract_phase_submesh
 
 
@@ -103,11 +103,10 @@ class CellContext:
     def inclusion_measure(self, t, xs):
         """Deformed measure of the inclusion part of the cell at each of the
         (k, d) macro points xs."""
-        space, k = self.space_b, len(xs)
-        y = space.qpoints.reshape(-1, self.dim)
+        space = self.space_b
         _, J, _ = self.transformation.kinematics_batch(
-            t, np.repeat(xs, len(y), axis=0), np.tile(y, (k, 1)))
-        J = J.reshape(k, len(space.cells), len(space.qweights))
+            t, *key_points(xs, space.qpoints.reshape(-1, self.dim)))
+        J = J.reshape(len(xs), len(space.cells), len(space.qweights))
         return key_einsum("keq,q,e->k", J, space.qweights, space.volumes)
 
 
@@ -139,10 +138,7 @@ def _solve_family(scatter, basis, dofs, blocks, loads, names, t, xs, tol):
     out = np.empty((k, m, R.shape[0]))
     residuals = []
     for i in range(k):
-        K, B = scatter.matrix(data[i]), rhs[i]
-        Z = spla.splu(K, permc_spec="MMD_AT_PLUS_A").solve(B)
-        scale = np.linalg.norm(B, axis=0)
-        res = np.linalg.norm(K @ Z - B, axis=0) / np.where(scale > 0.0, scale, 1.0)
+        Z, res = lu_solve(scatter.matrix(data[i]), rhs[i])
         residuals.append(dict(zip(names, res.tolist())))
         for name, r in residuals[-1].items():
             if not r <= tol:

@@ -20,7 +20,7 @@ from .fem import key_einsum
 from .kinematics import (
     LevelCache,
     build_batched,
-    interface_batch,
+    key_interface,
     mandel_matrix,
     sym_index_pairs,
     zero_sources,
@@ -90,14 +90,6 @@ def _vector_gradients(space, fields):
     return np.einsum("...eia,eib->...eab", nodal, space.gradients)
 
 
-def _interface(ctx: CellContext, t, xs):
-    """:func:`interface_batch` at the cell's facets for each macro point of xs."""
-    nf = len(ctx.facet_areas)
-    return interface_batch(ctx.transformation, t, np.repeat(xs, nf, axis=0),
-                           np.tile(ctx.facet_centroids, (len(xs), 1)),
-                           np.tile(ctx.facet_normals, (len(xs), 1)))
-
-
 def compute_effective(ctx: CellContext, correctors, t, xs, fields=None,
                       latent_in_source=True):
     """Every geometry-derived effective quantity at the (k, d) macro points
@@ -156,12 +148,10 @@ def compute_effective(ctx: CellContext, correctors, t, xs, fields=None,
 
     # curvature force density: surface integral of the pulled-back stress
     # normal; interface speed: the surface integral of J W
-    _, W, H, F, J = _interface(ctx, t, xs)
-    normals = np.tile(ctx.facet_normals, (k, 1))
-    integrand = mat.surface_tension * (J * H)[:, None] * np.einsum(
-        "fab,fb->fa", np.linalg.inv(F), normals)
-    curvature_force = np.einsum("kfa,f->ka", integrand.reshape(k, -1, d), ctx.facet_areas)
-    interface_speed = np.einsum("kf,f->k", (J * W).reshape(k, -1), ctx.facet_areas)
+    speed, stress = key_interface(ctx.transformation, t, xs, ctx.facet_centroids,
+                                  ctx.facet_normals, mat.surface_tension)
+    curvature_force = np.einsum("kfa,f->ka", stress.reshape(k, -1, d), ctx.facet_areas)
+    interface_speed = np.einsum("kf,f->k", speed.reshape(k, -1), ctx.facet_areas)
 
     return dict(stiffness=stiffness, expansion=expansion, conductivity=conductivity,
                 heat_capacity=heat_capacity, dissipation=dissipation,

@@ -669,8 +669,14 @@ def solve_block(red: ReducedSystem):
     full-space solutions (n_full x m) and the relative residual of each
     column in that system.
     """
-    K, B = red.augmented()
+    Z, residuals = lu_solve(*red.augmented())
+    return red.recover(Z[: red.matrix.shape[0]]), residuals
+
+
+def lu_solve(K, B):
+    """Every column of B from one sparse LU of the structurally symmetric K,
+    ordered by minimum degree on K^T + K, and the relative residual of each
+    column."""
     Z = spla.splu(K, permc_spec="MMD_AT_PLUS_A").solve(B)
     scale = np.linalg.norm(B, axis=0)
-    residuals = np.linalg.norm(K @ Z - B, axis=0) / np.where(scale > 0.0, scale, 1.0)
-    return red.recover(Z[: red.matrix.shape[0]]), residuals
+    return Z, np.linalg.norm(K @ Z - B, axis=0) / np.where(scale > 0.0, scale, 1.0)

@@ -7,6 +7,13 @@ through the kinematic fields derived here (deformation gradient, Jacobian,
 cell velocity, interface normal/velocity/curvature) and the material
 coefficients pulled back with them.
 
+This module is the one place those fields are evaluated.  Every solver asks
+for them per transformation sample key, on k copies of the cell's points
+(:func:`key_points`): the volume coefficients at the quadrature points of a
+phase (:func:`key_fields`, one :func:`pullback_fields` per batch of keys)
+and the interface fields at the facet centroids (:func:`key_interface`, one
+:func:`interface_batch` per batch of keys).
+
 Conventions: the unit cell is ``[0, 1]^d``, the reference inclusion is the
 ball of radius ``inclusion_radius`` around the cell center, and interface
 normals point outwards from the inclusion.  Signed mean curvature is
@@ -15,7 +22,7 @@ non-positive where the inclusion is locally convex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -126,28 +133,6 @@ class QuinticCutoff:
 
     def second_derivative(self, rho):
         return -_smoothstep_d2(self._u(rho)) / (self.support - self.plateau) ** 2
-
-
-# ---------------------------------------------------------------------------
-# sample containers
-
-
-@dataclass(frozen=True)
-class KinematicSample:
-    """Pointwise kinematics: deformation gradient F, its determinant J, cell velocity v."""
-
-    F: np.ndarray
-    J: float
-    v: np.ndarray
-
-
-@dataclass(frozen=True)
-class InterfaceSample:
-    """Pointwise interface data: unit pushforward normal, normal velocity, mean curvature."""
-
-    normal: np.ndarray
-    normal_velocity: float
-    mean_curvature: float
 
 
 # ---------------------------------------------------------------------------
@@ -582,50 +567,13 @@ def scaled_coefficients(mat: MaterialParams, eps: float) -> MaterialParams:
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    return MaterialParams(
-        dim=mat.dim,
-        stiffness_a=mat.stiffness_a,
-        stiffness_b=eps**2 * mat.stiffness_b,
-        conductivity_a=mat.conductivity_a,
-        conductivity_b=eps**2 * mat.conductivity_b,
-        expansion_a=mat.expansion_a,
-        expansion_b=eps * mat.expansion_b,
-        dissipation_a=mat.dissipation_a,
-        dissipation_b=eps * mat.dissipation_b,
-        density_a=mat.density_a,
-        density_b=mat.density_b,
-        heat_capacity_a=mat.heat_capacity_a,
-        heat_capacity_b=mat.heat_capacity_b,
-        surface_tension=mat.surface_tension,
-        latent_heat=mat.latent_heat,
-    )
+    return replace(mat, stiffness_b=eps**2 * mat.stiffness_b,
+                   conductivity_b=eps**2 * mat.conductivity_b,
+                   expansion_b=eps * mat.expansion_b, dissipation_b=eps * mat.dissipation_b)
 
 
 # ---------------------------------------------------------------------------
-# pointwise operations
-
-
-def eval_kinematics(tr, t, x, y) -> KinematicSample:
-    """Deformation gradient, determinant, and velocity at one sample point."""
-    F, J, v = tr.kinematics_batch(t, x, np.atleast_2d(y))
-    return KinematicSample(F=F[0], J=float(J[0]), v=v[0])
-
-
-def eval_interface(tr, t, x, y, n0) -> InterfaceSample:
-    """Interface normal, normal velocity, and mean curvature at a point on the interface."""
-    y = np.asarray(y, dtype=float)
-    rho = np.linalg.norm(y - tr.center)
-    if abs(rho - tr.inclusion_radius) > 1e-6:
-        raise ValueError("point is not on the reference interface")
-    F, J, v = tr.kinematics_batch(t, x, y[None, :])
-    n_raw = np.linalg.solve(F[0].T, np.asarray(n0, dtype=float))
-    norm = np.linalg.norm(n_raw)
-    if norm < _NORMAL_EPS:
-        raise InadmissibleTransformError("degenerate pushforward normal")
-    n = n_raw / norm
-    W = float(v[0] @ n)
-    H = float(tr.curvature_batch(t, x, y[None, :])[0])
-    return InterfaceSample(normal=n, normal_velocity=W, mean_curvature=H)
+# transformed fields
 
 
 def interface_batch(tr, t, x, y, n0):
@@ -643,17 +591,6 @@ def interface_batch(tr, t, x, y, n0):
     return n, W, H, F, J
 
 
-def symmetrizer_tensor(F):
-    """Rank-4 map B -> sym(F^{-T} B), batched over the leading axis."""
-    d = F.shape[-1]
-    G = np.linalg.inv(np.transpose(F, (0, 2, 1)))  # F^{-T}
-    eye = np.eye(d)
-    A = 0.5 * (
-        np.einsum("mac,bd->mabcd", G, eye) + np.einsum("mbc,ad->mabcd", G, eye)
-    )
-    return A
-
-
 def pullback_fields(F, J, v, mat: MaterialParams, phase):
     """Transformed volumetric coefficient fields for a batch of kinematic samples.
 
@@ -663,12 +600,11 @@ def pullback_fields(F, J, v, mat: MaterialParams, phase):
     """
     Finv = np.linalg.inv(F)
     FinvT = np.transpose(Finv, (0, 2, 1))
-    K = mat.conductivity(phase)
-    # J A^T C A with A = symmetrizer_tensor(F), contracted directly: C's
+    # J A^T C A with A the map B -> sym(F^-T B), contracted directly: C's
     # minor symmetries absorb the symmetrization
     stiffness = key_einsum("m,map,mcr,pbrd->mabcd", J, Finv, Finv, mat.stiffness(phase))
     expansion = mat.expansion(phase) * J[:, None, None] * FinvT
-    conductivity = J[:, None, None] * np.einsum("mij,jk,mlk->mil", Finv, K, Finv)
+    conductivity = J[:, None, None] * (Finv @ mat.conductivity(phase) @ FinvT)
     heat_capacity = J * mat.volumetric_heat_capacity(phase)
     dissipation = mat.dissipation(phase) * J[:, None, None] * FinvT
     velocity = np.einsum("mij,mj->mi", Finv, v)
@@ -700,13 +636,30 @@ def coefficient_fields(space, tr, mat: MaterialParams, phase, t, x, y=None):
     return {k: a.reshape((-1, nq) + a.shape[1:]) for k, a in fields.items()}
 
 
+def key_points(xs, *cell_arrays):
+    """The layout of a keyed evaluation: k copies of per-point cell arrays
+    ((m, d) each), copy i at the i-th macro point of xs ((k, d)).  Returns
+    the macro argument of each point and the copied arrays, (k * m, d) each."""
+    return (np.repeat(xs, len(cell_arrays[0]), axis=0),
+            *(np.tile(a, (len(xs), 1)) for a in cell_arrays))
+
+
 def key_fields(space, tr, mat: MaterialParams, phase, t, xs):
     """:func:`coefficient_fields` at the quadrature points of ``space`` for
     each macro point of xs ((k, d)) in one batch: (k * e, nq, ...) arrays,
     one copy of the cell's points per macro point."""
-    y = space.qpoints.reshape(-1, space.dim)
-    return coefficient_fields(space, tr, mat, phase, t, np.repeat(xs, len(y), axis=0),
-                              np.tile(y, (len(xs), 1)))
+    return coefficient_fields(space, tr, mat, phase, t,
+                              *key_points(xs, space.qpoints.reshape(-1, space.dim)))
+
+
+def key_interface(tr, t, xs, y, n0, tension):
+    """The interface fields at the cell's interface points y with reference
+    normals n0 ((m, d) each), for each macro point of xs ((k, d)), from one
+    :func:`interface_batch`: the normal speed ``J W`` ((k * m,)) and the
+    curvature stress ``tension J H F^-1 n0`` ((k * m, d))."""
+    x, y, n0 = key_points(xs, y, n0)
+    _, W, H, F, J = interface_batch(tr, t, x, y, n0)
+    return J * W, tension * (J * H)[:, None] * np.einsum("fab,fb->fa", np.linalg.inv(F), n0)
 
 
 def sample_key_groups(tr, t, points):
@@ -803,49 +756,6 @@ def build_batched(build, t, xs, n_elements, what):
 def zero_sources(dim):
     """Phase sources (f_u_A, f_u_B, f_th_A, f_th_B) that vanish at every t."""
     return lambda t: (np.zeros(dim), np.zeros(dim), 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class TransformedCoefficients:
-    """All pulled-back coefficients at a single (t, x, y) sample."""
-
-    A_op: np.ndarray
-    stiffness: np.ndarray
-    expansion: np.ndarray
-    conductivity: np.ndarray
-    heat_capacity: float
-    dissipation: np.ndarray
-    velocity: np.ndarray
-    normal_velocity: float | None
-    curvature_stress: np.ndarray | None
-    source_u_factor: float
-    source_theta_factor: float
-
-
-def transformed_coefficients(tr, mat: MaterialParams, phase, t, x, y,
-                             n0=None) -> TransformedCoefficients:
-    """Pointwise pullbacks; interface entries are filled when n0 is given."""
-    F, J, v = tr.kinematics_batch(t, x, np.atleast_2d(y))
-    fields = pullback_fields(F, J, v, mat, phase)
-    W_ref = None
-    H_ref = None
-    if n0 is not None:
-        _, W, H, _, _ = interface_batch(tr, t, x, np.atleast_2d(y), n0)
-        W_ref = float(J[0] * W[0])
-        H_ref = float(J[0]) * mat.surface_tension * float(H[0]) * np.linalg.inv(F[0])
-    return TransformedCoefficients(
-        A_op=symmetrizer_tensor(F)[0],
-        stiffness=fields["stiffness"][0],
-        expansion=fields["expansion"][0],
-        conductivity=fields["conductivity"][0],
-        heat_capacity=float(fields["heat_capacity"][0]),
-        dissipation=fields["dissipation"][0],
-        velocity=fields["velocity"][0],
-        normal_velocity=W_ref,
-        curvature_stress=H_ref,
-        source_u_factor=float(J[0]),
-        source_theta_factor=float(J[0]),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from .kinematics import (
     PHASE_A,
     PHASE_B,
     LevelCache,
-    interface_batch,
     key_fields,
+    key_interface,
     sample_key_groups,
     scaled_coefficients,
     zero_sources,
@@ -59,9 +59,11 @@ class EpsilonCoefficients:
     the periodic lattice construction of the moving geometry.  Tiles with the
     same transformation sample key therefore carry the same pulled-back
     fields: :meth:`fields` pulls back once per key and phase, at the
-    quadrature points of the unit cell, and gathers the result into the
-    element order of the epsilon mesh through ``mesh.cell_tile`` and
-    ``mesh.cell_source``.
+    quadrature points of the unit cell and with the anchor of the key's first
+    tile, and gathers the result into the element order of the epsilon mesh
+    through ``mesh.cell_tile`` and ``mesh.cell_source``;
+    :meth:`surface_loads` does the same for the interface fields at the unit
+    cell's facets.
     """
 
     def __init__(self, mesh, cell_mesh, material, transformation):
@@ -81,17 +83,21 @@ class EpsilonCoefficients:
             elements = np.flatnonzero(mesh.phase == phase)
             self._phases.append((phase, space, elements, row[mesh.cell_source[elements]]))
 
-    def fields(self, t):
+    def key_groups(self, t):
+        """The anchor of each sample key's first tile at t, and the key
+        number of every tile (:func:`sample_key_groups` of the anchors)."""
+        first, tile_key = sample_key_groups(self.transformation, t, self.anchors)
+        return self.anchors[first], tile_key
+
+    def fields(self, t, groups):
         """Pulled-back, eps-scaled coefficient fields of both phases as
-        (n_elements, nq, ...) arrays over the whole epsilon mesh."""
-        tr = self.transformation
-        first, tile_key = sample_key_groups(tr, t, self.anchors)
-        # the cell's points once per key, each copy at the anchor of the
-        # key's first tile, in one batch per phase
-        key_anchor = self.anchors[first]
+        (n_elements, nq, ...) arrays over the whole epsilon mesh, from the
+        :meth:`key_groups` of t."""
+        key_anchor, tile_key = groups
         out = {}
         for phase, space, elements, rows in self._phases:
-            f = key_fields(space, tr, self.scaled, phase, t, key_anchor)
+            # the cell's points once per key, in one batch per phase
+            f = key_fields(space, self.transformation, self.scaled, phase, t, key_anchor)
             at = tile_key[self.mesh.cell_tile[elements]] * len(space.cells) + rows
             for name, a in f.items():
                 if name not in out:
@@ -100,33 +106,25 @@ class EpsilonCoefficients:
         out["velocity"] *= self.eps  # cell velocity is O(eps)
         return out
 
-    def interface_data(self, t):
-        """Per-facet J, normal velocity, curvature and F at facet centroids."""
-        mesh = self.mesh
-        centroids = mesh.facet_centroids()
-        tiles = mesh.facet_tile
-        X = self.anchors[tiles]
-        y = centroids / self.eps - np.round(X / self.eps)
-        n, W, H, F, J = interface_batch(self.transformation, t, X, y,
-                                        mesh.interface_normals)
-        return dict(J=J, W=W, H=H, F=F, n0=mesh.interface_normals)
-
-    def surface_loads(self, t, latent_factor):
-        """Curvature load (vector dofs) and latent-heat load (scalar dofs).
+    def surface_loads(self, t, latent_factor, groups):
+        """Curvature load (vector dofs) and latent-heat load (scalar dofs),
+        from the interface fields at the unit cell's facets once per key of
+        the :meth:`key_groups` of t, gathered into the facet order of the
+        epsilon mesh through ``mesh.facet_tile`` and ``mesh.facet_source``.
 
         The eps-level surface densities are eps * (J sigma0 H F^{-1} n0) and
         eps * latent * (J W): one power of eps from the interface fields and
         the rest absorbed by the prescribed scalings of the jump conditions.
         """
-        data = self.interface_data(t)
-        Finv = np.linalg.inv(data["F"])
-        sigma0 = self.material.surface_tension
-        mech_density = self.eps * sigma0 * (data["J"] * data["H"])[:, None] * np.einsum(
-            "fab,fb->fa", Finv, data["n0"]
-        )
-        heat_density = self.eps * latent_factor * data["J"] * data["W"]
-        mech = assemble_interface_load(self.mesh, None, values=mech_density)
-        heat = assemble_interface_load(self.mesh, None, values=heat_density)
+        key_anchor, tile_key = groups
+        cell, mesh = self._phases[0][1].mesh, self.mesh    # both phases share the cell
+        speed, stress = key_interface(self.transformation, t, key_anchor,
+                                      cell.facet_centroids(), cell.interface_normals,
+                                      self.eps * self.material.surface_tension)
+        at = tile_key[mesh.facet_tile] * len(cell.interface_facets) + mesh.facet_source
+        mech = assemble_interface_load(mesh, None, values=stress[at])
+        heat = assemble_interface_load(mesh, None,
+                                       values=self.eps * latent_factor * speed[at])
         return mech, heat
 
 
@@ -198,7 +196,8 @@ class EpsilonSolver:
 
     def _operators(self, t):
         mesh, space = self.mesh, self.space
-        f = self.coeffs.fields(t)
+        groups = self.coeffs.key_groups(t)
+        f = self.coeffs.fields(t, groups)
 
         def op(kind, coeff):
             return assemble_operator(mesh, kind, coeff, space=space)
@@ -206,7 +205,8 @@ class EpsilonSolver:
         N = op("advection", f["heat_capacity"][:, :, None] * f["velocity"])
         A_gamma = space.pattern("dissipation").matrix(
             weak_form(space, "advective_dissipation", f["velocity"], f["dissipation"]))
-        mech_surface, heat_surface = self.coeffs.surface_loads(t, self._latent_factor())
+        mech_surface, heat_surface = self.coeffs.surface_loads(t, self._latent_factor(),
+                                                               groups)
 
         f_u_a, f_u_b, f_th_a, f_th_b = self.sources(t)
         f_theta = np.zeros(space.n_scalar)

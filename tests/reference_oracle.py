@@ -3,17 +3,18 @@ for ``EpsilonSolver``.
 
 ``OracleEpsilonSolver`` builds every bundle by pulling the coefficients back
 at each quadrature point of the epsilon mesh, through that point's tile, and
-assembles each operator as one COO matrix per phase plus a sparse sum.  Its
-staggered loop recomputes the advective dissipation load from the
-coefficient fields with einsum on every iteration, and solves the heat
-system by the path ``EpsilonSolver`` used before its single direct solve:
-a sparse direct solve under the default COLAMD ordering when the heat matrix
-is advective, CG (falling back to that direct solve) when it is not.
-``EpsilonSolver`` instead pulls back once per sample key on the unit cell,
-assembles each operator once on the whole mesh through a cached sparsity
-pattern, applies the advective dissipation matrix assembled from its weak
-form and solves every heat matrix with one minimum-degree direct solve; the
-tests compare the two.
+assembles each operator as one COO matrix per phase plus a sparse sum; it
+evaluates the interface loads at every facet of the epsilon mesh, through
+that facet's tile.  Its staggered loop recomputes the advective dissipation
+load from the coefficient fields with einsum on every iteration, and solves
+the heat system by the path ``EpsilonSolver`` used before its single direct
+solve: a sparse direct solve under the default COLAMD ordering when the heat
+matrix is advective, CG (falling back to that direct solve) when it is not.
+``EpsilonSolver`` instead evaluates the volume and interface fields once per
+sample key on the unit cell, assembles each operator once on the whole mesh
+through a cached sparsity pattern, applies the advective dissipation matrix
+assembled from its weak form and solves every heat matrix with one
+minimum-degree direct solve; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from thermohom.fem import (
     P1Space,
     SolverError,
     assemble_gradient_load,
+    assemble_interface_load,
     assemble_scalar_load,
     assemble_vector_load,
     solve_spd,
 )
-from thermohom.kinematics import PHASE_A, PHASE_B, coefficient_fields
+from thermohom.kinematics import PHASE_A, PHASE_B, coefficient_fields, interface_batch
 from thermohom.reference import EpsilonSolver
 
 
@@ -77,7 +79,7 @@ class OracleEpsilonSolver(EpsilonSolver):
             return (parts[0] + parts[1]).tocsr()
 
         N = both("advection", lambda f: f["heat_capacity"][:, :, None] * f["velocity"])
-        mech_surface, heat_surface = self.coeffs.surface_loads(t, self._latent_factor())
+        mech_surface, heat_surface = self.surface_loads(t)
         f_u_a, f_u_b, f_th_a, f_th_b = self.sources(t)
         f_theta = np.zeros(self.space.n_scalar)
         f_u = np.zeros(self.space.n_vector)
@@ -94,6 +96,20 @@ class OracleEpsilonSolver(EpsilonSolver):
             G_gamma=both("coupling", lambda f: f["dissipation"]), N=N,
             mech_surface=mech_surface, heat_surface=heat_surface,
             f_theta=f_theta, f_u=f_u)
+
+    def surface_loads(self, t):
+        """Curvature and latent-heat loads from the interface fields at every
+        facet of the epsilon mesh, each through the anchor of its own tile."""
+        coeffs, mesh = self.coeffs, self.mesh
+        X = coeffs.anchors[mesh.facet_tile]
+        y = mesh.facet_centroids() / coeffs.eps - np.round(X / coeffs.eps)
+        _, W, H, F, J = interface_batch(self.transformation, t, X, y, mesh.interface_normals)
+        sigma0 = self.material.surface_tension
+        mech_density = coeffs.eps * sigma0 * (J * H)[:, None] * np.einsum(
+            "fab,fb->fa", np.linalg.inv(F), mesh.interface_normals)
+        heat_density = coeffs.eps * self._latent_factor() * J * W
+        return (assemble_interface_load(mesh, None, values=mech_density),
+                assemble_interface_load(mesh, None, values=heat_density))
 
     def advective_dissipation_load(self, b, u):
         """int (gamma : grad u) v . grad phi_i, phase by phase."""
