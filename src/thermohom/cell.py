@@ -82,9 +82,9 @@ class CellContext:
         self.vector_basis = constraint_basis(self.space_a.n_vector, ConstraintSet(
             periodic=self.periodic_vector, zero_mean_weights=list(self.vector_weights)))
         self.thermal_scatter = self.scalar_basis.augmented_scatter(
-            self.space_a.pattern("scalar"))
+            self.space_a.scalar_dofs())
         self.elastic_scatter = self.vector_basis.augmented_scatter(
-            self.space_a.pattern("vector"))
+            self.space_a.vector_dofs())
 
         # interface data lives on the full cell mesh
         self.facet_centroids = cell_mesh.facet_centroids()

@@ -1,18 +1,20 @@
 """First-order conforming finite elements on simplicial meshes.
 
 Scalar fields carry one degree of freedom per vertex; vector fields use the
-interleaved ordering ``dof = vertex * dim + component``.  Sparse matrices are
-scipy CSR.  Every element matrix and load is written once, in the form table
-:data:`FORMS`: one einsum of its coefficients against the space's gradients,
-shape values, quadrature weights and element volumes, over all elements at
-once and for any number of leading batch axes (sample keys, load indices).
-Each :class:`P1Space` builds the CSR sparsity pattern of a dof layout on its
-first assembly and keeps it (:meth:`P1Space.pattern`); every later assembly
-on that layout is one ``np.bincount`` of the element blocks into the
-pattern's data array, with no COO conversion, sort or duplicate sum.  Loads
-are summed into their dofs by one ``np.bincount`` as well
-(:func:`scatter_load`).  Both sum in a fixed element order, so results do not
-depend on any worker count.
+interleaved ordering ``dof = vertex * dim + component``.  Every element matrix
+and load is written once, in the form table :data:`FORMS`: one einsum of its
+coefficients against the space's gradients, shape values, quadrature weights
+and element volumes, over all elements at once and for any number of leading
+batch axes (sample keys, load indices).  Every sparse matrix is summed from
+element blocks through one :class:`ElementScatter`, built once per dof
+layout, restriction and format from the element dofs: the operators are CSR,
+through the scatter each :class:`P1Space` keeps per layout
+(:meth:`P1Space.pattern`), and the restricted, key-batched systems of the
+cell correctors and micro blocks are CSC, the format SuperLU factors.  Every
+later assembly is one ``np.bincount`` of the element blocks into the fixed
+data array, with no COO conversion, sort or duplicate sum.  Loads are summed
+into their dofs by one ``np.bincount`` as well (:func:`scatter_load`).  Both
+sum in a fixed element order, so results do not depend on any worker count.
 
 Coefficient fields passed to the assemblers may be constants (scalar, matrix,
 or rank-4 tensor), per-quadrature-point arrays of shape ``(n_elements, n_qp,
@@ -92,106 +94,83 @@ def simplex_rule(dim):
 
 
 # ---------------------------------------------------------------------------
-# sparsity patterns
+# element-block scatters
 
 
 @dataclass(frozen=True)
-class CsrPattern:
-    """The CSR structure of matrices assembled from the local (row dofs x
-    column dofs) blocks of a list of elements; ``slot`` is the position of
-    each block entry in the data array, so one ``np.bincount`` sums them."""
-
-    shape: tuple
-    indptr: np.ndarray
-    indices: np.ndarray
-    slot: np.ndarray
-
-    @staticmethod
-    def of(row_dofs, col_dofs, shape):
-        n_rows, n_cols = shape
-        rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).astype(np.int64)
-        cols = np.tile(col_dofs, (1, row_dofs.shape[1]))
-        unique, slot = np.unique((rows * n_cols + cols).ravel(), return_inverse=True)
-        index = np.int32 if max(len(unique), n_rows, n_cols) < 2**31 else np.int64
-        indptr = np.zeros(n_rows + 1, dtype=index)
-        np.cumsum(np.bincount(unique // n_cols, minlength=n_rows), out=indptr[1:])
-        indices = (unique % n_cols).astype(index)
-        for a in (indptr, indices):
-            a.flags.writeable = False      # shared by every matrix built here
-        return CsrPattern(shape=tuple(shape), indptr=indptr, indices=indices,
-                          slot=slot.ravel())
-
-    def matrix(self, values):
-        """The matrix of the element blocks ``values``, (e, rows, cols) in
-        any shape that ravels to that order."""
-        values = np.asarray(values, dtype=float).ravel()
-        if not np.all(np.isfinite(values)):
-            raise ValueError("assembly produced non-finite entries")
-        data = np.bincount(self.slot, weights=values, minlength=len(self.indices))
-        A = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-        A.has_canonical_format = True
-        return A
-
-
-@dataclass(frozen=True)
-class BlockScatter:
+class ElementScatter:
     """Element blocks of many keys summed straight into the data arrays of
-    one fixed CSC structure.
+    one fixed compressed sparse structure, rows compressed (CSR) or, with
+    ``csc``, columns.
 
-    Entry i of an element-block array (in the entry order of a
-    :class:`CsrPattern`) lands in data slot ``slot[i]``; a slot equal to the
-    number of entries drops it.  ``fixed`` holds the data of entries that do
-    not depend on the key.  Built once per layout and restriction
-    (:meth:`of`), it replaces per-key CSR assembly, row and column slicing
-    and ``R^T A R`` products by one ``np.bincount`` per batch of keys.
+    Entry i of the element blocks, raveled (e, rows, cols), lands in data
+    slot ``slot[i]``; a slot equal to the number of stored entries drops
+    it.  ``fixed`` holds the data of entries that do not depend on the key.
+    Built once per dof layout and restriction (:meth:`of`), it replaces COO
+    conversion, duplicate sums, row and column slicing and ``R^T A R``
+    products by one ``np.bincount`` per batch of keys; every matrix built
+    from it shares its ``indptr`` and ``indices``.
     """
 
     shape: tuple
     indptr: np.ndarray
     indices: np.ndarray
     slot: np.ndarray
-    fixed: np.ndarray
+    fixed: np.ndarray | None
+    csc: bool
 
     @staticmethod
-    def of(pattern: CsrPattern, row_of, col_of, shape, extra=None):
-        """The scatter onto ``shape`` of the matrices on ``pattern``: pattern
-        row r goes to row ``row_of[r]`` and column c to ``col_of[c]``, or is
-        dropped where that is negative; entries meeting in one position sum.
-        ``extra`` = (rows, cols, values) adds key-independent entries."""
-        rows = row_of[np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))]
-        cols = col_of[pattern.indices]
+    def of(row_dofs, col_dofs, shape, row_map=None, col_map=None, fixed=None, csc=False):
+        """The scatter onto ``shape`` of the blocks of the element dofs
+        ``row_dofs`` x ``col_dofs`` (e, rows) and (e, cols): dof r goes to
+        row ``row_map[r]`` and dof c to column ``col_map[c]`` (to itself
+        without a map) and is dropped where that is negative; entries meeting
+        in one position sum.  ``fixed`` = (rows, cols, values) adds
+        key-independent entries."""
+        rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).astype(np.int64).ravel()
+        cols = np.tile(col_dofs, (1, row_dofs.shape[1])).astype(np.int64).ravel()
+        rows = rows if row_map is None else row_map[rows]
+        cols = cols if col_map is None else col_map[cols]
         keep = (rows >= 0) & (cols >= 0)
         n_kept = int(keep.sum())
-        er, ec, ev = extra if extra is not None else ((), (), ())
-        position = np.concatenate([cols[keep] * shape[0] + rows[keep],
-                                   np.asarray(ec, dtype=np.int64) * shape[0]
-                                   + np.asarray(er, dtype=np.int64)])
-        unique, at = np.unique(position, return_inverse=True)
+        fr, fc, fv = fixed if fixed is not None else ((), (), ())
+        rows = np.concatenate([rows[keep], np.asarray(fr, dtype=np.int64)])
+        cols = np.concatenate([cols[keep], np.asarray(fc, dtype=np.int64)])
+        major, minor, (n_major, n_minor) = ((cols, rows, shape[::-1]) if csc
+                                            else (rows, cols, shape))
+        unique, at = np.unique(major * n_minor + minor, return_inverse=True)
         n = len(unique)
-        data_slot = np.full(len(rows), n)
-        data_slot[keep] = at[:n_kept]
-        indptr = np.zeros(shape[1] + 1, dtype=np.int32)
-        np.cumsum(np.bincount(unique // shape[0], minlength=shape[1]), out=indptr[1:])
-        fixed = np.bincount(at[n_kept:], weights=np.asarray(ev, dtype=float), minlength=n)
-        return BlockScatter(shape=tuple(shape), indptr=indptr,
-                            indices=(unique % shape[0]).astype(np.int32),
-                            slot=data_slot[pattern.slot], fixed=fixed)
+        index = np.int32 if max(n, *shape) < 2**31 else np.int64
+        indptr = np.zeros(n_major + 1, dtype=index)
+        np.cumsum(np.bincount(unique // n_minor, minlength=n_major), out=indptr[1:])
+        indices = (unique % n_minor).astype(index)
+        for a in (indptr, indices):
+            a.flags.writeable = False      # shared by every matrix built here
+        slot = np.full(len(keep), n)
+        slot[keep] = at[:n_kept]
+        if fixed is not None:
+            fixed = np.bincount(at[n_kept:], weights=np.asarray(fv, dtype=float),
+                                minlength=n)
+        return ElementScatter(shape=tuple(shape), indptr=indptr, indices=indices,
+                              slot=slot, fixed=fixed, csc=csc)
 
     def data(self, blocks):
         """The data arrays (k x nnz) of k keys' element blocks, given in any
-        shape (k, ...) that ravels each key's blocks in pattern entry order."""
+        shape (k, ...) that ravels each key's blocks in element entry order."""
         blocks = np.asarray(blocks, dtype=float).reshape(len(blocks), -1)
         if not np.all(np.isfinite(blocks)):
             raise ValueError("assembly produced non-finite entries")
-        k, n = len(blocks), len(self.fixed)
-        at = (np.arange(k)[:, None] * (n + 1) + self.slot).ravel()
+        k, n = len(blocks), len(self.indices)
+        at = self.slot if k == 1 else (np.arange(k)[:, None] * (n + 1) + self.slot).ravel()
         data = np.bincount(at, weights=blocks.ravel(), minlength=k * (n + 1))
-        return data.reshape(k, n + 1)[:, :n] + self.fixed
+        data = data.reshape(k, n + 1)[:, :n]
+        return data if self.fixed is None else data + self.fixed
 
     def matrix(self, data):
-        """The CSC matrix of one key's data array."""
-        A = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
-        A.has_sorted_indices = True
+        """The matrix of one key's data array."""
+        A = (sp.csc_matrix if self.csc else sp.csr_matrix)(
+            (data, self.indices, self.indptr), shape=self.shape)
+        A.has_canonical_format = True
         return A
 
 
@@ -247,27 +226,31 @@ class P1Space:
     def n_vector(self):
         return self.n_vertices * self.dim
 
-    def pattern(self, layout) -> CsrPattern:
-        """The sparsity of one dof layout on this space, built on first use.
+    def layout(self, name):
+        """The (row dofs, column dofs, shape) of one dof layout on this space.
 
         Layouts take (e, rows, cols) local matrices: "scalar" and "vector"
         (square), "coupling" (vector rows, scalar columns), "dissipation"
         (scalar rows, vector columns) and "coupled", square on the stacked
         (scalar, then vector) dofs with each element's scalar dofs first.
         """
+        S, V = self.scalar_dofs(), self.vector_dofs()
+        ns, nv = self.n_scalar, self.n_vector
+        SV = np.hstack([S, ns + V])
+        return {
+            "scalar": (S, S, (ns, ns)),
+            "vector": (V, V, (nv, nv)),
+            "coupling": (V, S, (nv, ns)),
+            "dissipation": (S, V, (ns, nv)),
+            "coupled": (SV, SV, (ns + nv, ns + nv)),
+        }[name]
+
+    def pattern(self, layout) -> ElementScatter:
+        """The CSR scatter of one dof layout (:meth:`layout`), built on first
+        use."""
         p = self._patterns.get(layout)
         if p is None:
-            S, V = self.scalar_dofs(), self.vector_dofs()
-            ns, nv = self.n_scalar, self.n_vector
-            SV = np.hstack([S, ns + V])
-            blocks = {
-                "scalar": (S, S, (ns, ns)),
-                "vector": (V, V, (nv, nv)),
-                "coupling": (V, S, (nv, ns)),
-                "dissipation": (S, V, (ns, nv)),
-                "coupled": (SV, SV, (ns + nv, ns + nv)),
-            }
-            p = self._patterns[layout] = CsrPattern.of(*blocks[layout])
+            p = self._patterns[layout] = ElementScatter.of(*self.layout(layout))
         return p
 
     # coefficient evaluation -------------------------------------------------
@@ -370,7 +353,8 @@ def assemble_operator(mesh, kind, coeff, element_mask=None, space=None):
     s = space if space is not None else P1Space(mesh, element_mask)
     if kind not in FORMS or kind.endswith("_load") or FORMS[kind][1].count("c") != 1:
         raise ValueError(f"unknown operator kind: {kind}")
-    return s.pattern(FORMS[kind][2]).matrix(_integrate(s, kind, coeff))
+    p = s.pattern(FORMS[kind][2])
+    return p.matrix(p.data(_integrate(s, kind, coeff)[None])[0])
 
 
 def vector_mass(mesh, coeff, element_mask=None, space=None):
@@ -466,26 +450,6 @@ class ReducedSystem:
     def recover(self, x_reduced):
         return self.restriction @ x_reduced + _columns(self.offset, x_reduced)
 
-    def augmented(self):
-        """The system with explicit Lagrange multipliers for the zero-mean
-        constraints (:func:`augmented_matrix`) and the zero-padded rhs."""
-        K = augmented_matrix(self.matrix, self.constraints)
-        k = K.shape[0] - self.matrix.shape[0]
-        return K, np.concatenate([self.rhs, np.zeros((k,) + self.rhs.shape[1:])])
-
-
-def augmented_matrix(A, constraints):
-    """``[[A, M], [M^T, 0]]`` in CSC, M the zero-mean weight vectors as columns."""
-    if not constraints:
-        return A.tocsc()
-    A = A.tocoo()
-    M = np.column_stack(constraints)
-    n, k = M.shape
-    i, j = np.nonzero(M)
-    return sp.csc_matrix((np.concatenate([A.data, M[i, j], M[i, j]]),
-                          (np.concatenate([A.row, i, n + j]),
-                           np.concatenate([A.col, n + j, i]))), shape=(n + k, n + k))
-
 
 @dataclass
 class ConstraintBasis:
@@ -497,26 +461,32 @@ class ConstraintBasis:
     constraints: list                # reduced zero-mean weight vectors
 
     def reduce_matrix(self, A):
-        """``R^T A R`` in CSR."""
+        """``R^T A R`` in CSR, by scipy's sparse products.  These drop the
+        entries that sum to zero, which a selection of the entries by index
+        would keep: the resolved elasticity matrix at eps 1/8 stores 24 184
+        such zeros among its 323 716 entries, and its LU with them is slower,
+        fills 2.61 M entries instead of 2.28 M and permutes the columns
+        differently."""
         R = self.restriction
         return (R.T @ A @ R).tocsr()
 
-    def augmented_scatter(self, pattern: CsrPattern) -> BlockScatter:
-        """The map from element blocks on ``pattern`` to the CSC data of the
-        augmented reduced matrix ``[[R^T A R, M], [M^T, 0]]``
-        (:meth:`ReducedSystem.augmented`, M the reduced zero-mean weights).
-        R selects (one unit entry per unpinned row), so ``R^T A R`` sums the
-        entries of A by the reduced index of their row and column."""
+    def augmented_scatter(self, dofs) -> ElementScatter:
+        """The map from the element blocks on the element dofs ``dofs`` to
+        the CSC data of the augmented reduced matrix ``[[R^T A R, M], [M^T,
+        0]]``, M the reduced zero-mean weights as columns, which enter as
+        explicit Lagrange multipliers.  R selects (one unit entry per
+        unpinned row), so ``R^T A R`` sums the entries of A by the reduced
+        index of their row and column."""
         n_red = self.restriction.shape[1]
-        extra = None
+        fixed = None
         if self.constraints:
             M = np.column_stack(self.constraints)
             i, j = np.nonzero(M)
-            extra = (np.concatenate([i, n_red + j]), np.concatenate([n_red + j, i]),
+            fixed = (np.concatenate([i, n_red + j]), np.concatenate([n_red + j, i]),
                      np.concatenate([M[i, j], M[i, j]]))
         n_aug = n_red + len(self.constraints)
-        return BlockScatter.of(pattern, self.reduced_index, self.reduced_index,
-                               (n_aug, n_aug), extra)
+        return ElementScatter.of(dofs, dofs, (n_aug, n_aug), self.reduced_index,
+                                 self.reduced_index, fixed, csc=True)
 
     @functools.cached_property
     def reduced_index(self):
@@ -601,10 +571,10 @@ def solve_spd(A, b, tol=1e-10, max_iter=None, constraints=None):
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     Optional linear constraints m^T x = 0 (zero-mean spaces) are enforced by
-    projection each iteration, which reproduces the Lagrange-multiplier
-    solution of :meth:`ReducedSystem.augmented` without losing positive
-    definiteness.  Raises SolverError with the residual history on breakdown,
-    detected indefiniteness, or too many iterations.
+    projection each iteration, which reproduces the solution with explicit
+    Lagrange multipliers without losing positive definiteness.  Raises
+    SolverError with the residual history on breakdown, detected
+    indefiniteness, or too many iterations.
     """
     n = A.shape[0]
     if n == 0:
@@ -658,19 +628,6 @@ def solve_spd(A, b, tol=1e-10, max_iter=None, constraints=None):
         f"(last residual {residuals[-1]:.3e})",
         residuals,
     )
-
-
-def solve_block(red: ReducedSystem):
-    """Every column of ``red.rhs`` from one sparse LU of the augmented system.
-
-    Zero-mean constraints enter as the explicit multipliers of
-    :meth:`ReducedSystem.augmented`; the system is structurally symmetric,
-    so the column ordering is minimum degree on K^T + K.  Returns the
-    full-space solutions (n_full x m) and the relative residual of each
-    column in that system.
-    """
-    Z, residuals = lu_solve(*red.augmented())
-    return red.recover(Z[: red.matrix.shape[0]]), residuals
 
 
 def lu_solve(K, B):

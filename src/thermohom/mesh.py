@@ -55,13 +55,7 @@ class Mesh:
     # -- geometry -----------------------------------------------------------
 
     def cell_volumes(self):
-        v = self.vertices[self.cells]
-        edges = v[:, 1:, :] - v[:, :1, :]
-        if self.dim == 2:
-            det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-        else:
-            det = np.linalg.det(edges)
-        return det / math.factorial(self.dim)
+        return _signed_dets(self.vertices, self.cells) / math.factorial(self.dim)
 
     def phase_measures(self):
         vols = self.cell_volumes()
@@ -114,14 +108,28 @@ def _resolution_params(radius, resolution):
     return m, core_half, inner_layers, outer_layers
 
 
-def _orient_cells(vertices, cells, dim):
+def _signed_dets(vertices, cells):
+    """The determinant of each simplex's edge vectors from its first vertex:
+    d! times its signed volume."""
     v = vertices[cells]
     edges = v[:, 1:, :] - v[:, :1, :]
-    if dim == 2:
-        det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-    else:
-        det = np.linalg.det(edges)
-    flip = det < 0.0
+    if vertices.shape[1] == 2:
+        return edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
+    return np.linalg.det(edges)
+
+
+def _add_shell(verts, rings, inner, outer, layers):
+    """Append to ``verts`` the rings of a shell blended from the station
+    positions ``inner`` to ``outer`` in ``layers`` layers, the last ring
+    exactly ``outer``, and their vertex ids to ``rings``."""
+    for layer in range(1, layers + 1):
+        pos = outer if layer == layers else inner + layer / layers * (outer - inner)
+        rings.append(list(range(len(verts), len(verts) + len(pos))))
+        verts.extend(map(tuple, pos))
+
+
+def _orient_cells(vertices, cells):
+    flip = _signed_dets(vertices, cells) < 0.0
     cells = cells.copy()
     cells[flip, -2], cells[flip, -1] = cells[flip, -1].copy(), cells[flip, -2].copy()
     return cells
@@ -174,32 +182,24 @@ def _periodic_pairs_from_coords(vertices, tol=1e-12):
 # 2D builder
 
 
-def _boundary_stations_2d(m):
-    """4m boundary points at exact fractions, counterclockwise from (0, 0)."""
-    pts = []
-    for k in range(m):
-        pts.append((k / m, 0.0))
-    for k in range(m):
-        pts.append((1.0, k / m))
-    for k in range(m):
-        pts.append(((m - k) / m, 1.0))
-    for k in range(m):
-        pts.append((0.0, (m - k) / m))
-    return np.array(pts)
+def _perimeter_walk_2d(m):
+    """The 4m lattice points (i, j) of the m x m square's perimeter,
+    counterclockwise from (0, 0)."""
+    k, zero, side = np.arange(m), np.zeros(m, dtype=int), np.full(m, m)
+    return np.concatenate([np.stack(ij, axis=1) for ij in
+                           ((k, zero), (side, k), (m - k, side), (zero, m - k))])
 
 
-def _core_perimeter_order_2d(m):
-    """Indices (i, j) of the core grid perimeter matching the station order."""
-    order = []
-    for k in range(m):
-        order.append((k, 0))
-    for k in range(m):
-        order.append((m, k))
-    for k in range(m):
-        order.append((m - k, m))
-    for k in range(m):
-        order.append((0, m - k))
-    return order
+def _grid_triangles(n):
+    """The triangles of the n x n square grid with vertex (i, j) numbered
+    i * (n + 1) + j, the squares split along alternating diagonals."""
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            c, d = b + 1, a + 1
+            cells += [(a, b, c), (a, c, d)] if (i + j) % 2 == 0 else [(a, b, d), (b, c, d)]
+    return cells
 
 
 def _split_band(ring_a, ring_b, vertices):
@@ -225,55 +225,28 @@ def _build_cell_mesh_2d(radius, resolution):
     m, core_half, k_in, k_out = _resolution_params(radius, resolution)
     center = np.array([0.5, 0.5])
 
-    verts = []
-    # core grid
+    # core grid, vertex (i, j) numbered i * (m + 1) + j
     xs = np.array([0.5 + core_half * (2.0 * t / m - 1.0) for t in range(m + 1)])
-    core_id = {}
-    for i in range(m + 1):
-        for j in range(m + 1):
-            core_id[(i, j)] = len(verts)
-            verts.append((xs[i], xs[j]))
+    verts = [(xs[i], xs[j]) for i in range(m + 1) for j in range(m + 1)]
 
-    boundary = _boundary_stations_2d(m)
+    # 4m boundary stations at exact fractions, matching the core perimeter
+    walk = _perimeter_walk_2d(m)
+    boundary = walk / m
     dirs = boundary - center
     unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     circle = center + radius * unit
 
-    ring0 = [core_id[ij] for ij in _core_perimeter_order_2d(m)]
+    ring0 = (walk @ [m + 1, 1]).tolist()
     core_perim = np.array([verts[v] for v in ring0])
 
     rings = [ring0]
-    # inner shell: core perimeter -> circle
-    for layer in range(1, k_in + 1):
-        tau = layer / k_in
-        pos = circle if layer == k_in else core_perim + tau * (circle - core_perim)
-        ring = list(range(len(verts), len(verts) + len(pos)))
-        verts.extend(map(tuple, pos))
-        rings.append(ring)
-    # outer shell: circle -> boundary
-    for layer in range(1, k_out + 1):
-        tau = layer / k_out
-        pos = boundary if layer == k_out else circle + tau * (boundary - circle)
-        ring = list(range(len(verts), len(verts) + len(pos)))
-        verts.extend(map(tuple, pos))
-        rings.append(ring)
+    _add_shell(verts, rings, core_perim, circle, k_in)    # core perimeter -> circle
+    _add_shell(verts, rings, circle, boundary, k_out)     # circle -> boundary
 
     vertices = np.array(verts)
 
-    cells = []
-    phase = []
-    # core triangles, alternating diagonals
-    for i in range(m):
-        for j in range(m):
-            a = core_id[(i, j)]
-            b = core_id[(i + 1, j)]
-            c = core_id[(i + 1, j + 1)]
-            d = core_id[(i, j + 1)]
-            if (i + j) % 2 == 0:
-                cells += [(a, b, c), (a, c, d)]
-            else:
-                cells += [(a, b, d), (b, c, d)]
-            phase += [1, 1]
+    cells = _grid_triangles(m)
+    phase = [1] * len(cells)
     for layer in range(len(rings) - 1):
         tris = _split_band(rings[layer], rings[layer + 1], vertices)
         cells.extend(tris)
@@ -287,7 +260,7 @@ def _build_cell_mesh_2d(radius, resolution):
         [(circ_ring[j], circ_ring[(j + 1) % len(circ_ring)]) for j in range(len(circ_ring))],
         dtype=int,
     )
-    cells = _orient_cells(vertices, cells, 2)
+    cells = _orient_cells(vertices, cells)
     normals = _orient_interface_normals(vertices, facets, center)
     pairs = _periodic_pairs_from_coords(vertices)
     return Mesh(
@@ -355,18 +328,8 @@ def _build_cell_mesh_3d(radius, resolution):
     core_surf = np.array([verts[v] for v in ring0])
 
     rings = [ring0]
-    for layer in range(1, k_in + 1):
-        tau = layer / k_in
-        pos = sphere if layer == k_in else core_surf + tau * (sphere - core_surf)
-        ring = list(range(len(verts), len(verts) + len(pos)))
-        verts.extend(map(tuple, pos))
-        rings.append(ring)
-    for layer in range(1, k_out + 1):
-        tau = layer / k_out
-        pos = boundary if layer == k_out else sphere + tau * (boundary - sphere)
-        ring = list(range(len(verts), len(verts) + len(pos)))
-        verts.extend(map(tuple, pos))
-        rings.append(ring)
+    _add_shell(verts, rings, core_surf, sphere, k_in)
+    _add_shell(verts, rings, sphere, boundary, k_out)
 
     on_sphere = np.zeros(len(verts), dtype=bool)
     on_sphere[rings[k_in]] = True
@@ -437,7 +400,7 @@ def _build_cell_mesh_3d(radius, resolution):
             facets.append((face[e], face[(e + 1) % 4], fc))
     facets = np.array(facets, dtype=int)
 
-    cells = _orient_cells(vertices, cells, 3)
+    cells = _orient_cells(vertices, cells)
     normals = _orient_interface_normals(vertices, facets, center)
     pairs = _periodic_pairs_from_coords(vertices)
     return Mesh(
@@ -467,17 +430,8 @@ def build_uniform_mesh(resolution, dim=2) -> Mesh:
     """Uniform simplicial mesh of the unit square/cube, all matrix phase."""
     n = int(resolution)
     if dim == 2:
-        idx = lambda i, j: i * (n + 1) + j
         vertices = np.array([(i / n, j / n) for i in range(n + 1) for j in range(n + 1)])
-        cells = []
-        for i in range(n):
-            for j in range(n):
-                a, b = idx(i, j), idx(i + 1, j)
-                c, d = idx(i + 1, j + 1), idx(i, j + 1)
-                if (i + j) % 2 == 0:
-                    cells += [(a, b, c), (a, c, d)]
-                else:
-                    cells += [(a, b, d), (b, c, d)]
+        cells = _grid_triangles(n)
     elif dim == 3:
         idx = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
         vertices = np.array(
@@ -498,7 +452,7 @@ def build_uniform_mesh(resolution, dim=2) -> Mesh:
                         cells.append(tuple(idx(*p) for p in path))
     else:
         raise MeshError("dimension must be 2 or 3")
-    cells = _orient_cells(vertices, np.array(cells, dtype=int), dim)
+    cells = _orient_cells(vertices, np.array(cells, dtype=int))
     return Mesh(
         dim=dim, vertices=vertices, cells=cells,
         phase=np.zeros(len(cells), dtype=np.uint8),
@@ -513,76 +467,48 @@ def build_uniform_mesh(resolution, dim=2) -> Mesh:
 # epsilon tiling
 
 
+def _tile_offsets(n, d):
+    """The integer offset of each of the n^d tiles, the last axis fastest."""
+    return np.stack(np.meshgrid(*[np.arange(n)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+
 def build_epsilon_mesh(cell: Mesh, eps: float) -> Mesh:
     """Tile the scaled unit cell over the unit square/cube and merge seams."""
     n = round(1.0 / eps)
     if abs(n * eps - 1.0) > 1e-12:
         raise MeshError("1/eps must be an integer")
     d = cell.dim
-    nv = len(cell.vertices)
-    nc = len(cell.cells)
-    nf = len(cell.interface_facets)
+    nv, nc, nf = len(cell.vertices), len(cell.cells), len(cell.interface_facets)
+    ntiles = n**d
+    tiles = np.arange(ntiles)
+    all_verts = (eps * (cell.vertices + _tile_offsets(n, d)[:, None])).reshape(-1, d)
 
-    offsets = np.stack(
-        np.meshgrid(*[np.arange(n)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    ntiles = len(offsets)
-
-    all_verts = np.empty((ntiles * nv, d))
-    for t, off in enumerate(offsets):
-        all_verts[t * nv:(t + 1) * nv] = eps * (cell.vertices + off)
-
-    # seam vertices coincide bitwise by construction; merge exact duplicates
-    seen: dict[bytes, int] = {}
-    remap = np.empty(ntiles * nv, dtype=int)
-    keep = []
-    for vid in range(ntiles * nv):
-        key = all_verts[vid].tobytes()
-        hit = seen.get(key)
-        if hit is None:
-            seen[key] = len(keep)
-            remap[vid] = len(keep)
-            keep.append(vid)
-        else:
-            remap[vid] = hit
-    vertices = all_verts[keep]
-
-    cells = np.empty((ntiles * nc, d + 1), dtype=int)
-    phase = np.empty(ntiles * nc, dtype=np.uint8)
-    cell_tile = np.empty(ntiles * nc, dtype=int)
-    cell_source = np.empty(ntiles * nc, dtype=int)
-    facets = np.empty((ntiles * nf, d), dtype=int)
-    normals = np.empty((ntiles * nf, d))
-    facet_tile = np.empty(ntiles * nf, dtype=int)
-    facet_source = np.empty(ntiles * nf, dtype=int)
-    for t in range(ntiles):
-        cells[t * nc:(t + 1) * nc] = remap[cell.cells + t * nv]
-        phase[t * nc:(t + 1) * nc] = cell.phase
-        cell_tile[t * nc:(t + 1) * nc] = t
-        cell_source[t * nc:(t + 1) * nc] = np.arange(nc)
-        facets[t * nf:(t + 1) * nf] = remap[cell.interface_facets + t * nv]
-        normals[t * nf:(t + 1) * nf] = cell.interface_normals
-        facet_tile[t * nf:(t + 1) * nf] = t
-        facet_source[t * nf:(t + 1) * nf] = np.arange(nf)
+    # seam vertices coincide bitwise by construction; merge exact duplicates,
+    # numbered by first occurrence
+    _, first, inverse = np.unique(all_verts, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    remap = rank[inverse.ravel()]
+    shift = (tiles * nv)[:, None, None]
 
     return Mesh(
-        dim=d, vertices=vertices, cells=cells, phase=phase,
-        interface_facets=facets, interface_normals=normals,
+        dim=d, vertices=all_verts[first[order]],
+        cells=remap[cell.cells + shift].reshape(-1, d + 1),
+        phase=np.tile(cell.phase, ntiles),
+        interface_facets=remap[cell.interface_facets + shift].reshape(-1, d),
+        interface_normals=np.tile(cell.interface_normals, (ntiles, 1)),
         periodic_pairs=np.zeros((0, 2), dtype=int),
         inclusion_radius=cell.inclusion_radius, resolution=cell.resolution,
-        eps=eps, cell_tile=cell_tile, cell_source=cell_source,
-        facet_tile=facet_tile, facet_source=facet_source,
+        eps=eps, cell_tile=np.repeat(tiles, nc), cell_source=np.tile(np.arange(nc), ntiles),
+        facet_tile=np.repeat(tiles, nf), facet_source=np.tile(np.arange(nf), ntiles),
     )
 
 
 def tile_anchors(mesh: Mesh):
     """Macro anchor point (cell corner) of each tile of an epsilon mesh."""
-    n = round(1.0 / mesh.eps)
-    d = mesh.dim
-    offsets = np.stack(
-        np.meshgrid(*[np.arange(n)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    return mesh.eps * offsets
+    return mesh.eps * _tile_offsets(round(1.0 / mesh.eps), mesh.dim)
 
 
 # ---------------------------------------------------------------------------

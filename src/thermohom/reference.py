@@ -26,7 +26,7 @@ from .fem import (
     assemble_scalar_load,
     assemble_vector_load,
     constraint_basis,
-    solve_block,
+    lu_solve,
     vector_mass,
     weak_form,
 )
@@ -203,8 +203,9 @@ class EpsilonSolver:
             return assemble_operator(mesh, kind, coeff, space=space)
 
         N = op("advection", f["heat_capacity"][:, :, None] * f["velocity"])
-        A_gamma = space.pattern("dissipation").matrix(
-            weak_form(space, "advective_dissipation", f["velocity"], f["dissipation"]))
+        dissipation = space.pattern("dissipation")
+        A_gamma = dissipation.matrix(dissipation.data(weak_form(
+            space, "advective_dissipation", f["velocity"], f["dissipation"])[None])[0])
         mech_surface, heat_surface = self.coeffs.surface_loads(t, self._latent_factor(),
                                                                groups)
 
@@ -230,7 +231,10 @@ class EpsilonSolver:
 
     def _mech_factor(self, b):
         """The LU of the bundle's elasticity matrix on the reduced space."""
-        return spla.splu(self.mech_basis.reduce_matrix(b["E"]).tocsc())
+        # COLAMD, not minimum degree on A^T + A: on the 22 850 reduced dofs at
+        # eps 1/8 it factors faster (0.20 s against 0.29 s with default
+        # pivoting, one core of a 2-vCPU Xeon, scipy 1.17)
+        return spla.splu(self.mech_basis.reduce_matrix(b["E"]).tocsc(), permc_spec="COLAMD")
 
     def _solve_mech(self, lu, rhs_full):
         # homogeneous Dirichlet: the offset vanishes, reduce directly
@@ -424,7 +428,9 @@ def operator_structure_checks(cell_mesh, material, transformation, eps,
                 and (prev_solve[1] != G_alpha).nnz == 0):
             us = prev_solve[2]        # a static geometry: the same block solution
         else:
-            us, _ = solve_block(solver.mech_basis.reduce(E, G_alpha @ fs.T))
+            R = solver.mech_basis.restriction    # no offset, no multipliers
+            us = R @ lu_solve(solver.mech_basis.reduce_matrix(E).tocsc(),
+                              R.T @ (G_alpha @ fs.T))[0]
         prev_solve = (E, G_alpha, us)
         products = (b["G_gamma"] @ fs.T).T @ us    # <B2 f_j, f_i>
         scale = np.max(np.abs(products)) or 1.0
@@ -528,26 +534,29 @@ def two_scale_compare(cell_mesh, material, transformation, eps_list, t_final, dt
 def _compare_one(sol: EpsilonSolution, hom_solver, hom_states, dt) -> CompareRow:
     mesh = sol.mesh
     d = mesh.dim
-    M_a = assemble_operator(mesh, "mass", 1.0, element_mask=mesh.phase == PHASE_A)
+    space = P1Space(mesh, element_mask=mesh.phase == PHASE_A)
+    M_a = assemble_operator(mesh, "mass", 1.0, space=space)
     M_b = assemble_operator(mesh, "mass", 1.0, element_mask=mesh.phase == PHASE_B)
 
-    # micro reconstruction bookkeeping
-    micro_mesh = hom_solver.micro_model.mesh
-    lookup = {tuple(np.round(v, 10)): i for i, v in enumerate(micro_mesh.vertices)}
-    b_ids = np.unique(mesh.cells[mesh.phase == PHASE_B])
-    tiles = np.floor(mesh.vertices[b_ids] * (1.0 / sol.eps) - 1e-12).astype(int)
-    tiles = np.clip(tiles, 0, round(1.0 / sol.eps) - 1)
-    ycoords = mesh.vertices[b_ids] / sol.eps - tiles
-    micro_ids = np.array([lookup[tuple(np.round(y, 10))] for y in ycoords])
+    # micro reconstruction bookkeeping: each inclusion vertex lies in one
+    # tile; its first cell gives the tile and, through the cell's source in
+    # the unit cell, the micro vertex
+    ctx = hom_solver.micro_model.ctx
+    b_cells = np.flatnonzero(mesh.phase == PHASE_B)
+    b_ids, first = np.unique(mesh.cells[b_cells], return_index=True)
+    source = b_cells[first // (d + 1)]
+    cell_vertex = ctx.mesh.cells[mesh.cell_source[source], first % (d + 1)]
+    micro_ids = ctx.sub_b.vertex_map[cell_vertex]
     # the host nearest to the centre of each tile
-    tiles, tile_of = np.unique(tiles, axis=0, return_inverse=True)
+    n = round(1.0 / sol.eps)
+    tiles = np.stack(np.unravel_index(np.arange(n**d), (n,) * d), axis=-1)
     offsets = hom_solver.host_points - ((tiles + 0.5) * sol.eps)[:, None]
-    host_ids = np.argmin(np.einsum("tid,tid->ti", offsets, offsets), axis=1)[tile_of.ravel()]
+    host_ids = np.argmin(np.einsum("tid,tid->ti", offsets, offsets), axis=1)[
+        mesh.cell_tile[source]]
 
     err_a2 = 0.0
     err_b2 = 0.0
     floor2 = 0.0
-    space = P1Space(mesh, element_mask=mesh.phase == PHASE_A)
     for k in range(1, len(sol.times)):
         theta_eps = sol.theta[k]
         state = hom_states[k]

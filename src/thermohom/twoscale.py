@@ -38,8 +38,8 @@ import scipy.sparse.linalg as spla
 from .cell import CellContext
 from .effective import EffectiveProvider
 from .fem import (
-    BlockScatter,
     ConstraintSet,
+    ElementScatter,
     P1Space,
     assemble_operator,
     assemble_scalar_load,
@@ -122,9 +122,9 @@ class MicroModel:
     coefficients of every uncached key of a level together, takes each
     operator's element blocks from the form table with a leading key axis
     (:func:`~thermohom.fem.weak_form`) and sums them into every restricted
-    matrix above with one scatter each (:class:`BlockScatter`, mapped once
-    per model); then one sparse LU per key.  :meth:`bundle` is the batch of
-    one.
+    matrix above with one scatter each (:class:`~thermohom.fem.ElementScatter`,
+    mapped once per model); then one sparse LU per key.  :meth:`bundle` is
+    the batch of one.
 
     A host's unknowns after the step are ``w0 + W tau``: ``w0`` solves ``K``
     against the previous state and the sources with zero traces, and tau
@@ -171,16 +171,17 @@ class MicroModel:
             out[dofs] = np.arange(len(dofs)) if values is None else values
             return out
 
-        coupled = self.space.pattern("coupled")
-        stacked = np.arange(ns + nv)
-        heat, mech = position(self.interior_scalar), position(ns + self.interior_vector)
-        unknowns = position(self._unknowns)
+        dofs = self.space.layout("coupled")[0]
+
+        def scatter(rows, n_cols, cols=None):
+            return ElementScatter.of(dofs, dofs, (len(rows), n_cols), position(rows), cols,
+                                     csc=True)
+
         self._scatter = dict(
-            prev=BlockScatter.of(coupled, heat, stacked, (len(self.interior_scalar), ns + nv)),
-            mech=BlockScatter.of(coupled, mech, stacked, (len(self.interior_vector), ns + nv)),
-            K=BlockScatter.of(coupled, unknowns, unknowns, (len(self._unknowns),) * 2),
-            trace=BlockScatter.of(coupled, unknowns, position(self._boundary, self._trace_of),
-                                  (len(self._unknowns), 1 + d)),
+            prev=scatter(self.interior_scalar, ns + nv),
+            mech=scatter(ns + self.interior_vector, ns + nv),
+            K=scatter(self._unknowns, len(self._unknowns), position(self._unknowns)),
+            trace=scatter(self._unknowns, 1 + d, position(self._boundary, self._trace_of)),
         )
         self.cache = LevelCache()
 

@@ -9,8 +9,37 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from thermohom.fem import P1Space, augmented_matrix
+from thermohom.fem import P1Space, lu_solve
 from thermohom.mesh import Mesh
+
+
+def augmented_matrix(A, constraints):
+    """``[[A, M], [M^T, 0]]`` in CSC, M the zero-mean weight vectors as columns."""
+    if not constraints:
+        return A.tocsc()
+    A = A.tocoo()
+    M = np.column_stack(constraints)
+    n, k = M.shape
+    i, j = np.nonzero(M)
+    return sp.csc_matrix((np.concatenate([A.data, M[i, j], M[i, j]]),
+                          (np.concatenate([A.row, i, n + j]),
+                           np.concatenate([A.col, n + j, i]))), shape=(n + k, n + k))
+
+
+def augmented(red):
+    """A ``ReducedSystem`` with explicit Lagrange multipliers for its
+    zero-mean constraints (:func:`augmented_matrix`) and the zero-padded rhs."""
+    K = augmented_matrix(red.matrix, red.constraints)
+    k = K.shape[0] - red.matrix.shape[0]
+    return K, np.concatenate([red.rhs, np.zeros((k,) + red.rhs.shape[1:])])
+
+
+def solve_block(red):
+    """Every column of ``red.rhs`` from one sparse LU of the augmented system
+    (:func:`augmented`).  Returns the full-space solutions (n_full x m) and
+    the relative residual of each column in that system."""
+    Z, residuals = lu_solve(*augmented(red))
+    return red.recover(Z[: red.matrix.shape[0]]), residuals
 
 
 def solve_direct(A, b, constraints=None):

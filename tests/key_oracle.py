@@ -6,7 +6,7 @@ einsum per operator with a leading key axis and one scatter of the element
 blocks into every restricted matrix.  The functions here build one (t, x) at
 a time, the way the solvers did before: CSR assembly per operator with
 ``assemble_operator``, ``R^T A R`` by sparse products and explicit
-multipliers (``ConstraintBasis.reduce`` and ``solve_block``), and row and
+multipliers (``ConstraintBasis.reduce`` and ``helpers.solve_block``), and row and
 column slicing of the micro block, with the dissipation loads as products
 of quadrature-point maps (:func:`dissipation_maps`).  The parity tests
 compare the two.
@@ -18,13 +18,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from helpers import solve_block
 from thermohom.cell import Correctors, strain_pads
 from thermohom.fem import (
     SolverError,
     assemble_gradient_load,
     assemble_operator,
     assemble_strain_load,
-    solve_block,
 )
 from thermohom.kinematics import (
     PHASE_A,

@@ -24,18 +24,19 @@ import math
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from helpers import coo_assemble_operator
+from helpers import coo_assemble_operator, solve_block
 from thermohom.fem import (
     P1Space,
     SolverError,
     assemble_gradient_load,
     assemble_interface_load,
+    assemble_operator,
     assemble_scalar_load,
     assemble_vector_load,
     solve_spd,
 )
 from thermohom.kinematics import PHASE_A, PHASE_B, coefficient_fields, interface_batch
-from thermohom.reference import EpsilonSolver
+from thermohom.reference import EpsilonSolver, OperatorStructureReport
 
 
 CG_TOL = 1e-12
@@ -165,3 +166,44 @@ class OracleEpsilonSolver(EpsilonSolver):
             us.append(u.copy())
             counts.append(it)
         return thetas, us, counts
+
+
+def operator_structure_checks(cell_mesh, material, transformation, eps,
+                              t_samples=(0.0, 0.5, 1.0), n_random=100,
+                              sym_tol=1e-8, seed=7) -> OperatorStructureReport:
+    """``reference.operator_structure_checks`` with each elasticity block
+    solved by ``helpers.solve_block``: the reduced system with explicit
+    multipliers and the offset lifted back into the full space."""
+    solver = EpsilonSolver(cell_mesh, material, transformation, eps)
+    mesh = solver.mesh
+    d = mesh.dim
+    rng = np.random.default_rng(seed)
+    free = ~np.repeat(mesh.boundary_vertex_mask(), d)
+    fs = rng.standard_normal((n_random, mesh.vertices.shape[0]))
+    vs = rng.standard_normal((n_random, mesh.vertices.shape[0] * d)) * free
+    M_plain = assemble_operator(mesh, "mass", 1.0)
+    f_norms = np.sqrt(np.einsum("ij,ij->i", fs, (M_plain @ fs.T).T))
+
+    min_rayleigh, sym_defect, min_quad, time_bound = np.inf, 0.0, np.inf, 0.0
+    prev_products = None
+    for t in t_samples:
+        b = solver.bundle(t)
+        E, G_alpha = b["E"], b["G_alpha"]
+        rayleigh = np.einsum("ij,ji->i", vs, E @ vs.T) / np.einsum("ij,ij->i", vs, vs)
+        min_rayleigh = min(min_rayleigh, float(rayleigh.min()))
+        us, _ = solve_block(solver.mech_basis.reduce(E, G_alpha @ fs.T))
+        products = (b["G_gamma"] @ fs.T).T @ us
+        scale = np.max(np.abs(products)) or 1.0
+        sym_defect = max(sym_defect, float(np.max(np.abs(products - products.T)) / scale))
+        min_quad = min(min_quad, float(np.min(np.diag(products)) / scale))
+        B_products = products + fs @ (b["M_c"] @ fs.T)
+        if prev_products is not None:
+            quot = np.abs(B_products - prev_products[1]) / np.outer(f_norms, f_norms)
+            time_bound = max(time_bound, float(np.max(quot) / (t - prev_products[0])))
+        prev_products = (t, B_products)
+
+    return OperatorStructureReport(
+        eps=eps, t_samples=list(t_samples), elastic_min_rayleigh=min_rayleigh,
+        composition_symmetry_defect=sym_defect, composition_min_quadform=min_quad,
+        time_difference_bound=time_bound,
+        passed=min_rayleigh > 0.0 and sym_defect < sym_tol and min_quad > -sym_tol)

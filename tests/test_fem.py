@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from helpers import (
+    augmented,
+    augmented_matrix,
     coo_assemble_operator,
     dense_oracle_solve,
     export_coordinate_text,
+    solve_block,
     solve_direct,
     symmetry_defect,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermohom.cell import CellContext
 from thermohom.fem import (
     ConstraintError,
     ConstraintSet,
@@ -26,13 +30,13 @@ from thermohom.fem import (
     assemble_vector_load,
     key_einsum,
     scatter_load,
-    solve_block,
     solve_spd,
     vector_mass,
     weak_form,
 )
 from thermohom.kinematics import isotropic_stiffness
 from thermohom.mesh import Mesh, build_cell_mesh, build_epsilon_mesh, build_uniform_mesh
+from thermohom.twoscale import MicroModel
 
 
 def reference_triangle():
@@ -128,9 +132,10 @@ class TestAssembly:
         mesh = reference_triangle()
         space = P1Space(mesh)
         v, gamma = np.array([0.7, -0.2]), np.array([[2.0, 0.5], [-0.3, 1.0]])
-        A = space.pattern("dissipation").matrix(weak_form(
+        pattern = space.pattern("dissipation")
+        A = pattern.matrix(pattern.data(weak_form(
             space, "advective_dissipation", np.broadcast_to(v, (1, 3, 2)),
-            np.broadcast_to(gamma, (1, 3, 2, 2))))
+            np.broadcast_to(gamma, (1, 3, 2, 2)))[None])[0])
         assert A.shape == (3, 6)
         B = np.array([[0.25, -0.5], [1.5, 0.75]])
         g = np.array([0.4, 1.1])
@@ -150,9 +155,25 @@ KIND_LAYOUTS = {"mass": "scalar", "scalar_diffusion": "scalar", "advection": "sc
                 "elasticity": "vector", "coupling": "coupling"}
 
 
+def coo_matrix_of(row_dofs, col_dofs, shape, blocks):
+    """The CSR matrix of (e, rows, cols) element blocks through a fresh COO."""
+    r = np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel()
+    c = np.tile(col_dofs, (1, row_dofs.shape[1])).ravel()
+    return sp.coo_matrix((blocks.ravel(), (r, c)), shape=shape).tocsr()
+
+
+def selection(rows, n, n_cols, cols=None):
+    """The (n x n_cols) matrix with a unit entry at (rows[i], cols[i]),
+    cols defaulting to 0, 1, ..."""
+    cols = np.arange(len(rows)) if cols is None else cols
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n_cols))
+
+
 class TestCachedPattern:
-    """The scatter through the pattern cached on the space against a fresh
-    COO assembly (``helpers.coo_assemble_operator``)."""
+    """The element-block scatters against fresh COO assemblies: the CSR
+    operators through the pattern cached on the space against
+    ``helpers.coo_assemble_operator``, the restricted CSC systems against
+    ``R^T A R``."""
 
     @pytest.fixture(scope="class", params=[(2, False), (2, True), (3, False), (3, True)],
                     ids=["2d", "2d-mask", "3d", "3d-mask"])
@@ -198,6 +219,73 @@ class TestCachedPattern:
         coeff[len(coeff) // 2, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             assemble_operator(space.mesh, kind, coeff, space=space)
+
+    # the CSC scatters of the cell correctors (augmented periodic zero-mean
+    # systems) and of the micro blocks against R^T A R of a fresh COO
+    # assembly, with the multipliers of helpers.augmented_matrix; positive
+    # integer blocks make every sum exact whatever its order, so structure
+    # and data must match bitwise
+
+    @pytest.fixture(scope="class", params=[2, 3], ids=["2d", "3d"])
+    def ctx(self, request):
+        d = request.param
+        return CellContext(build_cell_mesh(0.25, 8 if d == 2 else 4, dim=d), None, None)
+
+    @staticmethod
+    def integer_blocks(dofs, k, seed=0):
+        n = dofs.shape[1]
+        return np.random.default_rng(seed).integers(1, 10, (k, len(dofs), n, n)) * 1.0
+
+    @staticmethod
+    def assert_bitwise(got, ref):
+        ref = ref.tocsc()
+        ref.sum_duplicates()       # canonical: sorted indices, none repeated
+        assert got.format == "csc" and got.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    @staticmethod
+    def assert_keys_are_batches_of_one(scatter, dofs, k=3):
+        n = dofs.shape[1]
+        blocks = np.random.default_rng(1).standard_normal((k, len(dofs), n, n))
+        data = scatter.data(blocks)
+        for i in range(k):
+            assert scatter.data(blocks[i:i + 1])[0].tobytes() == data[i].tobytes()
+
+    @pytest.mark.parametrize("family", ["thermal", "elastic"])
+    def test_cell_scatter_is_augmented_reduced_matrix(self, ctx, family):
+        space = ctx.space_a
+        basis, scatter, dofs, n = (
+            (ctx.scalar_basis, ctx.thermal_scatter, space.scalar_dofs(), space.n_scalar)
+            if family == "thermal" else
+            (ctx.vector_basis, ctx.elastic_scatter, space.vector_dofs(), space.n_vector))
+        blocks = self.integer_blocks(dofs, 2)
+        data = scatter.data(blocks)
+        for i in range(len(blocks)):
+            A = coo_matrix_of(dofs, dofs, (n, n), blocks[i])
+            self.assert_bitwise(scatter.matrix(data[i]),
+                                augmented_matrix(basis.reduce_matrix(A), basis.constraints))
+        self.assert_keys_are_batches_of_one(scatter, dofs)
+
+    def test_micro_scatters_are_restricted_products(self, ctx):
+        model = MicroModel(ctx)
+        space, d = model.space, ctx.dim
+        dofs = space.layout("coupled")[0]
+        n = space.n_scalar + space.n_vector
+        heat = selection(model.interior_scalar, n, len(model.interior_scalar))
+        mech = selection(space.n_scalar + model.interior_vector, n,
+                         len(model.interior_vector))
+        R = selection(model._unknowns, n, len(model._unknowns))
+        T = selection(model._boundary, n, 1 + d, model._trace_of)
+        blocks = self.integer_blocks(dofs, 2)
+        for name, ref in (("prev", lambda A: heat.T @ A), ("mech", lambda A: mech.T @ A),
+                          ("K", lambda A: R.T @ A @ R), ("trace", lambda A: R.T @ A @ T)):
+            scatter = model._scatter[name]
+            data = scatter.data(blocks)
+            for i in range(len(blocks)):
+                A = coo_matrix_of(dofs, dofs, (n, n), blocks[i])
+                self.assert_bitwise(scatter.matrix(data[i]), ref(A))
+            self.assert_keys_are_batches_of_one(scatter, dofs)
 
 
 class TestInterfaceLoad:
@@ -278,7 +366,7 @@ class TestConstraints:
         red = apply_constraints(A, rhs, cs)
         x_cg, info = solve_spd(red.matrix, red.rhs, tol=1e-12,
                                constraints=red.constraints)
-        A_aug, b_aug = red.augmented()
+        A_aug, b_aug = augmented(red)
         x_direct = solve_direct(red.matrix, red.rhs, constraints=red.constraints)
         assert info.converged
         assert abs(weights @ x_cg) < 1e-10

@@ -225,6 +225,16 @@ class TestOperatorStructure:
         assert rep.composition_min_quadform > -1e-10
         assert np.isfinite(rep.time_difference_bound)
 
+    @pytest.mark.parametrize("static", [True, False], ids=["identity", "growth"])
+    def test_matches_solve_block_oracle(self, cell8, static):
+        # the reduced LU solve lifted by R is bitwise the multiplier block
+        # solve of the reduced system, offset included
+        from reference_oracle import operator_structure_checks as oracle_checks
+        args = (cell8, default_material(2),
+                IdentityTransform(dim=2) if static else growth(0.1), 0.5)
+        kwargs = dict(t_samples=(0.0, 0.5, 1.0), n_random=20)
+        assert operator_structure_checks(*args, **kwargs) == oracle_checks(*args, **kwargs)
+
     def test_zero_dissipation_kills_composition(self, cell8):
         mat = default_material(2, dissipation_a=0.0, dissipation_b=0.0)
         rep = operator_structure_checks(
