@@ -126,19 +126,36 @@ class ElementScatter:
         row ``row_map[r]`` and dof c to column ``col_map[c]`` (to itself
         without a map) and is dropped where that is negative; entries meeting
         in one position sum.  ``fixed`` = (rows, cols, values) adds
-        key-independent entries."""
-        rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).astype(np.int64).ravel()
-        cols = np.tile(col_dofs, (1, row_dofs.shape[1])).astype(np.int64).ravel()
-        rows = rows if row_map is None else row_map[rows]
-        cols = cols if col_map is None else col_map[cols]
-        keep = (rows >= 0) & (cols >= 0)
-        n_kept = int(keep.sum())
-        fr, fc, fv = fixed if fixed is not None else ((), (), ())
-        rows = np.concatenate([rows[keep], np.asarray(fr, dtype=np.int64)])
-        cols = np.concatenate([cols[keep], np.asarray(fc, dtype=np.int64)])
-        major, minor, (n_major, n_minor) = ((cols, rows, shape[::-1]) if csc
-                                            else (rows, cols, shape))
-        unique, at = np.unique(major * n_minor + minor, return_inverse=True)
+        key-independent entries.
+
+        Each entry's position is one int64 key, major * n_minor + minor,
+        formed once from the mapped (e, rows) and (e, cols) dofs; a dropped
+        entry takes the key one past the last position, so it sorts last.
+        One argsort of the keys then gives the structure and every slot."""
+        n_rows, n_cols = shape
+        r = np.asarray(row_dofs if row_map is None else row_map[row_dofs],
+                       dtype=np.int64)[:, :, None]
+        c = np.asarray(col_dofs if col_map is None else col_map[col_dofs],
+                       dtype=np.int64)[:, None, :]
+        n_major, n_minor = (n_cols, n_rows) if csc else (n_rows, n_cols)
+        end = n_major * n_minor
+        key = c * n_rows + r if csc else r * n_cols + c      # (e, rows, cols)
+        if row_map is not None or col_map is not None:
+            key[(r < 0) | (c < 0)] = end
+        key = key.ravel()
+        n_blocks = len(key)
+        if fixed is not None:
+            fr, fc = (np.asarray(a, dtype=np.int64) for a in fixed[:2])
+            key = np.concatenate([key, fc * n_rows + fr if csc else fr * n_cols + fc])
+        order = np.argsort(key)
+        key = key[order]                   # sorted; the unsorted keys are freed
+        first = np.empty(len(key), dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        unique = key[first]
+        del key
+        if len(unique) and unique[-1] == end:
+            unique = unique[:-1]
         n = len(unique)
         index = np.int32 if max(n, *shape) < 2**31 else np.int64
         indptr = np.zeros(n_major + 1, dtype=index)
@@ -146,13 +163,15 @@ class ElementScatter:
         indices = (unique % n_minor).astype(index)
         for a in (indptr, indices):
             a.flags.writeable = False      # shared by every matrix built here
-        slot = np.full(len(keep), n)
-        slot[keep] = at[:n_kept]
+        # the rank of each entry's key among the distinct keys; dropped entries
+        # rank n, past the stored ones
+        slot = np.empty(len(order), dtype=index)
+        slot[order] = np.cumsum(first, dtype=index) - 1
         if fixed is not None:
-            fixed = np.bincount(at[n_kept:], weights=np.asarray(fv, dtype=float),
+            fixed = np.bincount(slot[n_blocks:], weights=np.asarray(fixed[2], dtype=float),
                                 minlength=n)
         return ElementScatter(shape=tuple(shape), indptr=indptr, indices=indices,
-                              slot=slot, fixed=fixed, csc=csc)
+                              slot=slot[:n_blocks], fixed=fixed, csc=csc)
 
     def data(self, blocks):
         """The data arrays (k x nnz) of k keys' element blocks, given in any
@@ -630,10 +649,57 @@ def solve_spd(A, b, tol=1e-10, max_iter=None, constraints=None):
     )
 
 
+def _relative_residuals(K, Z, B):
+    scale = np.linalg.norm(B, axis=0)
+    return np.linalg.norm(K @ Z - B, axis=0) / np.where(scale > 0.0, scale, 1.0)
+
+
 def lu_solve(K, B):
     """Every column of B from one sparse LU of the structurally symmetric K,
     ordered by minimum degree on K^T + K, and the relative residual of each
     column."""
     Z = spla.splu(K, permc_spec="MMD_AT_PLUS_A").solve(B)
-    scale = np.linalg.norm(B, axis=0)
-    return Z, np.linalg.norm(K @ Z - B, axis=0) / np.where(scale > 0.0, scale, 1.0)
+    return Z, _relative_residuals(K, Z, B)
+
+
+# the largest relative residual an SpdFactor solve may leave: symmetric-mode
+# solves of the resolved elasticity measure 6e-15 (2D, eps 1/8) and 1.3e-15
+# (3D, eps 1/2)
+SPD_RESIDUAL_MAX = 1e-10
+
+
+class SpdFactor:
+    """The sparse LU of a symmetric positive definite matrix A (CSC) in
+    SuperLU's symmetric mode (Li, ACM TOMS 31(3), 2005): minimum degree on
+    A^T + A and diagonal pivots only, so the factorization keeps the
+    symmetric ordering that partial pivoting would undo.
+
+    Nothing falls back to pivoting.  A zero diagonal pivot (SuperLU then
+    reports an exactly singular factor, or takes an off-diagonal pivot) and
+    a solve leaving a relative residual above :data:`SPD_RESIDUAL_MAX` raise
+    :class:`SolverError` naming ``where``: the solver, t and, where there is
+    one, x."""
+
+    def __init__(self, A, where):
+        self.A, self.where = A, where
+        try:
+            self.lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                options=dict(SymmetricMode=True))
+        except RuntimeError as exc:           # "Factor is exactly singular"
+            raise SolverError(f"{where}: zero pivot in the symmetric-mode factor "
+                              f"({exc})") from exc
+        if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
+            raise SolverError(f"{where}: zero pivot in the symmetric-mode factor "
+                              f"(an off-diagonal pivot was taken)")
+
+    def solve(self, B):
+        """A^-1 B for a vector or an (n x m) block, each column's relative
+        residual checked."""
+        Z = self.lu.solve(B)
+        residuals = np.atleast_1d(_relative_residuals(self.A, Z, B))
+        worst = float(np.max(residuals, initial=0.0))
+        if not worst <= SPD_RESIDUAL_MAX:
+            raise SolverError(f"{self.where}: relative residual {worst:.3e} of the "
+                              f"symmetric-mode solve exceeds {SPD_RESIDUAL_MAX:g}",
+                              residuals.tolist())
+        return Z

@@ -41,6 +41,7 @@ from .fem import (
     ConstraintSet,
     ElementScatter,
     P1Space,
+    SpdFactor,
     assemble_operator,
     assemble_scalar_load,
     assemble_vector_load,
@@ -108,9 +109,10 @@ class MicroModel:
     transposed coupling form of gamma), ``mech = [-G, E]`` on the
     interior mechanics rows (thermal-stress coupling and elasticity),
     ``content``, the weights ``rho c int J phi_i`` (all rows), and the unit
-    source loads ``l_J`` and ``L_J``.  :meth:`initial_states` adds the LU
-    of ``E[Iv, Iv]`` on first use.  With the dt of the step ending at its
-    level a bundle also holds the LU of the coupled interior block
+    source loads ``l_J`` and ``L_J``.  :meth:`initial_states` factors each
+    key's ``E[Iv, Iv]`` in symmetric mode (:class:`~thermohom.fem.SpdFactor`)
+    for its block solve only.  With the dt of the step ending at its level a
+    bundle also holds the LU of the coupled interior block
 
         K = [[H_II, (S/dt + A)[I, Iv]], [-G[Iv, I], E[Iv, Iv]]],
         H = M_c/dt + N + A_K  (A: the advective dissipation map),
@@ -269,13 +271,14 @@ class MicroModel:
         _, f_u_b, _, _ = self.sources(t)
         for k, b in enumerate(self.level_bundles(t, xs, groups)):
             hosts = np.flatnonzero(groups[1] == k)
-            if "mech_lu" not in b:      # factored on first use: a step solves with K
-                b["mech_lu"] = spla.splu(b["mech"][:, ns + self.interior_vector],
-                                         permc_spec="MMD_AT_PLUS_A")
+            # not kept with the bundle: steps solve with K
+            lu = SpdFactor(b["mech"][:, ns + self.interior_vector],
+                           f"two-scale solver: micro elasticity at t = {t:.6g}, "
+                           f"x = {xs[groups[0][k]].tolist()}")
             # u holds the traces and zero interior values here
             r = ((b["L_J"] @ np.asarray(f_u_b))[:, None]
                  - b["mech"] @ np.hstack([theta[hosts], u[hosts]]).T)
-            u[np.ix_(hosts, self.interior_vector)] = b["mech_lu"].solve(r).T
+            u[np.ix_(hosts, self.interior_vector)] = lu.solve(r).T
             content[hosts] = theta[hosts] @ b["content"]
         return theta, u, content
 
@@ -438,8 +441,9 @@ class TwoScaleSolver:
         theta = np.asarray(theta0(self.mesh.vertices), dtype=float)
         ops = self.level(0.0)
         E_red = self.mech_basis.reduce_matrix(ops["E"]).tocsc()
-        u = self.mech_basis.restriction @ spla.splu(
-            E_red, permc_spec="MMD_AT_PLUS_A").solve(self._mech_rhs(ops, theta))
+        u = self.mech_basis.restriction @ SpdFactor(
+            E_red, "two-scale solver: macro elasticity at t = 0").solve(
+                self._mech_rhs(ops, theta))
 
         traces_th, traces_u = self.traces_at_hosts(theta, u)
         fields = None if micro_theta0 is None else [

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from thermohom.fem import P1Space, lu_solve
+from thermohom.fem import ElementScatter, P1Space, lu_solve
 from thermohom.mesh import Mesh
 
 
@@ -147,3 +147,32 @@ def coo_assemble_operator(space: P1Space, kind, coeff):
     r = np.repeat(rows, cols.shape[1], axis=1).ravel()
     c = np.tile(cols, (1, rows.shape[1])).ravel()
     return sp.coo_matrix((loc.ravel(), (r, c)), shape=shape).tocsr()
+
+
+def element_scatter_oracle(row_dofs, col_dofs, shape, row_map=None, col_map=None,
+                           fixed=None, csc=False):
+    """``ElementScatter.of`` through repeated int64 rows and columns and one
+    ``np.unique``: the oracle of its single-key build."""
+    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1).astype(np.int64).ravel()
+    cols = np.tile(col_dofs, (1, row_dofs.shape[1])).astype(np.int64).ravel()
+    rows = rows if row_map is None else row_map[rows]
+    cols = cols if col_map is None else col_map[cols]
+    keep = (rows >= 0) & (cols >= 0)
+    n_kept = int(keep.sum())
+    fr, fc, fv = fixed if fixed is not None else ((), (), ())
+    rows = np.concatenate([rows[keep], np.asarray(fr, dtype=np.int64)])
+    cols = np.concatenate([cols[keep], np.asarray(fc, dtype=np.int64)])
+    major, minor, (n_major, n_minor) = ((cols, rows, shape[::-1]) if csc
+                                        else (rows, cols, shape))
+    unique, at = np.unique(major * n_minor + minor, return_inverse=True)
+    n = len(unique)
+    index = np.int32 if max(n, *shape) < 2**31 else np.int64
+    indptr = np.zeros(n_major + 1, dtype=index)
+    np.cumsum(np.bincount(unique // n_minor, minlength=n_major), out=indptr[1:])
+    indices = (unique % n_minor).astype(index)
+    slot = np.full(len(keep), n)
+    slot[keep] = at[:n_kept]
+    if fixed is not None:
+        fixed = np.bincount(at[n_kept:], weights=np.asarray(fv, dtype=float), minlength=n)
+    return ElementScatter(shape=tuple(shape), indptr=indptr, indices=indices, slot=slot,
+                          fixed=fixed, csc=csc)

@@ -24,10 +24,11 @@ import math
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from helpers import coo_assemble_operator, solve_block
+from helpers import augmented, coo_assemble_operator
 from thermohom.fem import (
     P1Space,
     SolverError,
+    SpdFactor,
     assemble_gradient_load,
     assemble_interface_load,
     assemble_operator,
@@ -134,7 +135,7 @@ class OracleEpsilonSolver(EpsilonSolver):
         s = self.settings
         theta = np.asarray(theta0(self.mesh.vertices), dtype=float)
         b0 = self.bundle(0.0)
-        u = self._solve_mech(self._mech_factor(b0), b0["G_alpha"] @ theta + b0["f_u"]
+        u = self._solve_mech(self._mech_factor(b0, 0.0), b0["G_alpha"] @ theta + b0["f_u"]
                              + b0["mech_surface"])
         thetas, us, counts = [theta.copy()], [u.copy()], []
         t = 0.0
@@ -144,7 +145,7 @@ class OracleEpsilonSolver(EpsilonSolver):
             heat_lhs = (b_new["M_c"] / step + b_new["N"] + b_new["A_K"]).tocsr()
             base = ((b_old["M_c"] @ theta) / step + b_new["f_theta"]
                     - b_new["heat_surface"] + (b_old["G_gamma"].T @ u) / step)
-            lu = self._mech_factor(b_new)
+            lu = self._mech_factor(b_new, t + step)
             mech_rhs0 = b_new["f_u"] + b_new["mech_surface"]
             advective = abs(b_new["N"]).max() > 0.0
             theta_k, u_k = theta.copy(), u.copy()
@@ -172,8 +173,10 @@ def operator_structure_checks(cell_mesh, material, transformation, eps,
                               t_samples=(0.0, 0.5, 1.0), n_random=100,
                               sym_tol=1e-8, seed=7) -> OperatorStructureReport:
     """``reference.operator_structure_checks`` with each elasticity block
-    solved by ``helpers.solve_block``: the reduced system with explicit
-    multipliers and the offset lifted back into the full space."""
+    solved as ``helpers.solve_block`` does: the reduced system with explicit
+    multipliers (``helpers.augmented``) and the offset lifted back into the
+    full space, factored by the same symmetric-mode ``SpdFactor``, whose
+    parity with pivoted LU ``test_reference`` checks on its own."""
     solver = EpsilonSolver(cell_mesh, material, transformation, eps)
     mesh = solver.mesh
     d = mesh.dim
@@ -191,7 +194,9 @@ def operator_structure_checks(cell_mesh, material, transformation, eps,
         E, G_alpha = b["E"], b["G_alpha"]
         rayleigh = np.einsum("ij,ji->i", vs, E @ vs.T) / np.einsum("ij,ij->i", vs, vs)
         min_rayleigh = min(min_rayleigh, float(rayleigh.min()))
-        us, _ = solve_block(solver.mech_basis.reduce(E, G_alpha @ fs.T))
+        red = solver.mech_basis.reduce(E, G_alpha @ fs.T)
+        K, rhs = augmented(red)
+        us = red.recover(SpdFactor(K, "oracle checks").solve(rhs)[: red.matrix.shape[0]])
         products = (b["G_gamma"] @ fs.T).T @ us
         scale = np.max(np.abs(products)) or 1.0
         sym_defect = max(sym_defect, float(np.max(np.abs(products - products.T)) / scale))

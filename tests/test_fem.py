@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from helpers import (
     augmented,
     augmented_matrix,
     coo_assemble_operator,
     dense_oracle_solve,
+    element_scatter_oracle,
     export_coordinate_text,
     solve_block,
     solve_direct,
@@ -13,14 +17,18 @@ from helpers import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import hilbert
 
 from thermohom.cell import CellContext
 from thermohom.fem import (
     ConstraintError,
     ConstraintSet,
+    ElementScatter,
     FORMS,
     P1Space,
+    SPD_RESIDUAL_MAX,
     SolverError,
+    SpdFactor,
     apply_constraints,
     assemble_gradient_load,
     assemble_interface_load,
@@ -288,6 +296,70 @@ class TestCachedPattern:
             self.assert_keys_are_batches_of_one(scatter, dofs)
 
 
+
+class TestScatterBuild:
+    """``ElementScatter.of`` against ``helpers.element_scatter_oracle``, its
+    build through repeated int64 rows and columns and ``np.unique``: the
+    structure, the slots and the data of every scatter the program builds
+    must be bitwise equal."""
+
+    @staticmethod
+    def assert_same_scatter(got, args, kwargs=None):
+        ref = element_scatter_oracle(*args, **(kwargs or {}))
+        assert got.shape == ref.shape and got.csc == ref.csc
+        for name in ("indptr", "indices", "slot"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert (got.fixed is None) == (ref.fixed is None)
+        if ref.fixed is not None:
+            assert np.array_equal(got.fixed, ref.fixed)
+        blocks = np.random.default_rng(3).standard_normal((2, got.slot.size))
+        assert np.array_equal(got.data(blocks), ref.data(blocks))
+
+    @pytest.mark.parametrize("d,masked", [(2, False), (2, True), (3, False)],
+                             ids=["2d", "2d-mask", "3d"])
+    @pytest.mark.parametrize("layout", ["scalar", "vector", "coupling", "dissipation",
+                                        "coupled"])
+    def test_layouts_match_oracle(self, d, masked, layout):
+        mesh = build_cell_mesh(0.25, 8 if d == 2 else 4, dim=d)
+        space = P1Space(mesh, element_mask=mesh.phase == 1 if masked else None)
+        args = space.layout(layout)
+        self.assert_same_scatter(ElementScatter.of(*args), args)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cell_and_micro_scatters_match_oracle(self, d, monkeypatch):
+        """The augmented cell scatters (with the multiplier entries in
+        ``fixed``) and the four CSC scatters of the micro blocks, each
+        against the oracle on the arguments the program passed."""
+        built, original = [], ElementScatter.of
+
+        def of(*args, **kwargs):
+            built.append((original(*args, **kwargs), args, kwargs))
+            return built[-1][0]
+
+        monkeypatch.setattr(ElementScatter, "of", staticmethod(of))
+        ctx = CellContext(build_cell_mesh(0.25, 8 if d == 2 else 4, dim=d), None, None)
+        model = MicroModel(ctx)
+        expected = [ctx.thermal_scatter, ctx.elastic_scatter, *model._scatter.values()]
+        assert all(any(s is got for got, _, _ in built) for s in expected)
+        assert sum(got.fixed is not None for got, _, _ in built) == 2
+        for got, args, kwargs in built:
+            self.assert_same_scatter(got, args, kwargs)
+
+    def test_vector_layout_build_memory(self):
+        """The build of the resolved vector layout at 2D eps 1/8 (829 440
+        block entries) peaks at 19 MiB under tracemalloc; the oracle's
+        repeated int64 rows and columns and ``np.unique`` peak at 55 MiB."""
+        space = P1Space(build_epsilon_mesh(build_cell_mesh(0.25, 8, dim=2), 1 / 8))
+        args = space.layout("vector")
+        tracemalloc.start()
+        try:
+            ElementScatter.of(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
+
+
 class TestInterfaceLoad:
     def test_constant_density_circumference(self):
         mesh = build_cell_mesh(0.25, 16, dim=2)
@@ -439,6 +511,69 @@ class TestSolvers:
         b = rng.standard_normal(n)
         x, _ = solve_spd(A, b, tol=1e-12)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
+
+
+
+class TestSpdFactor:
+    """The symmetric-mode factor: one SuperLU call with diagonal pivots
+    only, every solve's relative residual checked, and named errors with no
+    pivoted retry."""
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        calls, original = [], spla.splu
+
+        def splu(A, **kwargs):
+            calls.append(kwargs)
+            return original(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", splu)
+        return calls
+
+    @staticmethod
+    def assert_one_symmetric_mode_call(calls):
+        assert calls == [dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                              options=dict(SymmetricMode=True))]
+
+    def test_elasticity_block_solve(self, splu_calls):
+        mesh = build_cell_mesh(0.25, 8, dim=2)
+        E = assemble_operator(mesh, "elasticity", isotropic_stiffness(1.0, 1.0, 2))
+        cs = ConstraintSet.dirichlet_only(
+            np.flatnonzero(np.repeat(mesh.boundary_vertex_mask(), 2)))
+        A = apply_constraints(E, np.ones(E.shape[0]), cs).matrix.tocsc()
+        B = np.random.default_rng(0).standard_normal((A.shape[0], 4))
+        Z = SpdFactor(A, "test").solve(B)
+        assert np.allclose(Z, spla.spsolve(A, B), rtol=1e-12, atol=1e-12 * np.abs(Z).max())
+        assert np.max(np.linalg.norm(A @ Z - B, axis=0) / np.linalg.norm(B, axis=0)) \
+            <= SPD_RESIDUAL_MAX
+        self.assert_one_symmetric_mode_call(splu_calls)
+
+    def test_zero_diagonal_pivot_of_indefinite_matrix_is_named(self, splu_calls):
+        # eigenvalues +-1: with a zero diagonal SuperLU can only pivot off it
+        A = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(SolverError, match=r"^resolved solver: elasticity at t = 0\.25: "
+                           r"zero pivot in the symmetric-mode factor"):
+            SpdFactor(A, "resolved solver: elasticity at t = 0.25")
+        self.assert_one_symmetric_mode_call(splu_calls)
+
+    def test_exactly_singular_factor_is_named(self, splu_calls):
+        A = sp.csc_matrix(np.ones((2, 2)))
+        with pytest.raises(SolverError, match=r"^two-scale solver: micro elasticity at "
+                           r"t = 0, x = \[0\.5, 0\.5\]: zero pivot .*exactly singular"):
+            SpdFactor(A, "two-scale solver: micro elasticity at t = 0, x = [0.5, 0.5]")
+        self.assert_one_symmetric_mode_call(splu_calls)
+
+    def test_residual_above_bound_is_named(self, splu_calls):
+        # SPD with condition number about 1e17: the solve is inaccurate
+        A = sp.csc_matrix(hilbert(14))
+        b = np.random.default_rng(0).standard_normal(14)
+        factor = SpdFactor(A, "operator checks: elasticity at eps = 0.5, t = 1")
+        with pytest.raises(SolverError, match=r"^operator checks: elasticity at eps = 0\.5, "
+                           r"t = 1: relative residual \S+ of the symmetric-mode solve "
+                           r"exceeds 1e-10$") as err:
+            factor.solve(b)
+        assert err.value.residuals[0] > SPD_RESIDUAL_MAX
+        self.assert_one_symmetric_mode_call(splu_calls)
 
 
 def l2_error_scalar(mesh, uh, exact):

@@ -1,9 +1,12 @@
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from thermohom.fem import P1Space, assemble_operator
+from thermohom import reference
+from thermohom.fem import P1Space, SpdFactor, assemble_operator
 from thermohom.kinematics import (
     PHASE_A,
     PHASE_B,
@@ -70,6 +73,22 @@ class TestEpsilonSolver:
                                settings=settings)
         with pytest.raises(FixedPointError, match=r"resolved solver.*t = 0\.05"):
             solver.solve(0.05, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
+
+    def test_one_elasticity_factor_alive_at_a_time(self, cell8, monkeypatch):
+        """Every step releases its elasticity factor before it builds the
+        next: no earlier factor is alive when one is built."""
+        built, alive_at_build = [], []
+
+        class Recording(SpdFactor):
+            def __init__(self, A, where):
+                alive_at_build.append([ref() is not None for ref in built])
+                super().__init__(A, where)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(reference, "SpdFactor", Recording)
+        solver = EpsilonSolver(cell8, default_material(2), growth(), 0.25)
+        solver.solve(0.15, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
+        assert alive_at_build == [[False] * k for k in range(4)]
 
     def test_manufactured_diffusion_convergence(self):
         # manufactured theta = exp(-t) cos(pi x) cos(pi y): phase-wise bulk
@@ -139,6 +158,29 @@ class NanVelocityAfterStart(IdentityTransform):
     def kinematics_batch(self, t, x, y):
         F, J, v = super().kinematics_batch(t, x, y)
         return F, J, v + (np.nan if t > 0.0 else 0.0)
+
+
+# the resolved elasticity solved in symmetric mode against COLAMD with
+# partial pivoting, per column in max norm relative to the COLAMD solution
+# (measured: at most 2.5e-14 in 2D at eps 1/8, 3.8e-15 in 3D at eps 1/2)
+FACTOR_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("d,eps", [(2, 1 / 8), (3, 1 / 2)], ids=["2d", "3d"])
+def test_elasticity_factor_matches_colamd(d, eps):
+    cell = build_cell_mesh(0.25, 8 if d == 2 else 4, dim=d)
+    solver = EpsilonSolver(cell, default_material(d), RadialGrowth(
+        dim=d, inclusion_radius=0.25, amplitude=PolynomialAmplitude((0.0, 0.1))), eps)
+    b = solver.bundle(0.05)
+    R = solver.mech_basis.restriction
+    E = solver.mech_basis.reduce_matrix(b["E"]).tocsc()
+    theta = np.cos(np.pi * solver.mesh.vertices[:, 0])
+    B = np.column_stack([R.T @ (b["G_alpha"] @ theta + b["mech_surface"]),
+                         np.random.default_rng(2).standard_normal((E.shape[0], 2))])
+    got = solver._mech_factor(b, 0.05).solve(B)
+    ref = spla.splu(E, permc_spec="COLAMD").solve(B)
+    assert np.all(np.max(np.abs(got - ref), axis=0)
+                  <= FACTOR_RTOL * np.max(np.abs(ref), axis=0))
 
 
 class TestBundleFailures:
@@ -227,8 +269,8 @@ class TestOperatorStructure:
 
     @pytest.mark.parametrize("static", [True, False], ids=["identity", "growth"])
     def test_matches_solve_block_oracle(self, cell8, static):
-        # the reduced LU solve lifted by R is bitwise the multiplier block
-        # solve of the reduced system, offset included
+        # the reduced solve lifted by R is bitwise the multiplier block
+        # solve of the reduced system, offset included, under one factor
         from reference_oracle import operator_structure_checks as oracle_checks
         args = (cell8, default_material(2),
                 IdentityTransform(dim=2) if static else growth(0.1), 0.5)
