@@ -25,6 +25,7 @@ def main():
         cfg.t_final, cfg.dt, cfg.theta0_profile(),
         macro_resolution=cfg.macro_resolution, settings=cfg.settings(),
         sources=cfg.sources(), latent_in_load=cfg.latent_heat_in_weff,
+        solver_tol=cfg.corrector_tol,
     )
     print(f"{'eps':>8} {'matrix error':>14} {'inclusion error':>16} "
           f"{'interp floor':>13}")

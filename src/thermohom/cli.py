@@ -129,6 +129,7 @@ def cmd_compare(cfg, out):
         cfg.t_final, cfg.dt, cfg.theta0_profile(),
         macro_resolution=cfg.macro_resolution, settings=cfg.settings(),
         sources=cfg.sources(), latent_in_load=cfg.latent_heat_in_weff,
+        solver_tol=cfg.corrector_tol,
     )
     write_csv(os.path.join(out, "compare.csv"),
               ["eps", "error_matrix", "error_inclusion", "interp_floor"],

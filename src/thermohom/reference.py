@@ -19,14 +19,14 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fem import (
+    FORMS,
     ConstraintSet,
     P1Space,
     SpdFactor,
     assemble_interface_load,
     assemble_operator,
-    assemble_scalar_load,
-    assemble_vector_load,
     constraint_basis,
+    scatter_load,
     vector_mass,
     weak_form,
 )
@@ -52,36 +52,27 @@ from .twoscale import (BundleError, FixedPointError, SolverSettings, TwoScaleSol
 
 
 class EpsilonCoefficients:
-    """Transformed coefficient fields on an epsilon mesh.
+    """Transformed coefficients on an epsilon mesh, once per sample key.
 
-    Every tile is a scaled copy of the unit cell, and the transformation acts
-    on it with the tile anchor (cell corner) as its macro argument, matching
-    the periodic lattice construction of the moving geometry.  Tiles with the
-    same transformation sample key therefore carry the same pulled-back
-    fields: :meth:`fields` pulls back once per key and phase, at the
-    quadrature points of the unit cell and with the anchor of the key's first
-    tile, and gathers the result into the element order of the epsilon mesh
-    through ``mesh.cell_tile`` and ``mesh.cell_source``;
-    :meth:`surface_loads` does the same for the interface fields at the unit
-    cell's facets.
+    Every tile is the unit cell scaled by eps, and the transformation acts on
+    it with the tile anchor (cell corner) as its macro argument, matching the
+    periodic lattice construction of the moving geometry.  Tiles with the
+    same sample key therefore share their pulled-back fields, and a tile's P1
+    element blocks are its key's unit-cell blocks times eps^(d - g), g the
+    number of gradients in the form: :meth:`element_blocks` builds them once
+    per key and gathers them per element, :meth:`surface_loads` the interface
+    loads per facet.
     """
 
     def __init__(self, mesh, cell_mesh, material, transformation):
-        self.mesh = mesh
+        self.mesh, self.cell = mesh, cell_mesh
         self.eps = mesh.eps
         self.material = material
         self.scaled = scaled_coefficients(material, mesh.eps)
         self.transformation = transformation
         self.anchors = tile_anchors(mesh)
-        # per phase: the unit cell's phase space, the epsilon-mesh elements of
-        # that phase and the row of each of them in the cell space
-        self._phases = []
-        for phase in (PHASE_A, PHASE_B):
-            space = P1Space(cell_mesh, element_mask=cell_mesh.phase == phase)
-            row = np.full(len(cell_mesh.cells), -1)
-            row[space.elements] = np.arange(len(space.elements))
-            elements = np.flatnonzero(mesh.phase == phase)
-            self._phases.append((phase, space, elements, row[mesh.cell_source[elements]]))
+        self._spaces = [(phase, P1Space(cell_mesh, element_mask=cell_mesh.phase == phase))
+                        for phase in (PHASE_A, PHASE_B)]
 
     def key_groups(self, t):
         """The anchor of each sample key's first tile at t, and the key
@@ -89,22 +80,34 @@ class EpsilonCoefficients:
         first, tile_key = sample_key_groups(self.transformation, t, self.anchors)
         return self.anchors[first], tile_key
 
-    def fields(self, t, groups):
-        """Pulled-back, eps-scaled coefficient fields of both phases as
-        (n_elements, nq, ...) arrays over the whole epsilon mesh, from the
-        :meth:`key_groups` of t."""
-        key_anchor, tile_key = groups
-        out = {}
-        for phase, space, elements, rows in self._phases:
-            # the cell's points once per key, in one batch per phase
-            f = key_fields(space, self.transformation, self.scaled, phase, t, key_anchor)
-            at = tile_key[self.mesh.cell_tile[elements]] * len(space.cells) + rows
-            for name, a in f.items():
-                if name not in out:
-                    out[name] = np.empty((len(self.mesh.cells),) + a.shape[1:])
-                out[name][elements] = a[at]
-        out["velocity"] *= self.eps  # cell velocity is O(eps)
+    def key_fields(self, t, groups):
+        """Pulled-back, eps-scaled coefficient fields of each phase on the
+        unit cell, as (k, e_phase, nq, ...) arrays over the k keys of the
+        :meth:`key_groups` of t, plus the advective flux c v."""
+        key_anchor = groups[0]
+        out = []
+        for phase, space in self._spaces:
+            f = {name: a.reshape((len(key_anchor), len(space.cells)) + a.shape[1:])
+                 for name, a in key_fields(space, self.transformation, self.scaled, phase,
+                                           t, key_anchor).items()}
+            f["velocity"] *= self.eps  # cell velocity is O(eps)
+            f["flux"] = f["heat_capacity"][..., None] * f["velocity"]
+            out.append(f)
         return out
+
+    def element_blocks(self, form, names, fields, groups):
+        """The element blocks (or loads) of ``form`` over the epsilon mesh,
+        from the :meth:`key_fields` named ``names``: one set per key on each
+        phase of the unit cell, gathered through each element's tile key and
+        source element."""
+        cell = None
+        for (_, space), f in zip(self._spaces, fields):
+            blocks = weak_form(space, form, *(f[name] for name in names))
+            if cell is None:
+                cell = np.empty((len(blocks), len(self.cell.cells)) + blocks.shape[2:])
+            cell[:, space.elements] = blocks
+        cell *= self.eps ** (self.mesh.dim - FORMS[form][1].count("G"))
+        return cell[groups[1][self.mesh.cell_tile], self.mesh.cell_source]
 
     def surface_loads(self, t, latent_factor, groups):
         """Curvature load (vector dofs) and latent-heat load (scalar dofs),
@@ -117,7 +120,7 @@ class EpsilonCoefficients:
         the rest absorbed by the prescribed scalings of the jump conditions.
         """
         key_anchor, tile_key = groups
-        cell, mesh = self._phases[0][1].mesh, self.mesh    # both phases share the cell
+        cell, mesh = self.cell, self.mesh
         speed, stress = key_interface(self.transformation, t, key_anchor,
                                       cell.facet_centroids(), cell.interface_normals,
                                       self.eps * self.material.surface_tension)
@@ -130,6 +133,20 @@ class EpsilonCoefficients:
 
 # ---------------------------------------------------------------------------
 # resolved solver
+
+
+# every operator of a resolved bundle and the J-weighted unit source load:
+# (name, form of fem.FORMS, fields of EpsilonCoefficients.key_fields)
+BUNDLE_FORMS = (
+    ("M_c", "mass", ("heat_capacity",)),
+    ("A_K", "scalar_diffusion", ("conductivity",)),
+    ("E", "elasticity", ("stiffness",)),
+    ("G_alpha", "coupling", ("expansion",)),
+    ("G_gamma", "coupling", ("dissipation",)),
+    ("N", "advection", ("flux",)),
+    ("A_gamma", "advective_dissipation", ("velocity", "dissipation")),
+    ("l_J", "scalar_load", ("jacobian",)),
+)
 
 
 @dataclass
@@ -147,20 +164,21 @@ class EpsilonSolver:
     """Implicit-Euler staggered solve of the resolved system on the
     eps-periodic mesh.
 
-    A bundle holds everything one time level contributes, assembled once on
-    the whole mesh from :meth:`EpsilonCoefficients.fields`: the heat-capacity
+    A bundle holds everything one time level contributes: the heat-capacity
     mass ``M_c``, the conductivity ``A_K``, the advection ``N``, the
     elasticity ``E``, the thermal-stress and dissipation couplings
     ``G_alpha`` and ``G_gamma``, the advective dissipation map ``A_gamma``
     (u -> int (gamma : grad u) v . grad phi_i), the interface loads and the
-    bulk source loads at t.  A failure to build one raises
+    bulk source loads at t.  Each operator is one row of :data:`BUNDLE_FORMS`,
+    summed from :meth:`EpsilonCoefficients.element_blocks` through the
+    space's cached scatter, one form at a time; the sources at t scale the
+    unit load ``l_J`` phase by phase.  A failure to build one raises
     :class:`BundleError` naming t.
     """
 
     def __init__(self, cell_mesh, material, transformation, eps,
                  settings: SolverSettings | None = None, sources=None,
                  latent_in_load=True):
-        self.cell = cell_mesh
         self.material = material
         self.transformation = transformation
         self.eps = float(eps)
@@ -180,9 +198,7 @@ class EpsilonSolver:
 
     def _latent_factor(self):
         f = self.settings.latent_sign
-        if self.latent_in_load:
-            f = f * self.material.latent_heat
-        return f
+        return f * self.material.latent_heat if self.latent_in_load else f
 
     def bundle(self, t):
         return self.cache.get(t, round(float(t), 12), lambda: self._build_bundle(t))
@@ -195,37 +211,29 @@ class EpsilonSolver:
                               f"t = {t:.6g}: {exc}") from exc
 
     def _operators(self, t):
-        mesh, space = self.mesh, self.space
-        groups = self.coeffs.key_groups(t)
-        f = self.coeffs.fields(t, groups)
+        coeffs, mesh, space = self.coeffs, self.mesh, self.space
+        groups = coeffs.key_groups(t)
+        fields = coeffs.key_fields(t, groups)
+        out = {}
+        for name, form, names in BUNDLE_FORMS:
+            blocks = coeffs.element_blocks(form, names, fields, groups)
+            if form.endswith("_load"):
+                out[name] = blocks
+            else:
+                p = space.pattern(FORMS[form][2])
+                out[name] = p.matrix(p.data(blocks[None])[0])
+            del blocks                 # one form's blocks alive at a time
+        out["mech_surface"], out["heat_surface"] = coeffs.surface_loads(
+            t, self._latent_factor(), groups)
 
-        def op(kind, coeff):
-            return assemble_operator(mesh, kind, coeff, space=space)
-
-        N = op("advection", f["heat_capacity"][:, :, None] * f["velocity"])
-        dissipation = space.pattern("dissipation")
-        A_gamma = dissipation.matrix(dissipation.data(weak_form(
-            space, "advective_dissipation", f["velocity"], f["dissipation"])[None])[0])
-        mech_surface, heat_surface = self.coeffs.surface_loads(t, self._latent_factor(),
-                                                               groups)
-
+        # the phase sources at t scale each element's unit load
         f_u_a, f_u_b, f_th_a, f_th_b = self.sources(t)
-        f_theta = np.zeros(space.n_scalar)
-        f_u = np.zeros(space.n_vector)
-        if np.any(np.concatenate([f_u_a, f_u_b, [f_th_a, f_th_b]]) != 0.0):
-            in_a = (mesh.phase == PHASE_A)[:, None]
-            J = f["jacobian"]
-            f_theta = assemble_scalar_load(space, J * np.where(in_a, f_th_a, f_th_b))
-            f_u = assemble_vector_load(space, J[:, :, None] * np.where(
-                in_a[:, :, None], np.asarray(f_u_a), np.asarray(f_u_b)))
-
-        return dict(M_c=op("mass", f["heat_capacity"]),
-                    A_K=op("scalar_diffusion", f["conductivity"]),
-                    E=op("elasticity", f["stiffness"]),
-                    G_alpha=op("coupling", f["expansion"]),
-                    G_gamma=op("coupling", f["dissipation"]), N=N, A_gamma=A_gamma,
-                    mech_surface=mech_surface, heat_surface=heat_surface,
-                    f_theta=f_theta, f_u=f_u)
+        in_a, l_J = (mesh.phase == PHASE_A)[:, None], out.pop("l_J")
+        out["f_theta"] = scatter_load(space.cells, space.n_scalar,
+                                      l_J * np.where(in_a, f_th_a, f_th_b))[0]
+        out["f_u"] = scatter_load(space.vector_dofs(), space.n_vector,
+                                  l_J[:, :, None] * np.where(in_a, f_u_a, f_u_b)[:, None])[0]
+        return out
 
     # -- solves ----------------------------------------------------------------
 
@@ -234,8 +242,9 @@ class EpsilonSolver:
         space."""
         # symmetric mode: the reduced E is SPD, so diagonal pivots keep the
         # minimum-degree ordering; at eps 1/8 (22 850 reduced dofs) it fills
-        # 1.76 M entries against 2.27 M under COLAMD with partial pivoting,
-        # and in 3D (eps 1/2, cell resolution 4) it factors about 4x faster
+        # 1.94 M entries at t = 0 and 1.66 M at t = 0.05, against 2.31 M and
+        # 2.33 M under COLAMD with partial pivoting, and in 3D (eps 1/2, cell
+        # resolution 4) it factors about 4x faster
         return SpdFactor(self.mech_basis.reduce_matrix(b["E"]).tocsc(),
                          f"resolved solver: elasticity at t = {t:.6g}")
 
@@ -254,11 +263,7 @@ class EpsilonSolver:
         u = self._solve_mech(self._mech_factor(b0, 0.0), b0["G_alpha"] @ theta + b0["f_u"]
                              + b0["mech_surface"])
 
-        times = [0.0]
-        thetas = [theta.copy()]
-        us = [u.copy()]
-        fp_counts = []
-
+        times, thetas, us, fp_counts = [0.0], [theta.copy()], [u.copy()], []
         t = 0.0
         for _ in range(step_count(t_final, dt)):
             step = min(dt, t_final - t)
@@ -274,10 +279,7 @@ class EpsilonSolver:
             mech_rhs0 = b_new["f_u"] + b_new["mech_surface"]
 
             theta_k, u_k = theta.copy(), u.copy()
-            converged = False
-            iterations = 0
             for it in range(1, s.fixed_point_max_iter + 1):
-                iterations = it
                 rhs = (base - (b_new["G_gamma"].T @ u_k) / step
                        - b_new["A_gamma"] @ u_k)
                 # structurally symmetric: minimum degree on A^T + A
@@ -288,9 +290,8 @@ class EpsilonSolver:
                 d_u = np.linalg.norm(u_next - u_k) / max(1.0, np.linalg.norm(u_next))
                 theta_k, u_k = theta_next, u_next
                 if d_theta + d_u < s.fixed_point_tol:
-                    converged = True
                     break
-            if not converged:
+            else:
                 raise FixedPointError(
                     f"resolved solver: staggered loop did not converge within "
                     f"{s.fixed_point_max_iter} iterations at t = {t_new:.6g}"
@@ -299,7 +300,7 @@ class EpsilonSolver:
             times.append(t)
             thetas.append(theta.copy())
             us.append(u.copy())
-            fp_counts.append(iterations)
+            fp_counts.append(it)
             if observer is not None:
                 observer(t, theta, u)
 
@@ -325,11 +326,7 @@ class NormBundle:
     linf_grad_u_inclusion_scaled: float
 
     def as_array(self):
-        return np.array([
-            self.linf_theta, self.grad_theta_matrix,
-            self.grad_theta_inclusion_scaled, self.linf_u,
-            self.linf_grad_u_matrix, self.linf_grad_u_inclusion_scaled,
-        ])
+        return np.array([getattr(self, name) for name in self.names])
 
     names = ("linf_theta", "grad_theta_matrix", "grad_theta_inclusion_scaled",
              "linf_u", "linf_grad_u_matrix", "linf_grad_u_inclusion_scaled")
@@ -516,12 +513,14 @@ class CompareRow:
 
 def two_scale_compare(cell_mesh, material, transformation, eps_list, t_final, dt,
                       theta0, macro_resolution=8, settings=None, sources=None,
-                      latent_in_load=True):
+                      latent_in_load=True, solver_tol=1e-10):
     """Temperature error between the resolved and homogenized solutions: one
-    row per eps, every eps against one homogenized run."""
+    row per eps, every eps against one homogenized run, whose cell correctors
+    are solved to ``solver_tol`` (:class:`EffectiveProvider`)."""
     settings = settings if settings is not None else SolverSettings()
     ctx = CellContext(cell_mesh, material, transformation)
-    provider = EffectiveProvider(ctx, sources=sources, latent_in_source=latent_in_load)
+    provider = EffectiveProvider(ctx, sources=sources, latent_in_source=latent_in_load,
+                                 solver_tol=solver_tol)
     macro = build_uniform_mesh(macro_resolution, dim=cell_mesh.dim)
     hom_solver = TwoScaleSolver(macro, provider, settings)
     hom_states = hom_solver.run(t_final, dt, theta0)
@@ -559,9 +558,7 @@ def _compare_one(sol: EpsilonSolution, hom_solver, hom_states, dt) -> CompareRow
     host_ids = np.argmin(np.einsum("tid,tid->ti", offsets, offsets), axis=1)[
         mesh.cell_tile[source]]
 
-    err_a2 = 0.0
-    err_b2 = 0.0
-    floor2 = 0.0
+    err_a2 = err_b2 = floor2 = 0.0
     for k in range(1, len(sol.times)):
         theta_eps = sol.theta[k]
         state = hom_states[k]

@@ -11,10 +11,12 @@ the heat system by the path ``EpsilonSolver`` used before its single direct
 solve: a sparse direct solve under the default COLAMD ordering when the heat
 matrix is advective, CG (falling back to that direct solve) when it is not.
 ``EpsilonSolver`` instead evaluates the volume and interface fields once per
-sample key on the unit cell, assembles each operator once on the whole mesh
-through a cached sparsity pattern, applies the advective dissipation matrix
-assembled from its weak form and solves every heat matrix with one
-minimum-degree direct solve; the tests compare the two.
+sample key on the unit cell, builds each operator's element blocks there
+once per key (scaled by eps^(d - g), g the number of gradients in the form),
+gathers them per epsilon element and sums them through a cached sparsity
+pattern, applies the advective dissipation matrix built the same way and
+solves every heat matrix with one minimum-degree direct solve; the tests
+compare the two.
 """
 
 from __future__ import annotations

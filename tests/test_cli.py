@@ -206,6 +206,20 @@ class TestSubcommands:
         assert len(rows) == 101
         assert max(float(r.split(",")[col]) for r in rows) < 1e-9
 
+    @pytest.mark.parametrize("sub", ["macro", "compare"])
+    def test_unreachable_corrector_tol_exits_one(self, tmp_path, capsys, sub):
+        # both solve the cell correctors to the configured corrector_tol
+        standard = next(p for p in SHIPPED_CONFIGS if p.name == "standard.cfg")
+        text = standard.read_text().replace(
+            "fixed_point_tol = 1e-8", "fixed_point_tol = 1e-8\ncorrector_tol = 1e-20"
+        ).replace("eps_list = 1/2 1/4 1/8", "eps_list = 1/2").replace(
+            "t_final = 0.5", "t_final = 0.05")
+        cfg = write_cfg(tmp_path, text)
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"thermohom {sub}: SolverError: cell corrector ")
+        assert "exceeds corrector_tol 1e-20" in err
+
     def test_missing_config_reports_error(self, tmp_path, capsys):
         assert main(["macro", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "thermohom" in capsys.readouterr().err

@@ -1,14 +1,16 @@
-"""Parity of EpsilonSolver (one pullback per sample key, one assembly per
-operator through the cached pattern, the advective dissipation assembled
-as a matrix from its weak form, one minimum-degree direct solve per heat
-system) with the per-phase oracle in ``reference_oracle.py`` and its
-CG-else-COLAMD heat path.
+"""Parity of EpsilonSolver (one pullback and one set of element blocks per
+sample key on the unit cell, gathered per epsilon element and summed through
+the cached pattern, the advective dissipation built as a matrix the same
+way, one minimum-degree direct solve per heat system) with the per-phase,
+per-quadrature-point oracle in ``reference_oracle.py`` and its CG-else-COLAMD
+heat path.
 
 Tolerances, max norm relative to the oracle: 1e-12 on every bundle operator
 and load, whose entries differ only in the order of their sums and in the
-rounding of the cell coordinates; 1e-10 on the temperature and deformation
-of every step up to the third, well below the fixed-point tolerance of 1e-8,
-with the same number of fixed-point iterations in every step.
+rounding of the cell coordinates against the tiled vertices; 1e-10 on the
+temperature and deformation of every step up to the third, well below the
+fixed-point tolerance of 1e-8, with the same number of fixed-point
+iterations in every step.
 """
 
 import numpy as np
