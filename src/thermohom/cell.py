@@ -24,12 +24,12 @@ import numpy as np
 
 from .fem import (
     ConstraintSet,
+    Factor,
     P1Space,
-    SolverError,
     assemble_scalar_load,
+    check_residuals,
     constraint_basis,
     key_einsum,
-    lu_solve,
     scatter_load,
     weak_form,
 )
@@ -124,11 +124,12 @@ class Correctors:
 
 
 def _solve_family(scatter, basis, dofs, blocks, loads, names, t, xs, tol):
-    """Every key's family: one sparse LU of its augmented reduced system,
-    from the element blocks ``blocks`` (k, e, ...), for all of its element
-    loads ``loads`` (k, m, e, ...) on ``dofs``; each column's relative
-    residual must stay within ``tol``.  Returns the solutions (k, m, n_full)
-    and each key's residuals by name."""
+    """Every key's family: one sparse LU of its augmented reduced system
+    (a pivoted :class:`~thermohom.fem.Factor`: the system is symmetric
+    indefinite), from the element blocks ``blocks`` (k, e, ...), for all of
+    its element loads ``loads`` (k, m, e, ...) on ``dofs``; each column's
+    relative residual must stay within ``tol``.  Returns the solutions
+    (k, m, n_full) and each key's residuals by name."""
     k, m = loads.shape[:2]
     data = scatter.data(blocks)
     n_aug = scatter.shape[0]
@@ -138,16 +139,12 @@ def _solve_family(scatter, basis, dofs, blocks, loads, names, t, xs, tol):
     out = np.empty((k, m, R.shape[0]))
     residuals = []
     for i in range(k):
-        Z, res = lu_solve(scatter.matrix(data[i]), rhs[i])
+        at = f"t={float(t):g}, x={np.asarray(xs[i], dtype=float).tolist()}"
+        K = scatter.matrix(data[i])
+        Z = Factor(K, f"cell correctors at {at}").lu.solve(rhs[i])
+        res = check_residuals(K, Z, rhs[i], [f"cell corrector {name} at {at}"
+                                             for name in names], tol, "corrector_tol")
         residuals.append(dict(zip(names, res.tolist())))
-        for name, r in residuals[-1].items():
-            if not r <= tol:
-                raise SolverError(
-                    f"cell corrector {name} at t={float(t):g}, "
-                    f"x={np.asarray(xs[i], dtype=float).tolist()}: relative residual "
-                    f"{r:.3e} exceeds corrector_tol {tol:g}",
-                    res.tolist(),
-                )
         out[i] = (R @ Z[: R.shape[1]]).T
     return out, residuals
 

@@ -114,8 +114,12 @@ class RunConfig:
             raise ConfigError("dimension must be 2 or 3")
         if not 0.0 < self.radius < 0.5:
             raise ConfigError("radius must lie strictly between 0 and 0.5")
+        if self.boundary_margin < 0.0:
+            raise ConfigError("boundary_margin must not be negative")
         if self.radius + self.boundary_margin >= 0.5:
             raise ConfigError("radius plus boundary_margin must stay below 0.5")
+        if not 0.0 < self.det_lower <= 1.0 <= self.det_upper:
+            raise ConfigError("det bounds must satisfy 0 < det_lower <= 1 <= det_upper")
         for name in ("fixed_point_tol", "corrector_tol", "dt"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")

@@ -649,57 +649,53 @@ def solve_spd(A, b, tol=1e-10, max_iter=None, constraints=None):
     )
 
 
-def _relative_residuals(K, Z, B):
+# the largest relative residual a direct solve may leave; measured maxima (shipped
+# configs, graded and 3D): micro block 1.6e-15, macro step 2.3e-15, two-scale
+# elasticity 1.7e-15, resolved elasticity 2.4e-14 and heat 1.8e-14 (eps 1/8)
+RESIDUAL_MAX = 1e-10
+
+
+def check_residuals(A, Z, B, where, bound=RESIDUAL_MAX, bound_name="RESIDUAL_MAX"):
+    """The relative residual |A z - b| / |b| (a zero b divides by 1) of each
+    column of the solution Z of A Z = B, a vector or an (n x m) block.  The
+    first above ``bound`` raises :class:`SolverError` naming ``where`` (one
+    string, or one per column) with every column's residual."""
     scale = np.linalg.norm(B, axis=0)
-    return np.linalg.norm(K @ Z - B, axis=0) / np.where(scale > 0.0, scale, 1.0)
+    res = np.atleast_1d(np.linalg.norm(A @ Z - B, axis=0) / np.where(scale > 0.0, scale, 1.0))
+    bad = np.flatnonzero(~(res <= bound))      # NaN too
+    if len(bad):
+        j = bad[0]
+        raise SolverError(f"{where if isinstance(where, str) else where[j]}: relative "
+                          f"residual {res[j]:.3e} exceeds {bound_name} {bound:g}",
+                          res.tolist())
+    return res
 
 
-def lu_solve(K, B):
-    """Every column of B from one sparse LU of the structurally symmetric K,
-    ordered by minimum degree on K^T + K, and the relative residual of each
-    column."""
-    Z = spla.splu(K, permc_spec="MMD_AT_PLUS_A").solve(B)
-    return Z, _relative_residuals(K, Z, B)
+class Factor:
+    """The sparse LU of a CSC matrix A, ordered by minimum degree on A^T + A
+    and partially pivoted; with ``spd`` (A symmetric positive definite) in
+    SuperLU's symmetric mode with diagonal pivots only (Li, ACM TOMS 31(3),
+    2005), which keeps the symmetric ordering that pivoting would undo.
 
+    Nothing falls back or retries.  A singular factor, an off-diagonal pivot
+    in symmetric mode and a solve leaving a relative residual above
+    :data:`RESIDUAL_MAX` raise :class:`SolverError` naming ``where``: the
+    solver, t and, where there is one, x."""
 
-# the largest relative residual an SpdFactor solve may leave: symmetric-mode
-# solves of the resolved elasticity measure 6e-15 (2D, eps 1/8) and 1.3e-15
-# (3D, eps 1/2)
-SPD_RESIDUAL_MAX = 1e-10
-
-
-class SpdFactor:
-    """The sparse LU of a symmetric positive definite matrix A (CSC) in
-    SuperLU's symmetric mode (Li, ACM TOMS 31(3), 2005): minimum degree on
-    A^T + A and diagonal pivots only, so the factorization keeps the
-    symmetric ordering that partial pivoting would undo.
-
-    Nothing falls back to pivoting.  A zero diagonal pivot (SuperLU then
-    reports an exactly singular factor, or takes an off-diagonal pivot) and
-    a solve leaving a relative residual above :data:`SPD_RESIDUAL_MAX` raise
-    :class:`SolverError` naming ``where``: the solver, t and, where there is
-    one, x."""
-
-    def __init__(self, A, where):
+    def __init__(self, A, where, spd=False):
         self.A, self.where = A, where
+        mode = "zero pivot in the symmetric-mode factor" if spd else "singular factor"
+        symmetric = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         try:
-            self.lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                options=dict(SymmetricMode=True))
-        except RuntimeError as exc:           # "Factor is exactly singular"
-            raise SolverError(f"{where}: zero pivot in the symmetric-mode factor "
-                              f"({exc})") from exc
-        if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
-            raise SolverError(f"{where}: zero pivot in the symmetric-mode factor "
-                              f"(an off-diagonal pivot was taken)")
+            self.lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", **(symmetric if spd else {}))
+        except RuntimeError as exc:           # "Factor is exactly singular", ...
+            raise SolverError(f"{where}: {mode} ({str(exc).strip()})") from exc
+        if spd and not np.array_equal(self.lu.perm_r, self.lu.perm_c):
+            raise SolverError(f"{where}: {mode} (an off-diagonal pivot was taken)")
 
     def solve(self, B):
         """A^-1 B for a vector or an (n x m) block, each column's relative
-        residual checked."""
+        residual checked (:func:`check_residuals`)."""
         Z = self.lu.solve(B)
-        residuals = np.atleast_1d(_relative_residuals(self.A, Z, B))
-        worst = float(np.max(residuals, initial=0.0))
-        if not worst <= SPD_RESIDUAL_MAX:
-            raise SolverError(f"{self.where}: relative residual {worst:.3e} of the "
-                              f"symmetric-mode solve exceeds {SPD_RESIDUAL_MAX:g}",
-                              residuals.tolist())
+        check_residuals(self.A, Z, B, self.where)
         return Z

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fem import SolverError, key_einsum
+from .fem import key_einsum
 
 PHASE_A = 0  # connected matrix
 PHASE_B = 1  # disconnected inclusions
@@ -730,10 +730,11 @@ def build_batched(build, t, xs, n_elements, what):
     """``build(t, chunk)`` (a list, one value per point) over the macro points
     xs in chunks of ``BATCH_ELEMENTS // n_elements`` points, concatenated.
 
-    A chunk that fails is built again one point at a time, so the error names
-    the point at fault: a :class:`BundleError` naming the solver, ``what``, t
-    and x, or the :class:`SolverError` of a breached corrector residual,
-    which names them itself.
+    A chunk that fails with a ``ValueError`` (an inadmissible map, a
+    non-finite entry) is built again one point at a time, so that a
+    :class:`BundleError` names the solver, ``what``, t and x of the point at
+    fault.  A :class:`~thermohom.fem.SolverError` (a singular factor, a
+    breached residual) names them itself and passes through.
     """
     size = max(1, BATCH_ELEMENTS // n_elements)
     out = []
@@ -741,9 +742,7 @@ def build_batched(build, t, xs, n_elements, what):
         chunk = xs[start:start + size]
         try:
             out += build(t, chunk)
-        except SolverError:
-            raise
-        except (ValueError, RuntimeError) as exc:  # inadmissible map, singular LU
+        except ValueError as exc:
             if len(chunk) == 1:
                 raise BundleError(f"two-scale solver: cannot build {what} at t = "
                                   f"{t:.6g}, x = {chunk[0].tolist()}: {exc}") from exc
@@ -816,7 +815,9 @@ def validate_admissibility(tr, grid=32, n_times=9, t_final=1.0) -> Admissibility
         ring /= np.linalg.norm(ring, axis=1)[:, None]
     gamma = tr.center + tr.inclusion_radius * ring
 
-    near = np.min(np.minimum(Y, 1.0 - Y), axis=1) < 0.5 * tr.boundary_margin
+    # the points within half the margin of the cell boundary; the boundary
+    # points themselves at any margin
+    near = np.min(np.minimum(Y, 1.0 - Y), axis=1) <= 0.5 * max(tr.boundary_margin, 0.0)
 
     initial_defect = 0.0
     for x in (np.full(d, 0.5), np.zeros(d), np.ones(d)):     # macro samples
@@ -839,10 +840,9 @@ def validate_admissibility(tr, grid=32, n_times=9, t_final=1.0) -> Admissibility
             sup["v"] = max(sup["v"], float(np.max(np.linalg.norm(v, axis=1))))
 
             mapped = tr.map_points(t, x, Y)
-            if np.any(near):
-                boundary_defect = max(
-                    boundary_defect, float(np.max(np.abs(mapped[near] - Y[near])))
-                )
+            boundary_defect = max(
+                boundary_defect, float(np.max(np.abs(mapped[near] - Y[near])))
+            )
             gmap = tr.map_points(t, x, gamma)
             interface_margin = min(
                 interface_margin, float(np.min(np.minimum(gmap, 1.0 - gmap)))

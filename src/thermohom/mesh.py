@@ -82,10 +82,6 @@ class Mesh:
         return float(self.facet_areas().sum())
 
 
-CellMesh = Mesh
-EpsilonMesh = Mesh
-
-
 # ---------------------------------------------------------------------------
 # station layout shared by the 2D and 3D builders
 

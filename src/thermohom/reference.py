@@ -21,10 +21,11 @@ import scipy.sparse.linalg as spla
 from .fem import (
     FORMS,
     ConstraintSet,
+    Factor,
     P1Space,
-    SpdFactor,
     assemble_interface_load,
     assemble_operator,
+    check_residuals,
     constraint_basis,
     scatter_load,
     vector_mass,
@@ -245,8 +246,8 @@ class EpsilonSolver:
         # 1.94 M entries at t = 0 and 1.66 M at t = 0.05, against 2.31 M and
         # 2.33 M under COLAMD with partial pivoting, and in 3D (eps 1/2, cell
         # resolution 4) it factors about 4x faster
-        return SpdFactor(self.mech_basis.reduce_matrix(b["E"]).tocsc(),
-                         f"resolved solver: elasticity at t = {t:.6g}")
+        return Factor(self.mech_basis.reduce_matrix(b["E"]).tocsc(),
+                      f"resolved solver: elasticity at t = {t:.6g}", spd=True)
 
     def _solve_mech(self, lu, rhs_full):
         # homogeneous Dirichlet: the offset vanishes, reduce directly
@@ -284,6 +285,8 @@ class EpsilonSolver:
                        - b_new["A_gamma"] @ u_k)
                 # structurally symmetric: minimum degree on A^T + A
                 theta_next = spla.spsolve(heat_lhs, rhs, permc_spec="MMD_AT_PLUS_A")
+                check_residuals(heat_lhs, theta_next, rhs,
+                                f"resolved solver: heat at t = {t_new:.6g}")
                 u_next = self._solve_mech(lu, b_new["G_alpha"] @ theta_next + mech_rhs0)
                 d_theta = np.linalg.norm(theta_next - theta_k) / max(
                     1.0, np.linalg.norm(theta_next))
@@ -430,9 +433,9 @@ def operator_structure_checks(cell_mesh, material, transformation, eps,
             us = prev_solve[2]        # a static geometry: the same block solution
         else:
             R = solver.mech_basis.restriction    # no offset, no multipliers
-            us = R @ SpdFactor(solver.mech_basis.reduce_matrix(E).tocsc(),
-                               f"operator checks: elasticity at eps = {eps:g}, "
-                               f"t = {t:.6g}").solve(R.T @ (G_alpha @ fs.T))
+            us = R @ Factor(solver.mech_basis.reduce_matrix(E).tocsc(),
+                            f"operator checks: elasticity at eps = {eps:g}, t = {t:.6g}",
+                            spd=True).solve(R.T @ (G_alpha @ fs.T))
         prev_solve = (E, G_alpha, us)
         products = (b["G_gamma"] @ fs.T).T @ us    # <B2 f_j, f_i>
         scale = np.max(np.abs(products)) or 1.0

@@ -33,15 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cell import CellContext
 from .effective import EffectiveProvider
 from .fem import (
     ConstraintSet,
     ElementScatter,
+    Factor,
     P1Space,
-    SpdFactor,
     assemble_operator,
     assemble_scalar_load,
     assemble_vector_load,
@@ -110,7 +109,7 @@ class MicroModel:
     interior mechanics rows (thermal-stress coupling and elasticity),
     ``content``, the weights ``rho c int J phi_i`` (all rows), and the unit
     source loads ``l_J`` and ``L_J``.  :meth:`initial_states` factors each
-    key's ``E[Iv, Iv]`` in symmetric mode (:class:`~thermohom.fem.SpdFactor`)
+    key's ``E[Iv, Iv]`` in symmetric mode (:class:`~thermohom.fem.Factor`)
     for its block solve only.  With the dt of the step ending at its level a
     bundle also holds the LU of the coupled interior block
 
@@ -138,7 +137,8 @@ class MicroModel:
     Sources are the unit loads scaled by ``sources(t)`` at the t of each
     call, so one bundle serves every t of a static geometry.  The cache
     keeps the bundles of the current step pair.  A bundle that cannot be
-    built raises :class:`BundleError` naming t and x.
+    built raises :class:`BundleError` naming t and x, a singular block or an
+    inaccurate response ``W`` a :class:`~thermohom.fem.SolverError` naming them.
     """
 
     def __init__(self, ctx: CellContext, sources=None):
@@ -249,12 +249,14 @@ class MicroModel:
         blocks = np.concatenate([upper, lower], axis=2)
         K, trace = (self._scatter[name].data(blocks) for name in ("K", "trace"))
         for i, b in enumerate(bundles):
-            lu = spla.splu(self._scatter["K"].matrix(K[i]), permc_spec="MMD_AT_PLUS_A")
-            W = lu.solve(-self._scatter["trace"].matrix(trace[i]).toarray())
+            factor = Factor(self._scatter["K"].matrix(K[i]), f"two-scale solver: micro "
+                            f"block at t = {t:.6g}, x = {xs[i].tolist()}")
+            W = factor.solve(-self._scatter["trace"].matrix(trace[i]).toarray())
             content = b["content"]
             c_tr = content[I] @ W[:len(I)]
             c_tr[0] += content[self.boundary_scalar].sum()
-            b.update(dt=round(float(dt), 14), lu=lu, W=W, c_tr=c_tr)
+            # the LU, not K: the zero-trace solves of the steps go unchecked
+            b.update(dt=round(float(dt), 14), lu=factor.lu, W=W, c_tr=c_tr)
         return bundles
 
     def initial_states(self, t, xs, groups, traces_theta, traces_u, theta_fields=None):
@@ -272,9 +274,9 @@ class MicroModel:
         for k, b in enumerate(self.level_bundles(t, xs, groups)):
             hosts = np.flatnonzero(groups[1] == k)
             # not kept with the bundle: steps solve with K
-            lu = SpdFactor(b["mech"][:, ns + self.interior_vector],
-                           f"two-scale solver: micro elasticity at t = {t:.6g}, "
-                           f"x = {xs[groups[0][k]].tolist()}")
+            lu = Factor(b["mech"][:, ns + self.interior_vector],
+                        f"two-scale solver: micro elasticity at t = {t:.6g}, "
+                        f"x = {xs[groups[0][k]].tolist()}", spd=True)
             # u holds the traces and zero interior values here
             r = ((b["L_J"] @ np.asarray(f_u_b))[:, None]
                  - b["mech"] @ np.hstack([theta[hosts], u[hosts]]).T)
@@ -441,8 +443,8 @@ class TwoScaleSolver:
         theta = np.asarray(theta0(self.mesh.vertices), dtype=float)
         ops = self.level(0.0)
         E_red = self.mech_basis.reduce_matrix(ops["E"]).tocsc()
-        u = self.mech_basis.restriction @ SpdFactor(
-            E_red, "two-scale solver: macro elasticity at t = 0").solve(
+        u = self.mech_basis.restriction @ Factor(
+            E_red, "two-scale solver: macro elasticity at t = 0", spd=True).solve(
                 self._mech_rhs(ops, theta))
 
         traces_th, traces_u = self.traces_at_hosts(theta, u)
@@ -504,7 +506,7 @@ class TwoScaleSolver:
         heat_rhs = ((ops_old["M_c"] @ state.theta) / dt + ops_new["heat_load"]
                     + (Q @ (state.micro_content - c0)
                        + ops_old["G_gamma"].T @ state.u) / dt)
-        z = spla.splu(lhs, permc_spec="MMD_AT_PLUS_A").solve(
+        z = Factor(lhs, f"two-scale solver: macro step at t = {t_new:.6g}").solve(
             np.concatenate([heat_rhs, R.T @ ops_new["mech_load"]]))
         ns = self.space.n_scalar
         theta, u = z[:ns], R @ z[ns:]

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from thermohom.fem import ElementScatter, P1Space, lu_solve
+from thermohom.fem import ElementScatter, Factor, P1Space, check_residuals
 from thermohom.mesh import Mesh
 
 
@@ -35,10 +35,13 @@ def augmented(red):
 
 
 def solve_block(red):
-    """Every column of ``red.rhs`` from one sparse LU of the augmented system
-    (:func:`augmented`).  Returns the full-space solutions (n_full x m) and
-    the relative residual of each column in that system."""
-    Z, residuals = lu_solve(*augmented(red))
+    """Every column of ``red.rhs`` from one pivoted sparse LU of the
+    augmented system (:func:`augmented`).  Returns the full-space solutions
+    (n_full x m) and the relative residual of each column in that system,
+    left to the caller to bound."""
+    K, rhs = augmented(red)
+    Z = Factor(K, "solve_block").lu.solve(rhs)
+    residuals = check_residuals(K, Z, rhs, "solve_block", bound=np.inf)
     return red.recover(Z[: red.matrix.shape[0]]), residuals
 
 

@@ -28,9 +28,9 @@ import scipy.sparse.linalg as spla
 
 from helpers import augmented, coo_assemble_operator
 from thermohom.fem import (
+    Factor,
     P1Space,
     SolverError,
-    SpdFactor,
     assemble_gradient_load,
     assemble_interface_load,
     assemble_operator,
@@ -177,7 +177,7 @@ def operator_structure_checks(cell_mesh, material, transformation, eps,
     """``reference.operator_structure_checks`` with each elasticity block
     solved as ``helpers.solve_block`` does: the reduced system with explicit
     multipliers (``helpers.augmented``) and the offset lifted back into the
-    full space, factored by the same symmetric-mode ``SpdFactor``, whose
+    full space, factored by the same symmetric-mode ``Factor``, whose
     parity with pivoted LU ``test_reference`` checks on its own."""
     solver = EpsilonSolver(cell_mesh, material, transformation, eps)
     mesh = solver.mesh
@@ -198,7 +198,7 @@ def operator_structure_checks(cell_mesh, material, transformation, eps,
         min_rayleigh = min(min_rayleigh, float(rayleigh.min()))
         red = solver.mech_basis.reduce(E, G_alpha @ fs.T)
         K, rhs = augmented(red)
-        us = red.recover(SpdFactor(K, "oracle checks").solve(rhs)[: red.matrix.shape[0]])
+        us = red.recover(Factor(K, "oracle checks", spd=True).solve(rhs)[: red.matrix.shape[0]])
         products = (b["G_gamma"] @ fs.T).T @ us
         scale = np.max(np.abs(products)) or 1.0
         sym_defect = max(sym_defect, float(np.max(np.abs(products - products.T)) / scale))

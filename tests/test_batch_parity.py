@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from key_oracle import PerKeyMicroModel, correctors, effective
 
-from thermohom import twoscale
+from thermohom import fem
 from thermohom.cell import CellContext, solve_correctors, solve_correctors_batch
 from thermohom.effective import EffectiveProvider
 from thermohom.kinematics import (
@@ -198,7 +198,7 @@ def test_non_finite_entries_raise_before_any_lu(monkeypatch):
         factored.append(bool(np.all(np.isfinite(A.data))))
         return original(A, *args, **kwargs)
 
-    monkeypatch.setattr(twoscale.spla, "splu", splu)
+    monkeypatch.setattr(fem.spla, "splu", splu)
     model = MicroModel(ctx)
     with pytest.raises(BundleError, match="cannot build the micro bundle " + re.escape(
             f"at t = 0.05, x = {xs[first_bad].tolist()}:")) as info:

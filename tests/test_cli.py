@@ -123,6 +123,9 @@ class TestParsing:
         assert cfg1.config_hash() == cfg2.config_hash()
 
 
+DET_BOUNDS = "det bounds must satisfy 0 < det_lower <= 1 <= det_upper"
+
+
 @pytest.mark.parametrize("sub, old, new, message", [
     ("micro", "eps_list = 1/2", "eps_list = 0",
      "eps must be 1/n for an integer n >= 1, got eps = 0.0"),
@@ -138,8 +141,16 @@ class TestParsing:
      "line 3: invalid value for 'radius': could not convert string to float: 'wide'"),
     ("checks", "family = identity", "family = identity\nvalidation_grid = 0",
      "validation_grid must be at least 1"),
+    ("checks", "family = identity", "family = identity\nboundary_margin = -0.1",
+     "boundary_margin must not be negative"),
+    ("checks", "family = identity", "family = identity\ndet_lower = 3.0\ndet_upper = 2.0",
+     DET_BOUNDS),
+    ("checks", "family = identity", "family = identity\ndet_lower = 0", DET_BOUNDS),
+    ("macro", "family = identity", "family = identity\ndet_upper = 0.9", DET_BOUNDS),
 ], ids=["eps_zero", "eps_negative", "eps_not_reciprocal", "eps_empty", "resolution_zero",
-         "t_final_negative", "malformed_value", "validation_grid_zero"])
+         "t_final_negative", "malformed_value", "validation_grid_zero",
+         "boundary_margin_negative", "det_bounds_inverted", "det_lower_zero",
+         "det_upper_below_one"])
 def test_invalid_setting_exits_one_naming_the_file(tmp_path, capsys, sub, old, new, message):
     cfg = write_cfg(tmp_path, BASE.format(out=tmp_path / "out").replace(old, new))
     assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1

@@ -25,10 +25,10 @@ from thermohom.fem import (
     ConstraintSet,
     ElementScatter,
     FORMS,
+    RESIDUAL_MAX,
+    Factor,
     P1Space,
-    SPD_RESIDUAL_MAX,
     SolverError,
-    SpdFactor,
     apply_constraints,
     assemble_gradient_load,
     assemble_interface_load,
@@ -514,10 +514,15 @@ class TestSolvers:
 
 
 
-class TestSpdFactor:
-    """The symmetric-mode factor: one SuperLU call with diagonal pivots
-    only, every solve's relative residual checked, and named errors with no
-    pivoted retry."""
+class TestFactor:
+    """The one sparse factor: one SuperLU call, in symmetric mode with
+    diagonal pivots only for an SPD matrix and partially pivoted otherwise,
+    every solve's relative residual checked, and named errors with no
+    retry."""
+
+    SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+    PIVOTED = dict(permc_spec="MMD_AT_PLUS_A")
 
     @pytest.fixture
     def splu_calls(self, monkeypatch):
@@ -531,9 +536,10 @@ class TestSpdFactor:
         return calls
 
     @staticmethod
-    def assert_one_symmetric_mode_call(calls):
-        assert calls == [dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                              options=dict(SymmetricMode=True))]
+    def assert_solved(A, B, Z):
+        assert np.allclose(Z, spla.spsolve(A, B), rtol=1e-12, atol=1e-12 * np.abs(Z).max())
+        assert np.max(np.linalg.norm(A @ Z - B, axis=0) / np.linalg.norm(B, axis=0)) \
+            <= RESIDUAL_MAX
 
     def test_elasticity_block_solve(self, splu_calls):
         mesh = build_cell_mesh(0.25, 8, dim=2)
@@ -542,38 +548,49 @@ class TestSpdFactor:
             np.flatnonzero(np.repeat(mesh.boundary_vertex_mask(), 2)))
         A = apply_constraints(E, np.ones(E.shape[0]), cs).matrix.tocsc()
         B = np.random.default_rng(0).standard_normal((A.shape[0], 4))
-        Z = SpdFactor(A, "test").solve(B)
-        assert np.allclose(Z, spla.spsolve(A, B), rtol=1e-12, atol=1e-12 * np.abs(Z).max())
-        assert np.max(np.linalg.norm(A @ Z - B, axis=0) / np.linalg.norm(B, axis=0)) \
-            <= SPD_RESIDUAL_MAX
-        self.assert_one_symmetric_mode_call(splu_calls)
+        self.assert_solved(A, B, Factor(A, "test", spd=True).solve(B))
+        assert splu_calls == [self.SYMMETRIC]
+
+    def test_pivoted_solve_of_indefinite_cell_system(self, splu_calls):
+        # a zero-mean cell problem with its multiplier: symmetric indefinite
+        mesh = build_cell_mesh(0.25, 8, dim=2)
+        space = P1Space(mesh)
+        A = assemble_operator(mesh, "scalar_diffusion", np.eye(2))
+        K = augmented_matrix(A, [assemble_scalar_load(space, 1.0)])
+        B = np.random.default_rng(1).standard_normal((K.shape[0], 3))
+        self.assert_solved(K, B, Factor(K, "test").solve(B))
+        assert splu_calls == [self.PIVOTED]
 
     def test_zero_diagonal_pivot_of_indefinite_matrix_is_named(self, splu_calls):
         # eigenvalues +-1: with a zero diagonal SuperLU can only pivot off it
         A = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(SolverError, match=r"^resolved solver: elasticity at t = 0\.25: "
                            r"zero pivot in the symmetric-mode factor"):
-            SpdFactor(A, "resolved solver: elasticity at t = 0.25")
-        self.assert_one_symmetric_mode_call(splu_calls)
+            Factor(A, "resolved solver: elasticity at t = 0.25", spd=True)
+        assert splu_calls == [self.SYMMETRIC]
 
     def test_exactly_singular_factor_is_named(self, splu_calls):
         A = sp.csc_matrix(np.ones((2, 2)))
         with pytest.raises(SolverError, match=r"^two-scale solver: micro elasticity at "
                            r"t = 0, x = \[0\.5, 0\.5\]: zero pivot .*exactly singular"):
-            SpdFactor(A, "two-scale solver: micro elasticity at t = 0, x = [0.5, 0.5]")
-        self.assert_one_symmetric_mode_call(splu_calls)
+            Factor(A, "two-scale solver: micro elasticity at t = 0, x = [0.5, 0.5]",
+                   spd=True)
+        with pytest.raises(SolverError, match=r"^two-scale solver: macro step at "
+                           r"t = 0\.05: singular factor .*exactly singular"):
+            Factor(A, "two-scale solver: macro step at t = 0.05")
+        assert splu_calls == [self.SYMMETRIC, self.PIVOTED]
 
     def test_residual_above_bound_is_named(self, splu_calls):
         # SPD with condition number about 1e17: the solve is inaccurate
         A = sp.csc_matrix(hilbert(14))
         b = np.random.default_rng(0).standard_normal(14)
-        factor = SpdFactor(A, "operator checks: elasticity at eps = 0.5, t = 1")
+        factor = Factor(A, "operator checks: elasticity at eps = 0.5, t = 1", spd=True)
         with pytest.raises(SolverError, match=r"^operator checks: elasticity at eps = 0\.5, "
-                           r"t = 1: relative residual \S+ of the symmetric-mode solve "
-                           r"exceeds 1e-10$") as err:
+                           r"t = 1: relative residual \S+ exceeds RESIDUAL_MAX "
+                           r"1e-10$") as err:
             factor.solve(b)
-        assert err.value.residuals[0] > SPD_RESIDUAL_MAX
-        self.assert_one_symmetric_mode_call(splu_calls)
+        assert err.value.residuals[0] > RESIDUAL_MAX
+        assert splu_calls == [self.SYMMETRIC]
 
 
 def l2_error_scalar(mesh, uh, exact):

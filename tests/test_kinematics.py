@@ -8,6 +8,7 @@ from thermohom.kinematics import (
     InadmissibleTransformError,
     MaterialParams,
     PolynomialAmplitude,
+    QuinticCutoff,
     RadialGrowth,
     TabulatedTransform,
     default_material,
@@ -230,6 +231,24 @@ class TestAdmissibility:
         report = validate_admissibility(radial_growth(coeffs=(0.0, -1.0)), grid=16)
         assert not report.ok
         assert any("det" in v or "degenerate" in v for v in report.violations)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    def test_boundary_points_moved_by_the_cutoff_are_a_violation(self, margin):
+        # a cutoff reaching past the cell boundary moves the boundary points;
+        # they are tested at every margin, zero included
+        tr = RadialGrowth(dim=2, inclusion_radius=0.25, boundary_margin=margin,
+                          cutoff=QuinticCutoff(0.3, 0.6))
+        assert np.max(np.abs(tr.map_points(1.0, np.zeros(2), np.array([[0.5, 0.0]]))
+                             - [0.5, 0.0])) > 1e-2
+        report = validate_admissibility(tr, grid=16)
+        assert not report.ok
+        assert report.boundary_fixed_defect > 1e-2
+        assert any(v.startswith("boundary points move by") for v in report.violations)
+
+    def test_zero_margin_with_the_default_cutoff_passes(self):
+        report = validate_admissibility(radial_growth(margin=0.0), grid=16)
+        assert report.ok, report.summary()
+        assert report.boundary_fixed_defect == 0.0
 
     def test_field_bounds_reported_finite(self):
         report = validate_admissibility(radial_growth(coeffs=(0.0, 0.2)), grid=16)

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from thermohom import reference
-from thermohom.fem import P1Space, SpdFactor, assemble_operator
+from thermohom.fem import Factor, P1Space, SolverError, assemble_operator
 from thermohom.kinematics import (
     PHASE_A,
     PHASE_B,
@@ -81,13 +81,13 @@ class TestEpsilonSolver:
         next: no earlier factor is alive when one is built."""
         built, alive_at_build = [], []
 
-        class Recording(SpdFactor):
-            def __init__(self, A, where):
+        class Recording(Factor):
+            def __init__(self, A, where, spd=False):
                 alive_at_build.append([ref() is not None for ref in built])
-                super().__init__(A, where)
+                super().__init__(A, where, spd)
                 built.append(weakref.ref(self))
 
-        monkeypatch.setattr(reference, "SpdFactor", Recording)
+        monkeypatch.setattr(reference, "Factor", Recording)
         solver = EpsilonSolver(cell8, default_material(2), growth(), 0.25)
         solver.solve(0.15, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
         assert alive_at_build == [[False] * k for k in range(4)]
@@ -218,6 +218,19 @@ class TestBundleFailures:
         with pytest.raises(BundleError, match=r"resolved solver.*t = 0\.05") as info:
             solver.solve(0.05, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
         assert info.match(detail)
+
+    @pytest.mark.parametrize("fault", [
+        lambda x: x * (1.0 + 1e-6),          # an inaccurate solve
+        lambda x: np.full_like(x, np.nan),   # what a singular matrix returns
+    ], ids=["perturbed", "nan"])
+    def test_bad_heat_solve_names_solver_and_t(self, cell8, monkeypatch, fault):
+        original = spla.spsolve
+        monkeypatch.setattr(reference.spla, "spsolve",
+                            lambda A, b, **kwargs: fault(original(A, b, **kwargs)))
+        solver = EpsilonSolver(cell8, default_material(2), growth(), 0.5)
+        with pytest.raises(SolverError, match=r"^resolved solver: heat at t = 0\.05: "
+                           r"relative residual \S+ exceeds RESIDUAL_MAX 1e-10$"):
+            solver.solve(0.1, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
 
 
 class TestNormBundle:

@@ -6,9 +6,11 @@ import pytest
 from micro_oracle import EinsumMicroModel
 from twoscale_oracle import StaggeredTwoScaleSolver, state_deviation
 
+from thermohom import twoscale
 from thermohom.cell import CellContext
 from thermohom.config import TableSource, parse_config
 from thermohom.effective import EffectiveProvider
+from thermohom.fem import SolverError
 from thermohom.kinematics import (
     IdentityTransform,
     PolynomialAmplitude,
@@ -374,6 +376,31 @@ class TestBundleFailures:
                            r"bundle at t = 0\.05, x = \[0\.25, 0\.5\]") as info:
             model.bundle(0.05, np.array([0.25, 0.5]), 0.05)
         assert info.match("non-finite entries")
+
+    def test_singular_micro_block_names_solver_t_and_x(self, monkeypatch):
+        # every inclusion field zero: the coupled block of the step is zero
+        original = twoscale.key_fields
+        monkeypatch.setattr(twoscale, "key_fields", lambda *args: {
+            name: a * 0.0 for name, a in original(*args).items()})
+        model = make_solver(macro_n=2).micro_model
+        with pytest.raises(SolverError, match=r"^two-scale solver: micro block at t = 0\.05, "
+                           r"x = \[0\.25, 0\.5\]: singular factor .*exactly singular"):
+            model.bundle(0.05, np.array([0.25, 0.5]), 0.05)
+
+    def test_singular_macro_block_names_the_step_and_t(self, monkeypatch):
+        solver = make_solver(macro_n=2)
+        state = solver.init_state(lambda x: np.cos(np.pi * x[:, 0]))
+        original = TwoScaleSolver._build_level
+
+        def build_level(self, t):
+            # no stiffness and no thermal stress: the mechanics rows vanish
+            level = original(self, t)
+            return dict(level, E=level["E"] * 0.0, G_alpha=level["G_alpha"] * 0.0)
+
+        monkeypatch.setattr(TwoScaleSolver, "_build_level", build_level)
+        with pytest.raises(SolverError, match=r"^two-scale solver: macro step at t = 0\.05: "
+                           r"singular factor \("):
+            solver.macro_step(state, 0.05)
 
 
 class TestMicroCache:
