@@ -34,7 +34,6 @@ from .fem import (
 from .kinematics import (
     PHASE_A,
     PHASE_B,
-    LevelCache,
     key_fields,
     key_interface,
     sample_key_groups,
@@ -175,6 +174,11 @@ class EpsilonSolver:
     space's cached scatter, one form at a time; the sources at t scale the
     unit load ``l_J`` phase by phase.  A failure to build one raises
     :class:`BundleError` naming t.
+
+    :meth:`bundle` builds a level afresh on every call, and :meth:`solve`
+    holds one level at a time: the previous level enters a step only through
+    ``M_c theta`` and ``G_gamma^T u``, so its bundle, its elasticity factor
+    and its heat matrix are released before the next level is built.
     """
 
     def __init__(self, cell_mesh, material, transformation, eps,
@@ -194,17 +198,13 @@ class EpsilonSolver:
                                          self.mesh.dim))
         self.mech_basis = constraint_basis(self.space.n_vector,
                                            ConstraintSet.dirichlet_only(bdofs))
-        # a bundle bakes in the sources at its t, so its key is the time level
-        self.cache = LevelCache()
 
     def _latent_factor(self):
         f = self.settings.latent_sign
         return f * self.material.latent_heat if self.latent_in_load else f
 
     def bundle(self, t):
-        return self.cache.get(t, round(float(t), 12), lambda: self._build_bundle(t))
-
-    def _build_bundle(self, t):
+        """The operators and loads of the time level t, built afresh."""
         try:
             return self._operators(t)
         except ValueError as exc:  # inadmissible map, non-finite entries
@@ -260,34 +260,35 @@ class EpsilonSolver:
         s = self.settings
         mesh = self.mesh
         theta = np.asarray(theta0(mesh.vertices), dtype=float)
-        b0 = self.bundle(0.0)
-        u = self._solve_mech(self._mech_factor(b0, 0.0), b0["G_alpha"] @ theta + b0["f_u"]
-                             + b0["mech_surface"])
+        b = self.bundle(0.0)
+        u = self._solve_mech(self._mech_factor(b, 0.0), b["G_alpha"] @ theta + b["f_u"]
+                             + b["mech_surface"])
 
         times, thetas, us, fp_counts = [0.0], [theta.copy()], [u.copy()], []
         t = 0.0
         for _ in range(step_count(t_final, dt)):
             step = min(dt, t_final - t)
             t_new = t + step
-            b_new = self.bundle(t_new)
-            b_old = self.bundle(t)
-            heat_lhs = (b_new["M_c"] / step + b_new["N"] + b_new["A_K"]).tocsc()
-            base = ((b_old["M_c"] @ theta) / step + b_new["f_theta"]
-                    - b_new["heat_surface"]
-                    + (b_old["G_gamma"].T @ u) / step)
-            lu = None            # one elasticity factor alive at a time
-            lu = self._mech_factor(b_new, t_new)
-            mech_rhs0 = b_new["f_u"] + b_new["mech_surface"]
+            # the finished level enters the step only through M_c theta and
+            # G_gamma^T u; its bundle, factor and heat matrix go before the
+            # next level is built
+            old_c, old_gamma = b["M_c"] @ theta, b["G_gamma"].T @ u
+            b = lu = heat_lhs = None
+            b = self.bundle(t_new)
+            heat_lhs = (b["M_c"] / step + b["N"] + b["A_K"]).tocsc()
+            base = old_c / step + b["f_theta"] - b["heat_surface"] + old_gamma / step
+            lu = self._mech_factor(b, t_new)
+            mech_rhs0 = b["f_u"] + b["mech_surface"]
 
             theta_k, u_k = theta.copy(), u.copy()
             for it in range(1, s.fixed_point_max_iter + 1):
-                rhs = (base - (b_new["G_gamma"].T @ u_k) / step
-                       - b_new["A_gamma"] @ u_k)
+                rhs = (base - (b["G_gamma"].T @ u_k) / step
+                       - b["A_gamma"] @ u_k)
                 # structurally symmetric: minimum degree on A^T + A
                 theta_next = spla.spsolve(heat_lhs, rhs, permc_spec="MMD_AT_PLUS_A")
                 check_residuals(heat_lhs, theta_next, rhs,
                                 f"resolved solver: heat at t = {t_new:.6g}")
-                u_next = self._solve_mech(lu, b_new["G_alpha"] @ theta_next + mech_rhs0)
+                u_next = self._solve_mech(lu, b["G_alpha"] @ theta_next + mech_rhs0)
                 d_theta = np.linalg.norm(theta_next - theta_k) / max(
                     1.0, np.linalg.norm(theta_next))
                 d_u = np.linalg.norm(u_next - u_k) / max(1.0, np.linalg.norm(u_next))
@@ -350,9 +351,17 @@ def gradient_matrices(mesh):
     return out
 
 
+def step_lengths(sol: EpsilonSolution):
+    """The length of each step of ``sol`` as the solvers take it: dt, the
+    last one shortened to end at t_final.  The time integrals weigh each
+    step by it."""
+    dt, t_final = sol.config["dt"], sol.config["t_final"]
+    return [min(dt, t_final - t) for t in sol.times[:-1]]
+
+
 def apriori_norm_bundle(sol: EpsilonSolution) -> NormBundle:
     mesh = sol.mesh
-    dt = sol.config["dt"]
+    steps = step_lengths(sol)
     M = assemble_operator(mesh, "mass", 1.0)
     Mv = vector_mass(mesh, 1.0)
     G = gradient_matrices(mesh)
@@ -362,8 +371,9 @@ def apriori_norm_bundle(sol: EpsilonSolution) -> NormBundle:
 
     linf_theta = max(math.sqrt(q(M, th)) for th in sol.theta)
     linf_u = max(math.sqrt(q(Mv, u)) for u in sol.u)
-    grad_a = math.sqrt(sum(dt * q(G["scalar_a"], th) for th in sol.theta[1:]))
-    grad_b = sol.eps * math.sqrt(sum(dt * q(G["scalar_b"], th) for th in sol.theta[1:]))
+    grad_a = math.sqrt(sum(w * q(G["scalar_a"], th) for w, th in zip(steps, sol.theta[1:])))
+    grad_b = sol.eps * math.sqrt(sum(w * q(G["scalar_b"], th)
+                                     for w, th in zip(steps, sol.theta[1:])))
     grad_u_a = max(math.sqrt(q(G["vector_a"], u)) for u in sol.u)
     grad_u_b = sol.eps * max(math.sqrt(q(G["vector_b"], u)) for u in sol.u)
     return NormBundle(linf_theta, grad_a, grad_b, linf_u, grad_u_a, grad_u_b)
@@ -534,11 +544,11 @@ def two_scale_compare(cell_mesh, material, transformation, eps_list, t_final, dt
                                settings=settings, sources=sources,
                                latent_in_load=latent_in_load)
         sol = solver.solve(t_final, dt, theta0)
-        rows.append(_compare_one(sol, hom_solver, hom_states, dt))
+        rows.append(_compare_one(sol, hom_solver, hom_states))
     return rows
 
 
-def _compare_one(sol: EpsilonSolution, hom_solver, hom_states, dt) -> CompareRow:
+def _compare_one(sol: EpsilonSolution, hom_solver, hom_states) -> CompareRow:
     mesh = sol.mesh
     d = mesh.dim
     space = P1Space(mesh, element_mask=mesh.phase == PHASE_A)
@@ -562,12 +572,12 @@ def _compare_one(sol: EpsilonSolution, hom_solver, hom_states, dt) -> CompareRow
         mesh.cell_tile[source]]
 
     err_a2 = err_b2 = floor2 = 0.0
-    for k in range(1, len(sol.times)):
+    for k, w in enumerate(step_lengths(sol), start=1):
         theta_eps = sol.theta[k]
         state = hom_states[k]
         macro_at_nodes = interpolate_macro(hom_solver.mesh, state.theta, mesh.vertices)
         diff = theta_eps - macro_at_nodes
-        err_a2 += dt * float(diff @ (M_a @ diff))
+        err_a2 += w * float(diff @ (M_a @ diff))
 
         # transfer floor: interpolant vs exact P1 macro field at quadrature points
         qp = space.qpoints.reshape(-1, d)
@@ -576,13 +586,13 @@ def _compare_one(sol: EpsilonSolution, hom_solver, hom_states, dt) -> CompareRow
         ).reshape(-1)
         exact_at_qp = interpolate_macro(hom_solver.mesh, state.theta, qp)
         floor_vals = (interp_at_qp - exact_at_qp).reshape(len(space.cells), -1)
-        floor2 += dt * float(np.einsum("eq,q,e->", floor_vals**2, space.qweights,
-                                       space.volumes))
+        floor2 += w * float(np.einsum("eq,q,e->", floor_vals**2, space.qweights,
+                                      space.volumes))
 
         recon = state.micro_theta[host_ids, micro_ids]
         diff_b = np.zeros(len(mesh.vertices))
         diff_b[b_ids] = theta_eps[b_ids] - recon
-        err_b2 += dt * float(diff_b @ (M_b @ diff_b))
+        err_b2 += w * float(diff_b @ (M_b @ diff_b))
 
     return CompareRow(eps=sol.eps, error_matrix=math.sqrt(err_a2),
                       error_inclusion=math.sqrt(err_b2),

@@ -139,14 +139,16 @@ class OracleEpsilonSolver(EpsilonSolver):
         b0 = self.bundle(0.0)
         u = self._solve_mech(self._mech_factor(b0, 0.0), b0["G_alpha"] @ theta + b0["f_u"]
                              + b0["mech_surface"])
+        # the old level enters a step through M_c theta and G_gamma^T u only
+        old_c, old_gamma = b0["M_c"] @ theta, b0["G_gamma"].T @ u
         thetas, us, counts = [theta.copy()], [u.copy()], []
         t = 0.0
         for _ in range(max(0, math.ceil(t_final / dt - 1e-12))):
             step = min(dt, t_final - t)
-            b_new, b_old = self.bundle(t + step), self.bundle(t)
+            b_new = self.bundle(t + step)
             heat_lhs = (b_new["M_c"] / step + b_new["N"] + b_new["A_K"]).tocsr()
-            base = ((b_old["M_c"] @ theta) / step + b_new["f_theta"]
-                    - b_new["heat_surface"] + (b_old["G_gamma"].T @ u) / step)
+            base = (old_c / step + b_new["f_theta"]
+                    - b_new["heat_surface"] + old_gamma / step)
             lu = self._mech_factor(b_new, t + step)
             mech_rhs0 = b_new["f_u"] + b_new["mech_surface"]
             advective = abs(b_new["N"]).max() > 0.0
@@ -165,6 +167,7 @@ class OracleEpsilonSolver(EpsilonSolver):
             else:
                 raise AssertionError(f"oracle loop did not converge at t = {t + step}")
             theta, u, t = theta_k, u_k, t + step
+            old_c, old_gamma = b_new["M_c"] @ theta, b_new["G_gamma"].T @ u
             thetas.append(theta.copy())
             us.append(u.copy())
             counts.append(it)

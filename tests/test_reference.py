@@ -8,6 +8,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from thermohom import reference
+from thermohom.cell import CellContext
+from thermohom.effective import EffectiveProvider
 from thermohom.fem import Factor, P1Space, SolverError, assemble_operator
 from thermohom.kinematics import (
     PHASE_A,
@@ -20,13 +22,14 @@ from thermohom.kinematics import (
 from thermohom.mesh import build_cell_mesh, build_uniform_mesh
 from thermohom.reference import (
     BundleError,
+    EpsilonSolution,
     EpsilonSolver,
     apriori_norm_bundle,
     interpolate_macro,
     operator_structure_checks,
     two_scale_compare,
 )
-from thermohom.twoscale import FixedPointError, SolverSettings
+from thermohom.twoscale import FixedPointError, SolverSettings, TwoScaleSolver
 
 
 def growth(rate=0.1):
@@ -44,6 +47,16 @@ def decoupled_material():
 @pytest.fixture(scope="module")
 def cell8():
     return build_cell_mesh(0.25, 8, dim=2)
+
+
+def held_over_shortened_steps(sol):
+    """A one-step solution's state held over the steps 0.05, 0.05 and 0.02 of
+    ``t_final`` 0.12, ``dt`` 0.05; its time integrals are 0.12 / 0.05 times
+    the one step's."""
+    return EpsilonSolution(
+        eps=sol.eps, times=[0.0, 0.05, 0.1, 0.12], theta=sol.theta[:1] + 3 * sol.theta[1:],
+        u=sol.u[:1] + 3 * sol.u[1:], mesh=sol.mesh, fixed_point_iterations=[1] * 3,
+        config=dict(sol.config, t_final=0.12))
 
 
 class TestEpsilonSolver:
@@ -77,20 +90,38 @@ class TestEpsilonSolver:
             solver.solve(0.05, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
 
     def test_one_elasticity_factor_alive_at_a_time(self, cell8, monkeypatch):
-        """Every step releases its elasticity factor before it builds the
-        next: no earlier factor is alive when one is built."""
-        built, alive_at_build = [], []
+        """One time level is alive at a time: no earlier elasticity factor is
+        alive when one is built, and neither an earlier level's bundle nor
+        any factor is alive when a level is built, since a step carries only
+        ``M_c theta`` and ``G_gamma^T u`` from the level before."""
+        factors, bundles, at_factor, at_bundle = [], [], [], []
+
+        def alive(refs):
+            return [ref() is not None for ref in refs]
 
         class Recording(Factor):
             def __init__(self, A, where, spd=False):
-                alive_at_build.append([ref() is not None for ref in built])
+                at_factor.append(alive(factors))
                 super().__init__(A, where, spd)
-                built.append(weakref.ref(self))
+                factors.append(weakref.ref(self))
+
+        class Bundle(dict):      # a plain dict takes no weak reference
+            pass
+
+        operators = EpsilonSolver._operators
+
+        def recording_operators(solver, t):
+            at_bundle.append((alive(bundles), alive(factors)))
+            b = Bundle(operators(solver, t))
+            bundles.append(weakref.ref(b))
+            return b
 
         monkeypatch.setattr(reference, "Factor", Recording)
+        monkeypatch.setattr(EpsilonSolver, "_operators", recording_operators)
         solver = EpsilonSolver(cell8, default_material(2), growth(), 0.25)
         solver.solve(0.15, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
-        assert alive_at_build == [[False] * k for k in range(4)]
+        assert at_factor == [[False] * k for k in range(4)]
+        assert at_bundle == [([False] * k, [False] * k) for k in range(4)]
 
     def test_warm_bundle_peak_memory(self, cell8):
         """Built on warm scatters, a bundle allocates at most twice the bytes
@@ -237,7 +268,6 @@ class TestNormBundle:
     def test_constant_one_zero_displacement(self, cell8):
         # hand evaluation: theta = 1, u = 0 gives (|Omega|^(1/2), 0, 0, 0, 0, 0)
         from thermohom.mesh import build_epsilon_mesh
-        from thermohom.reference import EpsilonSolution
 
         mesh = build_epsilon_mesh(cell8, 0.5)
         ones = np.ones(len(mesh.vertices))
@@ -251,6 +281,15 @@ class TestNormBundle:
         assert nb.linf_theta == pytest.approx(1.0, abs=1e-10)
         # zero norms sit at the sqrt of the quadratic-form rounding floor
         assert np.max(np.abs(nb.as_array()[1:])) < 1e-6
+
+    def test_shortened_last_step_weighs_its_length(self, cell8):
+        one = EpsilonSolver(cell8, default_material(2), growth(), 0.5).solve(
+            0.05, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
+        held = held_over_shortened_steps(one)
+        # the gradient norms are time integrals, the others maxima over t
+        scale = np.sqrt([1.0, 0.12 / 0.05, 0.12 / 0.05, 1.0, 1.0, 1.0])
+        assert np.allclose(apriori_norm_bundle(held).as_array(),
+                           scale * apriori_norm_bundle(one).as_array(), rtol=1e-12, atol=0.0)
 
     def test_zero_solution(self, cell8):
         mat = decoupled_material()
@@ -401,6 +440,19 @@ class TestTwoScaleCompare:
         )
         assert rows[0].error_matrix < 1e-9
         assert rows[0].error_inclusion < 1e-9
+
+    def test_shortened_last_step_weighs_its_length(self, cell8):
+        mat, tr = decoupled_material(), IdentityTransform(dim=2)
+        theta0 = lambda x: np.cos(np.pi * x[:, 0])
+        provider = EffectiveProvider(CellContext(cell8, mat, tr))
+        hom_solver = TwoScaleSolver(build_uniform_mesh(4, dim=2), provider, SolverSettings())
+        hom = hom_solver.run(0.05, 0.05, theta0)
+        one = EpsilonSolver(cell8, mat, tr, 0.5).solve(0.05, 0.05, theta0)
+        rows = [reference._compare_one(sol, hom_solver, states) for sol, states in
+                ((one, hom), (held_over_shortened_steps(one), hom[:1] + 3 * hom[1:]))]
+        got = np.array([[r.error_matrix, r.error_inclusion, r.interp_floor] for r in rows])
+        assert np.all(got[0] > 0.0)
+        assert np.allclose(got[1], np.sqrt(0.12 / 0.05) * got[0], rtol=1e-12, atol=0.0)
 
     def test_one_row_per_eps(self, cell8):
         mat = decoupled_material()
