@@ -31,7 +31,7 @@ from .reference import (
     operator_structure_checks,
     two_scale_compare,
 )
-from .twoscale import TwoScaleSolver, diagnostics_header, diagnostics_row, step_count
+from .twoscale import TwoScaleSolver, diagnostics_header, diagnostics_row, time_levels
 
 
 def _build_provider(cfg):
@@ -70,10 +70,8 @@ def cmd_cell(cfg, out):
 
 def cmd_effective(cfg, out):
     _, _, provider = _build_provider(cfg)
-    # the time levels of `macro`, the last one clamped to t_final
-    times = [min(k * cfg.dt, cfg.t_final)
-             for k in range(step_count(cfg.t_final, cfg.dt) + 1)]
-    header, rows = tabulate_effective(provider, times, _sample_points(cfg))
+    header, rows = tabulate_effective(provider, time_levels(cfg.t_final, cfg.dt),
+                                      _sample_points(cfg))
     write_csv(os.path.join(out, "effective.csv"), header, rows)
     write_manifest(os.path.join(out, "manifest.json"), cfg, "effective",
                    extras={"rows": len(rows)})

@@ -365,14 +365,19 @@ def load_transformation_table(path, **kwargs):
 
     with open(path) as f:
         tokens = f.read().split()
-    it = iter(tokens)
-    d, n_t, n_x, grid_n = (int(next(it)) for _ in range(4))
-    times = np.array([float(next(it)) for _ in range(n_t)])
-    anchors = np.array([[float(next(it)) for _ in range(d)] for _ in range(n_x)])
-    values = np.array(
-        [float(next(it)) for _ in range(n_t * n_x * grid_n**d * d)]
-    ).reshape(n_t, n_x, grid_n**d, d)
-    return TabulatedTransform(d, times, anchors, grid_n, values, **kwargs)
+    try:
+        d, n_t, n_x, grid_n = (int(token) for token in tokens[:4])
+        data = np.array([float(token) for token in tokens[4:]])
+    except ValueError as exc:    # a bad token, or a header of fewer than 4
+        raise ConfigError(f"transformation table {path}: {exc}") from None
+    sizes = [n_t, n_x * d, n_t * n_x * grid_n**d * d]
+    if len(data) != sum(sizes):
+        which = "few" if len(data) < sum(sizes) else "many"
+        raise ConfigError(f"transformation table {path}: too {which} values after the "
+                          f"header {d} {n_t} {n_x} {grid_n}: {len(data)}, expected {sum(sizes)}")
+    times, anchors, values = np.split(data, np.cumsum(sizes)[:2])
+    return TabulatedTransform(d, times, anchors.reshape(n_x, d), grid_n,
+                              values.reshape(n_t, n_x, grid_n**d, d), **kwargs)
 
 
 def save_transformation_table(path, transformation, times, anchors, grid_n):

@@ -60,28 +60,26 @@ class EffectiveCoefficients:
     voigt_bound: np.ndarray      # d x d upper-bound matrix for the conductivity
 
     def validate(self, tol=1e-10, probes=None):
-        """Raise AssertionError on any violated structural invariant."""
-        d = self.conductivity.shape[0]
-        C = self.stiffness
-        defect = max(
-            np.max(np.abs(C - np.einsum("ijkl->jikl", C))),
-            np.max(np.abs(C - np.einsum("ijkl->ijlk", C))),
-            np.max(np.abs(C - np.einsum("ijkl->klij", C))),
-        )
-        assert defect < tol, f"effective stiffness symmetry defect {defect:.2e}"
-        eig = np.linalg.eigvalsh(mandel_matrix(C))
-        assert eig.min() > 0.0, f"effective stiffness not positive definite ({eig.min():.2e})"
-        K = self.conductivity
-        assert np.max(np.abs(K - K.T)) < tol, "effective conductivity not symmetric"
-        keig = np.linalg.eigvalsh(0.5 * (K + K.T))
-        assert keig.min() > 0.0, "effective conductivity not positive definite"
-        if probes is None:
-            probes = probe_vectors(d)
-        for q in probes:
-            lhs = q @ K @ q
-            rhs = q @ self.voigt_bound @ q
-            assert lhs <= rhs + tol, f"Voigt bound violated: {lhs:.12g} > {rhs:.12g}"
-        assert self.heat_capacity > 0.0, "effective heat capacity not positive"
+        """Raise ValueError naming the first violated structural invariant
+        and the sample (t, x)."""
+        def check(ok, message):
+            if not ok:
+                raise ValueError(f"effective coefficients at t = {self.t:.6g}, "
+                                 f"x = {np.asarray(self.x).tolist()}: {message}")
+
+        C, K = self.stiffness, self.conductivity
+        defect = max(np.max(np.abs(C - np.einsum(p, C)))
+                     for p in ("ijkl->jikl", "ijkl->ijlk", "ijkl->klij"))
+        check(defect < tol, f"stiffness symmetry defect {defect:.2e}")
+        eig = np.linalg.eigvalsh(mandel_matrix(C)).min()
+        check(eig > 0.0, f"stiffness not positive definite ({eig:.2e})")
+        check(np.max(np.abs(K - K.T)) < tol, "conductivity not symmetric")
+        check(np.linalg.eigvalsh(0.5 * (K + K.T)).min() > 0.0,
+              "conductivity not positive definite")
+        for q in probe_vectors(len(K)) if probes is None else probes:
+            lhs, rhs = q @ K @ q, q @ self.voigt_bound @ q
+            check(lhs <= rhs + tol, f"Voigt bound violated: {lhs:.12g} > {rhs:.12g}")
+        check(self.heat_capacity > 0.0, "heat capacity not positive")
 
 
 def _vector_gradients(space, fields):

@@ -514,9 +514,7 @@ def tile_anchors(mesh: Mesh):
 @dataclass
 class Submesh:
     mesh: Mesh
-    vertex_ids: np.ndarray   # submesh vertex -> parent vertex
     vertex_map: np.ndarray   # parent vertex -> submesh vertex (or -1)
-    cell_ids: np.ndarray     # submesh cell -> parent cell
 
 
 def extract_phase_submesh(parent: Mesh, phase: int) -> Submesh:
@@ -544,7 +542,7 @@ def extract_phase_submesh(parent: Mesh, phase: int) -> Submesh:
         resolution=parent.resolution,
         eps=parent.eps,
     )
-    return Submesh(mesh=mesh, vertex_ids=used, vertex_map=vmap, cell_ids=cell_ids)
+    return Submesh(mesh=mesh, vertex_map=vmap)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .cell import CellContext
 from .effective import EffectiveProvider
 from .mesh import build_epsilon_mesh, build_uniform_mesh, tile_anchors
 from .twoscale import (BundleError, FixedPointError, SolverSettings, TwoScaleSolver,
-                       step_count)
+                       time_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +152,11 @@ BUNDLE_FORMS = (
 @dataclass
 class EpsilonSolution:
     eps: float
-    times: list
-    theta: list          # nodal temperature per step
-    u: list              # nodal deformation per step
+    times: list          # the time levels; np.diff gives the steps taken
+    theta: list          # nodal temperature per level
+    u: list              # nodal deformation per level
     mesh: object
     fixed_point_iterations: list
-    config: dict
 
 
 class EpsilonSolver:
@@ -264,11 +263,10 @@ class EpsilonSolver:
         u = self._solve_mech(self._mech_factor(b, 0.0), b["G_alpha"] @ theta + b["f_u"]
                              + b["mech_surface"])
 
-        times, thetas, us, fp_counts = [0.0], [theta.copy()], [u.copy()], []
-        t = 0.0
-        for _ in range(step_count(t_final, dt)):
-            step = min(dt, t_final - t)
-            t_new = t + step
+        times = time_levels(t_final, dt)
+        thetas, us, fp_counts = [theta.copy()], [u.copy()], []
+        for t, t_new in zip(times, times[1:]):
+            step = t_new - t
             # the finished level enters the step only through M_c theta and
             # G_gamma^T u; its bundle, factor and heat matrix go before the
             # next level is built
@@ -300,20 +298,15 @@ class EpsilonSolver:
                     f"resolved solver: staggered loop did not converge within "
                     f"{s.fixed_point_max_iter} iterations at t = {t_new:.6g}"
                 )
-            theta, u, t = theta_k, u_k, t_new
-            times.append(t)
+            theta, u = theta_k, u_k
             thetas.append(theta.copy())
             us.append(u.copy())
             fp_counts.append(it)
             if observer is not None:
-                observer(t, theta, u)
+                observer(t_new, theta, u)
 
-        return EpsilonSolution(
-            eps=self.eps, times=times, theta=thetas, u=us, mesh=mesh,
-            fixed_point_iterations=fp_counts,
-            config=dict(dt=dt, t_final=t_final, latent_in_load=self.latent_in_load,
-                        latent_sign=s.latent_sign),
-        )
+        return EpsilonSolution(eps=self.eps, times=times, theta=thetas, u=us, mesh=mesh,
+                               fixed_point_iterations=fp_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +344,10 @@ def gradient_matrices(mesh):
     return out
 
 
-def step_lengths(sol: EpsilonSolution):
-    """The length of each step of ``sol`` as the solvers take it: dt, the
-    last one shortened to end at t_final.  The time integrals weigh each
-    step by it."""
-    dt, t_final = sol.config["dt"], sol.config["t_final"]
-    return [min(dt, t_final - t) for t in sol.times[:-1]]
-
-
 def apriori_norm_bundle(sol: EpsilonSolution) -> NormBundle:
+    """Maxima over the levels; the gradient norms weigh each step by its length."""
     mesh = sol.mesh
-    steps = step_lengths(sol)
+    steps = np.diff(sol.times)
     M = assemble_operator(mesh, "mass", 1.0)
     Mv = vector_mass(mesh, 1.0)
     G = gradient_matrices(mesh)
@@ -572,7 +558,7 @@ def _compare_one(sol: EpsilonSolution, hom_solver, hom_states) -> CompareRow:
         mesh.cell_tile[source]]
 
     err_a2 = err_b2 = floor2 = 0.0
-    for k, w in enumerate(step_lengths(sol), start=1):
+    for k, w in enumerate(np.diff(sol.times), start=1):
         theta_eps = sol.theta[k]
         state = hom_states[k]
         macro_at_nodes = interpolate_macro(hom_solver.mesh, state.theta, mesh.vertices)

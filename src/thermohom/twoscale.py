@@ -87,9 +87,13 @@ class FixedPointError(RuntimeError):
     pass
 
 
-def step_count(t_final, dt):
-    """Implicit-Euler steps from 0 to t_final, the last one shortened to end there."""
-    return max(0, math.ceil(t_final / dt - 1e-12))
+def time_levels(t_final, dt):
+    """``k * dt`` for k < n = ceil(t_final / dt - 1e-12), then t_final; [0.0]
+    for t_final = 0.  Consecutive levels lie within a factor of two (bar a
+    t_final within 1e-12 above 2 dt), so each step ``t_new - t_old`` is exact
+    (Sterbenz) and ``t_old + step`` lands on ``t_new``."""
+    n = max(0, math.ceil(t_final / dt - 1e-12))
+    return [k * dt for k in range(n)] + [float(t_final)] if n else [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +528,13 @@ class TwoScaleSolver:
                 vector_mass(self.mesh, 1.0, space=self.space))
 
     def run(self, t_final, dt, theta0, micro_theta0=None, observer=None):
-        """March from 0 to t_final; returns the per-step states."""
+        """March over the :func:`time_levels`; returns the state at every level."""
         state = self.init_state(theta0, micro_theta0=micro_theta0)
         states = [state]
         if observer is not None:
             observer(state)
-        for k in range(step_count(t_final, dt)):
-            step = min(dt, t_final - state.t)
-            state = self.macro_step(state, step)
+        for t_new in time_levels(t_final, dt)[1:]:
+            state = self.macro_step(state, t_new - state.t)
             states.append(state)
             if observer is not None:
                 observer(state)

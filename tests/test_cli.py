@@ -311,6 +311,34 @@ class TestTransformationTable:
         got = tab.map_points(0.5, np.array([0.5, 0.5]), pts)
         assert np.max(np.abs(ref - got)) < 5e-3
 
+    def test_malformed_table_named(self, tmp_path, capsys):
+        from thermohom.config import load_transformation_table, save_transformation_table
+        from thermohom.kinematics import PolynomialAmplitude, RadialGrowth
+
+        tr = RadialGrowth(dim=2, inclusion_radius=0.25,
+                          amplitude=PolynomialAmplitude((0.0, 0.2)))
+        table = tmp_path / "motion.tbl"
+        save_transformation_table(str(table), tr, np.linspace(0.0, 1.0, 3),
+                                  [np.array([0.5, 0.5])], 5)
+        lines = table.read_text().splitlines(keepends=True)
+        table.write_text("".join(lines[:-5]))
+        text = BASE.format(out=tmp_path).replace(
+            "family = identity", f"family = tabulated\ntable_path = {table}")
+        cfg = write_cfg(tmp_path, text, name="tab.cfg")
+        assert main(["macro", "--config", cfg, "--out", str(tmp_path / "macro")]) == 1
+        err = capsys.readouterr().err
+        assert f"ConfigError: transformation table {table}: too few values after the " \
+               f"header 2 3 1 5: 145, expected 155" in err
+
+        table.write_text("".join(lines) + "0.5\n")
+        with pytest.raises(ConfigError, match=r"too many values after the header 2 3 1 5: "
+                           r"156, expected 155$"):
+            load_transformation_table(str(table))
+        table.write_text("".join(lines).replace("0.5", "half", 1))
+        with pytest.raises(ConfigError, match=rf"^transformation table {table}: could not "
+                           r"convert string to float: 'half'$"):
+            load_transformation_table(str(table))
+
     def test_micro_runs_on_two_anchor_table(self, tmp_path):
         from thermohom.config import save_transformation_table
         from thermohom.kinematics import PolynomialAmplitude, RadialGrowth

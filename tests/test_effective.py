@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from cell_oracle import (
@@ -8,9 +13,11 @@ from cell_oracle import (
     solve_correctors_cg,
 )
 
+import thermohom
 from thermohom import effective
 from thermohom.cell import CellContext, solve_correctors
 from thermohom.effective import (
+    EffectiveCoefficients,
     EffectiveProvider,
     compute_effective,
     effective_header,
@@ -137,6 +144,38 @@ class TestGrowingInclusion:
     def test_structure_holds_under_transformation(self, provider_growth):
         eff = provider_growth.at(1.0, np.zeros(2))
         eff.validate()
+
+
+def bad_coefficients():
+    """A coefficient set at (0.5, (0.25, 0.75)) with an admissible stiffness,
+    a non-symmetric indefinite conductivity and a negative heat capacity."""
+    eye = np.eye(2)
+    return EffectiveCoefficients(
+        t=0.5, x=np.array([0.25, 0.75]),
+        stiffness=np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye),
+        expansion=eye, conductivity=np.array([[1.0, 2.0], [0.0, -1.0]]),
+        heat_capacity=-1.0, dissipation=eye, curvature_force=np.zeros(2),
+        latent_source=0.0, interface_speed=0.0, source_u=np.zeros(2), source_theta=0.0,
+        matrix_measure=0.8, inclusion_measure=0.2, voigt_bound=eye)
+
+
+class TestValidate:
+    def test_violation_names_invariant_and_sample(self):
+        with pytest.raises(ValueError, match=r"^effective coefficients at t = 0\.5, "
+                           r"x = \[0\.25, 0\.75\]: conductivity not symmetric$"):
+            bad_coefficients().validate()
+
+    def test_checks_run_under_optimize(self):
+        # the checks are no asserts: `python -O` keeps them
+        tests = Path(__file__).resolve().parent
+        src = Path(thermohom.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+        run = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "from test_effective import bad_coefficients; bad_coefficients().validate()"],
+            capture_output=True, text=True, env=env, cwd=tests, timeout=120)
+        assert run.returncode == 1
+        assert "ValueError: effective coefficients at t = 0.5" in run.stderr
 
 
 class TestTabulation:

@@ -29,7 +29,7 @@ from thermohom.reference import (
     operator_structure_checks,
     two_scale_compare,
 )
-from thermohom.twoscale import FixedPointError, SolverSettings, TwoScaleSolver
+from thermohom.twoscale import FixedPointError, SolverSettings, TwoScaleSolver, time_levels
 
 
 def growth(rate=0.1):
@@ -55,8 +55,7 @@ def held_over_shortened_steps(sol):
     the one step's."""
     return EpsilonSolution(
         eps=sol.eps, times=[0.0, 0.05, 0.1, 0.12], theta=sol.theta[:1] + 3 * sol.theta[1:],
-        u=sol.u[:1] + 3 * sol.u[1:], mesh=sol.mesh, fixed_point_iterations=[1] * 3,
-        config=dict(sol.config, t_final=0.12))
+        u=sol.u[:1] + 3 * sol.u[1:], mesh=sol.mesh, fixed_point_iterations=[1] * 3)
 
 
 class TestEpsilonSolver:
@@ -66,6 +65,14 @@ class TestEpsilonSolver:
         sol = solver.solve(0.2, 0.05, lambda x: np.full(len(x), 3.0))
         for th in sol.theta:
             assert np.max(np.abs(th - 3.0)) < 1e-10
+
+    def test_times_are_the_time_levels(self, cell8):
+        # six additions of 0.05 give 0.3; the run ends at t_final itself
+        t_final = 6 * 0.05
+        sol = EpsilonSolver(cell8, default_material(2), growth(), 0.5).solve(
+            t_final, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
+        assert sol.times == time_levels(t_final, 0.05)
+        assert sol.times[-1] == t_final
 
     def test_decoupled_heat_ignores_elastic_loads(self, cell8):
         mat = decoupled_material()
@@ -275,7 +282,6 @@ class TestNormBundle:
         sol = EpsilonSolution(
             eps=0.5, times=[0.0, 0.05], theta=[ones, ones], u=[zeros, zeros],
             mesh=mesh, fixed_point_iterations=[1],
-            config=dict(dt=0.05, t_final=0.05),
         )
         nb = apriori_norm_bundle(sol)
         assert nb.linf_theta == pytest.approx(1.0, abs=1e-10)

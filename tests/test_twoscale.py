@@ -207,6 +207,24 @@ class TestRunLoop:
         assert len(states) == 1
         assert states[0].t == 0.0
 
+    def test_time_levels(self):
+        assert twoscale.time_levels(0.0, 0.05) == [0.0]
+        assert twoscale.time_levels(0.21, 0.05) == [0.0, 0.05, 0.1, 0.15000000000000002,
+                                                    0.2, 0.21]
+        for t_final, dt, n in ((0.5, 0.05, 10), (2.0, 0.02, 100), (6 * 0.05, 0.05, 6),
+                               (0.3, 0.05, 6), (1.0, 0.3, 4), (1.0, 1 / 3, 3),
+                               (0.7, 0.07, 10), (0.05, 0.05, 1)):
+            levels = twoscale.time_levels(t_final, dt)
+            assert len(levels) == n + 1 and levels[-1] == t_final
+            # every step is exact: a level plus its step lands on the next
+            assert all(a + (b - a) == b for a, b in zip(levels, levels[1:]))
+
+    def test_states_sit_on_the_time_levels(self):
+        solver = make_solver(transform=growth(0.1), macro_n=2)
+        states = solver.run(0.5, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
+        assert [s.t for s in states] == twoscale.time_levels(0.5, 0.05)
+        assert states[-1].t == 0.5
+
     def test_step_count(self):
         solver = make_solver(material=default_material(
             2, dissipation_a=0.0, dissipation_b=0.0))
