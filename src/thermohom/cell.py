@@ -95,8 +95,8 @@ class CellContext:
 
     def matrix_fields(self, t, xs):
         """Pulled-back coefficient fields at the matrix-phase quadrature
-        points, for one macro point x or each of (k, d) points xs: (k * e,
-        nq, ...) arrays, key by key."""
+        points, for one macro point x or each of (k, d) points xs: (k, e,
+        nq, ...) arrays."""
         return key_fields(self.space_a, self.transformation, self.material, PHASE_A, t,
                           np.atleast_2d(xs))
 
@@ -157,21 +157,20 @@ def solve_correctors_batch(ctx: CellContext, t, xs, tol=1e-10, fields=None):
     :meth:`CellContext.matrix_fields` of xs."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     fields = fields if fields is not None else ctx.matrix_fields(t, xs)
-    space, d, k = ctx.space_a, ctx.dim, len(xs)
-    shape = (k, len(space.cells), len(space.qweights))
+    space, d = ctx.space_a, ctx.dim
     pads = strain_pads(d)
 
-    C = fields["stiffness"].reshape(shape + (d,) * 4)
+    C = fields["stiffness"]
     stresses = np.concatenate([
         -key_einsum("keqabcd,pcd->kpeqab", C, np.array(list(pads.values()))),
-        fields["expansion"].reshape(shape + (d, d))[:, None]], axis=1)
+        fields["expansion"][:, None]], axis=1)
     elastic, res_m = _solve_family(
         ctx.elastic_scatter, ctx.vector_basis, space.vector_dofs(),
         weak_form(space, "elasticity", C), weak_form(space, "strain_load", stresses),
         [("mechanical", j, kk) for j, kk in pads] + ["thermal_stress"], t, xs, tol)
 
     # the flux load of direction j: the gradient load of -K e_j
-    K = fields["conductivity"].reshape(shape + (d, d))
+    K = fields["conductivity"]
     thermal, res_t = _solve_family(
         ctx.thermal_scatter, ctx.scalar_basis, space.scalar_dofs(),
         weak_form(space, "scalar_diffusion", K),

@@ -277,16 +277,18 @@ class TableSource:
 
     @classmethod
     def load(cls, path, size):
-        rows = []
         with open(path) as f:
-            for line in f:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    rows.append([float(x) for x in line.split()])
-        rows = np.array(rows)
-        if rows.ndim != 2 or rows.shape[1] != size + 1:
+            rows = [line.split("#", 1)[0].split() for line in f]
+        rows = [row for row in rows if row]
+        if not rows or any(len(row) != size + 1 for row in rows):
             raise ConfigError(
-                f"source table {path} needs {size + 1} columns (t, values)")
+                f"source table {path} needs {size + 1} columns (t, values) in every row")
+        try:
+            rows = np.array([[float(x) for x in row] for row in rows])
+        except ValueError as exc:
+            raise ConfigError(f"source table {path}: {exc}") from None
+        if np.any(np.diff(rows[:, 0]) <= 0.0):
+            raise ConfigError(f"source table {path}: times must increase strictly")
         return cls(rows[:, 0], rows[:, 1:])
 
     def __call__(self, t):
@@ -376,8 +378,11 @@ def load_transformation_table(path, **kwargs):
         raise ConfigError(f"transformation table {path}: too {which} values after the "
                           f"header {d} {n_t} {n_x} {grid_n}: {len(data)}, expected {sum(sizes)}")
     times, anchors, values = np.split(data, np.cumsum(sizes)[:2])
-    return TabulatedTransform(d, times, anchors.reshape(n_x, d), grid_n,
-                              values.reshape(n_t, n_x, grid_n**d, d), **kwargs)
+    try:
+        return TabulatedTransform(d, times, anchors.reshape(n_x, d), grid_n,
+                                  values.reshape(n_t, n_x, grid_n**d, d), **kwargs)
+    except ValueError as exc:    # times out of order, a lattice too fine
+        raise ConfigError(f"transformation table {path}: {exc}") from None
 
 
 def save_transformation_table(path, transformation, times, anchors, grid_n):

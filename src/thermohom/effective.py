@@ -96,14 +96,12 @@ def compute_effective(ctx: CellContext, correctors, t, xs, fields=None,
     leading key axis.  Sources are not included; they depend on t alone."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     fields = fields if fields is not None else ctx.matrix_fields(t, xs)
-    space, d, k = ctx.space_a, ctx.dim, len(xs)
+    space, d = ctx.space_a, ctx.dim
     mat, vols = ctx.material, space.volumes
-    shape = (k, len(space.cells), len(space.qweights))
 
-    def average(name, rank):
-        """Quadrature average per element, (k, e) + (d,) * rank."""
-        return np.einsum("keq...,q->ke...", fields[name].reshape(shape + (d,) * rank),
-                         space.qweights)
+    def average(name):
+        """Quadrature average per element, (k, e, ...)."""
+        return np.einsum("keq...,q->ke...", fields[name], space.qweights)
 
     pairs = sym_index_pairs(d)
     pair_of = np.empty((d, d), dtype=int)
@@ -113,28 +111,27 @@ def compute_effective(ctx: CellContext, correctors, t, xs, fields=None,
     g = _vector_gradients(space, mechanical)                       # (k, v, e, d, d)
     strains = 0.5 * (g + np.swapaxes(g, -1, -2)) + np.array(
         list(strain_pads(d).values()))[:, None]
-    Cbar = average("stiffness", 4)
+    Cbar = average("stiffness")
     stress = key_einsum("keabcd,kvecd->kveab", Cbar, strains)
     C_voigt = key_einsum("kveab,kweab,e->kvw", stress, strains, vols)
     stiffness = C_voigt[:, pair_of[:, :, None, None], pair_of[None, None, :, :]]
 
     g_ts = _vector_gradients(space, np.array([c.thermal_stress for c in correctors]))
     e_ts = 0.5 * (g_ts + np.swapaxes(g_ts, -1, -2))
-    expansion = np.einsum("keab,e->kab", average("expansion", 2), vols) - key_einsum(
+    expansion = np.einsum("keab,e->kab", average("expansion"), vols) - key_einsum(
         "keabcd,kecd,e->kab", Cbar, e_ts, vols)
 
     thermal = np.array([c.thermal for c in correctors])           # (k, d, n_scalar)
     fluxes = np.einsum("kjei,eib->kjeb", thermal[:, :, space.cells],
                        space.gradients) + np.eye(d)[:, None]
-    Kbar = average("conductivity", 2)
+    Kbar = average("conductivity")
     conductivity = key_einsum("kjea,keab,kieb,e->kij", fluxes, Kbar, fluxes, vols)
 
-    matrix_measure = key_einsum("keq,q,e->k", fields["jacobian"].reshape(shape),
-                            space.qweights, vols)
+    matrix_measure = key_einsum("keq,q,e->k", fields["jacobian"], space.qweights, vols)
     heat_capacity = (mat.density_a * mat.heat_capacity_a * matrix_measure
                      + mat.expansion_a * np.einsum("keaa,e->k", g_ts, vols))
 
-    gamma_bar = average("dissipation", 2)
+    gamma_bar = average("dissipation")
     dissipation = np.einsum("keab,e->kab", gamma_bar, vols)
     coupling = np.einsum("keab,kveab,e->kv", gamma_bar, g, vols)
     for v, (j, jj) in enumerate(pairs):
@@ -148,8 +145,8 @@ def compute_effective(ctx: CellContext, correctors, t, xs, fields=None,
     # normal; interface speed: the surface integral of J W
     speed, stress = key_interface(ctx.transformation, t, xs, ctx.facet_centroids,
                                   ctx.facet_normals, mat.surface_tension)
-    curvature_force = np.einsum("kfa,f->ka", stress.reshape(k, -1, d), ctx.facet_areas)
-    interface_speed = np.einsum("kf,f->k", speed.reshape(k, -1), ctx.facet_areas)
+    curvature_force = np.einsum("kfa,f->ka", stress, ctx.facet_areas)
+    interface_speed = np.einsum("kf,f->k", speed, ctx.facet_areas)
 
     return dict(stiffness=stiffness, expansion=expansion, conductivity=conductivity,
                 heat_capacity=heat_capacity, dissipation=dissipation,

@@ -301,6 +301,8 @@ class TabulatedTransform:
         expect = (len(self.times), self.anchors.shape[0], self.grid_n**self.dim, self.dim)
         if self.values.shape != expect:
             raise ValueError(f"table shape {self.values.shape}, expected {expect}")
+        if np.any(np.diff(self.times) <= 0.0):
+            raise ValueError("table times must increase strictly")
         if 2.0 * self.fd_step * (self.grid_n - 1) > 1.0:
             raise ValueError(f"grid_n = {self.grid_n} has intervals below 2 fd_step")
         self._lattice = self.values.reshape(
@@ -646,20 +648,23 @@ def key_points(xs, *cell_arrays):
 
 def key_fields(space, tr, mat: MaterialParams, phase, t, xs):
     """:func:`coefficient_fields` at the quadrature points of ``space`` for
-    each macro point of xs ((k, d)) in one batch: (k * e, nq, ...) arrays,
+    each macro point of xs ((k, d)) in one batch: (k, e, nq, ...) arrays,
     one copy of the cell's points per macro point."""
-    return coefficient_fields(space, tr, mat, phase, t,
-                              *key_points(xs, space.qpoints.reshape(-1, space.dim)))
+    fields = coefficient_fields(space, tr, mat, phase, t,
+                                *key_points(xs, space.qpoints.reshape(-1, space.dim)))
+    return {name: a.reshape((len(xs), -1) + a.shape[1:]) for name, a in fields.items()}
 
 
 def key_interface(tr, t, xs, y, n0, tension):
     """The interface fields at the cell's interface points y with reference
     normals n0 ((m, d) each), for each macro point of xs ((k, d)), from one
-    :func:`interface_batch`: the normal speed ``J W`` ((k * m,)) and the
-    curvature stress ``tension J H F^-1 n0`` ((k * m, d))."""
+    :func:`interface_batch`: the normal speed ``J W`` ((k, m)) and the
+    curvature stress ``tension J H F^-1 n0`` ((k, m, d))."""
+    k = len(xs)
     x, y, n0 = key_points(xs, y, n0)
     _, W, H, F, J = interface_batch(tr, t, x, y, n0)
-    return J * W, tension * (J * H)[:, None] * np.einsum("fab,fb->fa", np.linalg.inv(F), n0)
+    stress = tension * (J * H)[:, None] * np.einsum("fab,fb->fa", np.linalg.inv(F), n0)
+    return (J * W).reshape(k, -1), stress.reshape(k, -1, stress.shape[1])
 
 
 def sample_key_groups(tr, t, points):

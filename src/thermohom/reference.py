@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fem import (
@@ -84,12 +85,9 @@ class EpsilonCoefficients:
         """Pulled-back, eps-scaled coefficient fields of each phase on the
         unit cell, as (k, e_phase, nq, ...) arrays over the k keys of the
         :meth:`key_groups` of t, plus the advective flux c v."""
-        key_anchor = groups[0]
         out = []
         for phase, space in self._spaces:
-            f = {name: a.reshape((len(key_anchor), len(space.cells)) + a.shape[1:])
-                 for name, a in key_fields(space, self.transformation, self.scaled, phase,
-                                           t, key_anchor).items()}
+            f = key_fields(space, self.transformation, self.scaled, phase, t, groups[0])
             f["velocity"] *= self.eps  # cell velocity is O(eps)
             f["flux"] = f["heat_capacity"][..., None] * f["velocity"]
             out.append(f)
@@ -124,7 +122,7 @@ class EpsilonCoefficients:
         speed, stress = key_interface(self.transformation, t, key_anchor,
                                       cell.facet_centroids(), cell.interface_normals,
                                       self.eps * self.material.surface_tension)
-        at = tile_key[mesh.facet_tile] * len(cell.interface_facets) + mesh.facet_source
+        at = tile_key[mesh.facet_tile], mesh.facet_source
         mech = assemble_interface_load(mesh, None, values=stress[at])
         heat = assemble_interface_load(mesh, None,
                                        values=self.eps * latent_factor * speed[at])
@@ -461,45 +459,30 @@ def operator_structure_checks(cell_mesh, material, transformation, eps,
 # two-scale comparison
 
 
-def interpolate_macro(macro_mesh, macro_field, points):
-    """Evaluate a P1 field of the uniform macro mesh at arbitrary points."""
-    n = macro_mesh.resolution
+def macro_transfer(macro_mesh, points):
+    """The P1 evaluation matrix (points x vertices) of the uniform macro
+    mesh at points clipped to the unit box: each point's barycentric
+    coordinates in every simplex of its grid box, kept for the simplex whose
+    smallest coordinate is largest, the one holding the point."""
+    n, d = macro_mesh.resolution, macro_mesh.dim
+    cells, grads = macro_mesh.cells, P1Space(macro_mesh).gradients
+
+    def box(x):
+        return np.ravel_multi_index(np.minimum((x * n).astype(int), n - 1).T, (n,) * d)
+
+    # the simplices of each box, found from their centroids
+    centroids = macro_mesh.vertices[cells].mean(axis=1)
+    in_box = np.argsort(box(centroids), kind="stable").reshape(n**d, -1)
     pts = np.clip(points, 0.0, 1.0)
-    cells = np.minimum((pts * n).astype(int), n - 1)
-    local = pts * n - cells
-    if macro_mesh.dim == 3:
-        # every cube is split into the Kuhn simplices of build_uniform_mesh;
-        # the one holding a point steps along the axes in descending order of
-        # the local coordinates, and the field is linear along that path
-        rows = np.arange(len(pts))
-        corner = cells.copy()
-        idx = lambda c: (c[:, 0] * (n + 1) + c[:, 1]) * (n + 1) + c[:, 2]
-        prev = macro_field[idx(corner)]
-        out = prev
-        for ax in np.argsort(-local, axis=1, kind="stable").T:
-            corner[rows, ax] += 1
-            nxt = macro_field[idx(corner)]
-            out = out + local[rows, ax] * (nxt - prev)
-            prev = nxt
-        return out
-    i, j = cells[:, 0], cells[:, 1]
-    xi, et = local[:, 0], local[:, 1]
-    idx = lambda a, b: a * (n + 1) + b
-    v00 = macro_field[idx(i, j)]
-    v10 = macro_field[idx(i + 1, j)]
-    v11 = macro_field[idx(i + 1, j + 1)]
-    v01 = macro_field[idx(i, j + 1)]
-    even = (i + j) % 2 == 0
-    # even squares split along the (0,0)-(1,1) diagonal, odd along the other
-    e_lo = v00 + xi * (v10 - v00) + et * (v11 - v10)   # et <= xi
-    e_hi = v00 + xi * (v11 - v01) + et * (v01 - v00)
-    o_lo = v00 + xi * (v10 - v00) + et * (v01 - v00)   # xi + et <= 1
-    o_hi = (v01 + v10 - v11) + xi * (v11 - v01) + et * (v11 - v10)
-    return np.where(
-        even,
-        np.where(et <= xi, e_lo, e_hi),
-        np.where(xi + et <= 1.0, o_lo, o_hi),
-    )
+    cand = in_box[box(pts)]                                         # (p, simplices)
+    lam = np.einsum("psid,psd->psi", grads[cand],
+                    pts[:, None] - macro_mesh.vertices[cells[cand, 0]])
+    lam[:, :, 0] += 1.0
+    rows = np.arange(len(pts))
+    pick = np.argmax(lam.min(axis=2), axis=1)
+    return sp.csr_matrix((lam[rows, pick].ravel(),
+                          (np.repeat(rows, d + 1), cells[cand[rows, pick]].ravel())),
+                         shape=(len(pts), len(macro_mesh.vertices)))
 
 
 @dataclass
@@ -557,20 +540,23 @@ def _compare_one(sol: EpsilonSolution, hom_solver, hom_states) -> CompareRow:
     host_ids = np.argmin(np.einsum("tid,tid->ti", offsets, offsets), axis=1)[
         mesh.cell_tile[source]]
 
+    # the macro field at the epsilon vertices and at the matrix quadrature points
+    to_nodes = macro_transfer(hom_solver.mesh, mesh.vertices)
+    to_qp = macro_transfer(hom_solver.mesh, space.qpoints.reshape(-1, d))
+
     err_a2 = err_b2 = floor2 = 0.0
     for k, w in enumerate(np.diff(sol.times), start=1):
         theta_eps = sol.theta[k]
         state = hom_states[k]
-        macro_at_nodes = interpolate_macro(hom_solver.mesh, state.theta, mesh.vertices)
+        macro_at_nodes = to_nodes @ state.theta
         diff = theta_eps - macro_at_nodes
         err_a2 += w * float(diff @ (M_a @ diff))
 
         # transfer floor: interpolant vs exact P1 macro field at quadrature points
-        qp = space.qpoints.reshape(-1, d)
         interp_at_qp = np.einsum(
             "qi,ei->eq", space.shape_values, macro_at_nodes[space.cells]
         ).reshape(-1)
-        exact_at_qp = interpolate_macro(hom_solver.mesh, state.theta, qp)
+        exact_at_qp = to_qp @ state.theta
         floor_vals = (interp_at_qp - exact_at_qp).reshape(len(space.cells), -1)
         floor2 += w * float(np.einsum("eq,q,e->", floor_vals**2, space.qweights,
                                       space.volumes))

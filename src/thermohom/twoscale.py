@@ -220,8 +220,7 @@ class MicroModel:
         """The bundles of the (k, d) macro points xs at t, built together."""
         ctx, space, d, k = self.ctx, self.space, self.dim, len(xs)
         n, ns = d + 1, space.n_scalar
-        f = {name: a.reshape((k, len(space.cells)) + a.shape[1:]) for name, a in key_fields(
-            space, ctx.transformation, ctx.material, PHASE_B, t, xs).items()}
+        f = key_fields(space, ctx.transformation, ctx.material, PHASE_B, t, xs)
         c, v, gamma = f["heat_capacity"], f["velocity"], f["dissipation"]
 
         # element blocks on the stacked dofs: [[M_c, S], [-G, E]], S = G_gamma^T

@@ -38,7 +38,8 @@ def _solve(A, rhs, cs, tol):
 
 def solve_correctors_cg(ctx, t, x, tol=1e-10, fields=None) -> Correctors:
     """Drop-in for :func:`thermohom.cell.solve_correctors`."""
-    fields = fields if fields is not None else ctx.matrix_fields(t, x)
+    if fields is None:
+        fields = {name: a[0] for name, a in ctx.matrix_fields(t, x).items()}
     space, mesh = ctx.space_a, ctx.sub_a.mesh
     residuals = {}
 

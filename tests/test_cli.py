@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from thermohom.cli import main
-from thermohom.config import _SECTIONS, ConfigError, RunConfig, parse_config
+from thermohom.config import _SECTIONS, ConfigError, RunConfig, TableSource, parse_config
 
 
 BASE = """\
@@ -339,6 +339,18 @@ class TestTransformationTable:
                            r"convert string to float: 'half'$"):
             load_transformation_table(str(table))
 
+    def test_decreasing_times_named(self, tmp_path):
+        from thermohom.config import load_transformation_table, save_transformation_table
+        from thermohom.kinematics import PolynomialAmplitude, RadialGrowth
+
+        tr = RadialGrowth(dim=2, inclusion_radius=0.25,
+                          amplitude=PolynomialAmplitude((0.0, 0.4)))
+        table = tmp_path / "motion.tbl"
+        save_transformation_table(str(table), tr, [0.5, 0.0], [np.array([0.5, 0.5])], 5)
+        with pytest.raises(ConfigError, match=rf"^transformation table {table}: table "
+                           r"times must increase strictly$"):
+            load_transformation_table(str(table))
+
     def test_micro_runs_on_two_anchor_table(self, tmp_path):
         from thermohom.config import save_transformation_table
         from thermohom.kinematics import PolynomialAmplitude, RadialGrowth
@@ -356,3 +368,25 @@ class TestTransformationTable:
         lines = (tmp_path / "micro" / "norm_bundle.csv").read_text().strip().split("\n")
         assert len(lines) == 2
         assert np.all(np.isfinite([float(v) for v in lines[1].split(",")]))
+
+
+class TestSourceTable:
+    @pytest.mark.parametrize("rows, fault", [
+        ("0.0 1.0\n0.5 x\n", ": could not convert string to float: 'x'"),
+        ("0.0 1.0\n0.5 2.0 3.0\n", " needs 2 columns (t, values) in every row"),
+        ("0.5 2.0\n0.0 1.0\n", ": times must increase strictly"),
+    ], ids=["bad_token", "unequal_rows", "decreasing_times"])
+    def test_malformed_table_named(self, tmp_path, capsys, rows, fault):
+        table = tmp_path / "bad.table"
+        table.write_text(rows)
+        text = BASE.format(out=tmp_path).replace(
+            "[sources]\n", f"[sources]\nf_theta_a = table {table}\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["macro", "--config", cfg, "--out", str(tmp_path / "macro")]) == 1
+        assert f"ConfigError: source table {table}{fault}" in capsys.readouterr().err
+
+    def test_one_time_level_is_constant(self, tmp_path):
+        table = tmp_path / "one.table"
+        table.write_text("# t f\n0.2 1.5\n")
+        source = TableSource.load(str(table), 1)
+        assert [source(t)[0] for t in (0.0, 0.2, 1.0)] == [1.5, 1.5, 1.5]

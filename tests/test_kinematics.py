@@ -373,6 +373,10 @@ class TestTabulated:
         speed = np.linalg.norm(per_point[3], axis=1)
         assert speed[1] == pytest.approx(3.0 * speed[0], rel=0.05)
 
+    def test_decreasing_times_rejected(self):
+        with pytest.raises(ValueError, match="^table times must increase strictly$"):
+            self._tabulate(radial_growth(coeffs=(0.0, 0.4)), np.array([0.5, 0.0]), 5)
+
     def test_roundtrip_radial_growth(self):
         tr = radial_growth(coeffs=(0.0, 0.2))
         tab = self._tabulate(tr, np.linspace(0.0, 1.0, 11), 161)

@@ -1,6 +1,8 @@
+import dataclasses
 import tracemalloc
 import weakref
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,13 +21,13 @@ from thermohom.kinematics import (
     RadialGrowth,
     default_material,
 )
-from thermohom.mesh import build_cell_mesh, build_uniform_mesh
+from thermohom.mesh import build_cell_mesh, build_epsilon_mesh, build_uniform_mesh
 from thermohom.reference import (
     BundleError,
     EpsilonSolution,
     EpsilonSolver,
     apriori_norm_bundle,
-    interpolate_macro,
+    macro_transfer,
     operator_structure_checks,
     two_scale_compare,
 )
@@ -403,7 +405,7 @@ class TestMacroInterpolation:
         mesh = build_uniform_mesh(4, dim=2)
         rng = np.random.default_rng(0)
         field = rng.standard_normal(len(mesh.vertices))
-        vals = interpolate_macro(mesh, field, mesh.vertices)
+        vals = macro_transfer(mesh, mesh.vertices) @ field
         assert np.max(np.abs(vals - field)) < 1e-12
 
     def test_exact_on_linears(self):
@@ -411,7 +413,7 @@ class TestMacroInterpolation:
         field = 2.0 * mesh.vertices[:, 0] - 0.7 * mesh.vertices[:, 1] + 0.3
         rng = np.random.default_rng(1)
         pts = rng.random((100, 2))
-        vals = interpolate_macro(mesh, field, pts)
+        vals = macro_transfer(mesh, pts) @ field
         exact = 2.0 * pts[:, 0] - 0.7 * pts[:, 1] + 0.3
         assert np.max(np.abs(vals - exact)) < 1e-12
 
@@ -420,7 +422,7 @@ class TestMacroInterpolation:
         coef, c0 = np.array([2.0, -0.7, 1.3]), 0.3
         field = mesh.vertices @ coef + c0
         pts = np.random.default_rng(1).random((200, 3))
-        vals = interpolate_macro(mesh, field, pts)
+        vals = macro_transfer(mesh, pts) @ field
         assert np.max(np.abs(vals - (pts @ coef + c0))) < 1e-12
 
     def test_matches_p1_field_inside_each_tetrahedron_3d(self):
@@ -432,11 +434,53 @@ class TestMacroInterpolation:
         bary = np.random.default_rng(5).dirichlet(np.ones(4), size=len(mesh.cells))
         pts = np.einsum("ei,eid->ed", bary, mesh.vertices[space.cells])
         exact = np.einsum("ei,ei->e", bary, field[space.cells])
-        vals = interpolate_macro(mesh, field, pts)
+        vals = macro_transfer(mesh, pts) @ field
         assert np.max(np.abs(vals - exact)) < 1e-12
+
+    @pytest.mark.parametrize("dim, n", [(2, 3), (3, 2)])
+    def test_locates_points_on_a_mirrored_mesh(self, dim, n):
+        # the uniform mesh mirrored in x on the same vertices: each box keeps
+        # its vertices, but its square (2D, odd n) or cube (3D) is split along
+        # the other diagonal
+        mesh = build_uniform_mesh(n, dim=dim)
+        at = np.rint(mesh.vertices * n).astype(int)
+        at[:, 0] = n - at[:, 0]
+        mirror = np.ravel_multi_index(at.T, (n + 1,) * dim)
+        mesh = dataclasses.replace(mesh, cells=mirror[mesh.cells][:, [1, 0, *range(2, dim + 1)]])
+        space = P1Space(mesh)
+        field = np.random.default_rng(6).standard_normal(len(mesh.vertices))
+        exact = np.einsum("qi,ei->eq", space.shape_values, field[space.cells])
+        vals = macro_transfer(mesh, space.qpoints.reshape(-1, dim)) @ field
+        assert np.max(np.abs(vals - exact.ravel())) < 1e-12
 
 
 class TestTwoScaleCompare:
+    @pytest.mark.parametrize("dim, macro_n, eps, cell_n, per_element", [
+        (2, 4, 0.25, 8, False), (3, 2, 0.5, 4, False), (3, 2, 0.5, 4, True)])
+    def test_affine_fields_leave_no_error(self, dim, macro_n, eps, cell_n, per_element):
+        # each level's own affine field, given on the resolved mesh, the macro
+        # mesh and every host's inclusion vertices in the tile holding the
+        # host: a wrong host, tile or micro vertex, or a mislocated macro
+        # point, leaves an error of order one
+        cell = build_cell_mesh(0.25, cell_n, dim=dim)
+        tr, mat = IdentityTransform(dim=dim), default_material(dim)
+        hom_solver = TwoScaleSolver(build_uniform_mesh(macro_n, dim=dim),
+                                    EffectiveProvider(CellContext(cell, mat, tr)),
+                                    SolverSettings(micro_per_element=per_element))
+        rng = np.random.default_rng(dim)
+        fields = [(rng.standard_normal(dim), rng.standard_normal()) for _ in range(3)]
+        f = lambda k, x: x @ fields[k][0] + fields[k][1]
+        tiles = np.floor(hom_solver.host_points / eps)
+        micro_x = eps * (hom_solver.micro_model.ctx.sub_b.mesh.vertices + tiles[:, None])
+        states = [SimpleNamespace(theta=f(k, hom_solver.mesh.vertices),
+                                  micro_theta=f(k, micro_x)) for k in range(3)]
+        mesh = build_epsilon_mesh(cell, eps)
+        sol = EpsilonSolution(eps=eps, times=[0.0, 0.05, 0.1],
+                              theta=[f(k, mesh.vertices) for k in range(3)], u=None,
+                              mesh=mesh, fixed_point_iterations=[1, 1])
+        row = reference._compare_one(sol, hom_solver, states)
+        assert max(row.error_matrix, row.error_inclusion, row.interp_floor) <= 1e-14
+
     def test_constant_solution_all_errors_vanish(self, cell8):
         mat = default_material(2, dissipation_a=0.0, dissipation_b=0.0,
                                latent_heat=0.0, surface_tension=0.0)
