@@ -489,6 +489,21 @@ class ConstraintBasis:
         R = self.restriction
         return (R.T @ A @ R).tocsr()
 
+    def factor(self, A, where):
+        """The full-space solve ``b -> R (R^T A R)^-1 R^T b`` (a vector or an
+        (n x m) block), ``R^T A R`` factored once in symmetric mode
+        (:class:`Factor`, ``spd``); only for homogeneous pins and no
+        zero-mean constraints, which need no offset and no multipliers.
+
+        Diagonal pivots keep the minimum-degree ordering: the resolved
+        elasticity at eps 1/8 (22 850 reduced dofs) fills 1.94 M entries at
+        t = 0 and 1.66 M at t = 0.05, against 2.31 M and 2.33 M under COLAMD
+        with partial pivoting, and in 3D (eps 1/2, cell resolution 4) it
+        factors about 4x faster."""
+        R = self.restriction
+        lu = Factor(self.reduce_matrix(A).tocsc(), where, spd=True)
+        return lambda b: R @ lu.solve(R.T @ b)
+
     def augmented_scatter(self, dofs) -> ElementScatter:
         """The map from the element blocks on the element dofs ``dofs`` to
         the CSC data of the augmented reduced matrix ``[[R^T A R, M], [M^T,

@@ -7,6 +7,11 @@ through the kinematic fields derived here (deformation gradient, Jacobian,
 cell velocity, interface normal/velocity/curvature) and the material
 coefficients pulled back with them.
 
+Two families give the fields in closed form or by interpolation: radial
+growth of the inclusion (:class:`RadialGrowth`), whose zero amplitude is
+the static geometry (:class:`IdentityTransform`), and a sampled table of
+cell maps (:class:`TabulatedTransform`).
+
 This module is the one place those fields are evaluated.  Every solver asks
 for them per transformation sample key, on k copies of the cell's points
 (:func:`key_points`): the volume coefficients at the quadrature points of a
@@ -149,38 +154,6 @@ def _check_cell_points(y, dim):
 
 
 @dataclass(frozen=True)
-class IdentityTransform:
-    """The static geometry: s(t, x, y) = y for all times."""
-
-    dim: int = 2
-    inclusion_radius: float = 0.25
-    det_bounds: tuple[float, float] = (0.5, 2.0)
-    boundary_margin: float = 0.1
-
-    family = "identity"
-
-    @property
-    def center(self):
-        return np.full(self.dim, 0.5)
-
-    def sample_key(self, t, x):
-        return ("identity",)
-
-    def map_points(self, t, x, y):
-        return _check_cell_points(y, self.dim).copy()
-
-    def kinematics_batch(self, t, x, y):
-        y = _check_cell_points(y, self.dim)
-        m = y.shape[0]
-        F = np.broadcast_to(np.eye(self.dim), (m, self.dim, self.dim)).copy()
-        return F, np.ones(m), np.zeros((m, self.dim))
-
-    def curvature_batch(self, t, x, y):
-        rho = np.linalg.norm(_check_cell_points(y, self.dim) - self.center, axis=1)
-        return -(self.dim - 1) / rho
-
-
-@dataclass(frozen=True)
 class RadialGrowth:
     """Radially growing inclusion: s = y + g(t, x) * eta(|y - c|) * (y - c).
 
@@ -270,6 +243,18 @@ class RadialGrowth:
         psi = 1.0 / radial
         psi_p = -g * (2.0 * etap + rho * etapp) / radial**2
         return -(psi_p + (self.dim - 1) * psi / rho)
+
+
+@dataclass(frozen=True)
+class IdentityTransform(RadialGrowth):
+    """The static geometry s(t, x, y) = y: radial growth of zero amplitude,
+    whose formulas give F = I, J = 1, v = 0 and H = -(d - 1) / rho exactly."""
+
+    amplitude: PolynomialAmplitude = field(
+        default=PolynomialAmplitude((0.0,)), init=False)
+    cutoff: QuinticCutoff | None = field(default=None, init=False)
+
+    family = "identity"
 
 
 class TabulatedTransform:

@@ -22,7 +22,6 @@ import scipy.sparse.linalg as spla
 from .fem import (
     FORMS,
     ConstraintSet,
-    Factor,
     P1Space,
     assemble_interface_load,
     assemble_operator,
@@ -233,24 +232,6 @@ class EpsilonSolver:
                                   l_J[:, :, None] * np.where(in_a, f_u_a, f_u_b)[:, None])[0]
         return out
 
-    # -- solves ----------------------------------------------------------------
-
-    def _mech_factor(self, b, t):
-        """The factor of the bundle's elasticity matrix at t on the reduced
-        space."""
-        # symmetric mode: the reduced E is SPD, so diagonal pivots keep the
-        # minimum-degree ordering; at eps 1/8 (22 850 reduced dofs) it fills
-        # 1.94 M entries at t = 0 and 1.66 M at t = 0.05, against 2.31 M and
-        # 2.33 M under COLAMD with partial pivoting, and in 3D (eps 1/2, cell
-        # resolution 4) it factors about 4x faster
-        return Factor(self.mech_basis.reduce_matrix(b["E"]).tocsc(),
-                      f"resolved solver: elasticity at t = {t:.6g}", spd=True)
-
-    def _solve_mech(self, lu, rhs_full):
-        # homogeneous Dirichlet: the offset vanishes, reduce directly
-        R = self.mech_basis.restriction
-        return R @ lu.solve(R.T @ rhs_full)
-
     # -- time stepping -----------------------------------------------------------
 
     def solve(self, t_final, dt, theta0, observer=None) -> EpsilonSolution:
@@ -258,8 +239,8 @@ class EpsilonSolver:
         mesh = self.mesh
         theta = np.asarray(theta0(mesh.vertices), dtype=float)
         b = self.bundle(0.0)
-        u = self._solve_mech(self._mech_factor(b, 0.0), b["G_alpha"] @ theta + b["f_u"]
-                             + b["mech_surface"])
+        u = self.mech_basis.factor(b["E"], "resolved solver: elasticity at t = 0")(
+            b["G_alpha"] @ theta + b["f_u"] + b["mech_surface"])
 
         times = time_levels(t_final, dt)
         thetas, us, fp_counts = [theta.copy()], [u.copy()], []
@@ -269,11 +250,12 @@ class EpsilonSolver:
             # G_gamma^T u; its bundle, factor and heat matrix go before the
             # next level is built
             old_c, old_gamma = b["M_c"] @ theta, b["G_gamma"].T @ u
-            b = lu = heat_lhs = None
+            b = solve_u = heat_lhs = None
             b = self.bundle(t_new)
             heat_lhs = (b["M_c"] / step + b["N"] + b["A_K"]).tocsc()
             base = old_c / step + b["f_theta"] - b["heat_surface"] + old_gamma / step
-            lu = self._mech_factor(b, t_new)
+            solve_u = self.mech_basis.factor(
+                b["E"], f"resolved solver: elasticity at t = {t_new:.6g}")
             mech_rhs0 = b["f_u"] + b["mech_surface"]
 
             theta_k, u_k = theta.copy(), u.copy()
@@ -284,7 +266,7 @@ class EpsilonSolver:
                 theta_next = spla.spsolve(heat_lhs, rhs, permc_spec="MMD_AT_PLUS_A")
                 check_residuals(heat_lhs, theta_next, rhs,
                                 f"resolved solver: heat at t = {t_new:.6g}")
-                u_next = self._solve_mech(lu, b["G_alpha"] @ theta_next + mech_rhs0)
+                u_next = solve_u(b["G_alpha"] @ theta_next + mech_rhs0)
                 d_theta = np.linalg.norm(theta_next - theta_k) / max(
                     1.0, np.linalg.norm(theta_next))
                 d_u = np.linalg.norm(u_next - u_k) / max(1.0, np.linalg.norm(u_next))
@@ -426,10 +408,9 @@ def operator_structure_checks(cell_mesh, material, transformation, eps,
                 and (prev_solve[1] != G_alpha).nnz == 0):
             us = prev_solve[2]        # a static geometry: the same block solution
         else:
-            R = solver.mech_basis.restriction    # no offset, no multipliers
-            us = R @ Factor(solver.mech_basis.reduce_matrix(E).tocsc(),
-                            f"operator checks: elasticity at eps = {eps:g}, t = {t:.6g}",
-                            spd=True).solve(R.T @ (G_alpha @ fs.T))
+            us = solver.mech_basis.factor(
+                E, f"operator checks: elasticity at eps = {eps:g}, t = {t:.6g}")(
+                    G_alpha @ fs.T)
         prev_solve = (E, G_alpha, us)
         products = (b["G_gamma"] @ fs.T).T @ us    # <B2 f_j, f_i>
         scale = np.max(np.abs(products)) or 1.0

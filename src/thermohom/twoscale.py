@@ -445,10 +445,8 @@ class TwoScaleSolver:
         """
         theta = np.asarray(theta0(self.mesh.vertices), dtype=float)
         ops = self.level(0.0)
-        E_red = self.mech_basis.reduce_matrix(ops["E"]).tocsc()
-        u = self.mech_basis.restriction @ Factor(
-            E_red, "two-scale solver: macro elasticity at t = 0", spd=True).solve(
-                self._mech_rhs(ops, theta))
+        u = self.mech_basis.factor(ops["E"], "two-scale solver: macro elasticity at t = 0")(
+            ops["G_alpha"] @ theta + ops["mech_load"])
 
         traces_th, traces_u = self.traces_at_hosts(theta, u)
         fields = None if micro_theta0 is None else [

@@ -137,8 +137,8 @@ class OracleEpsilonSolver(EpsilonSolver):
         s = self.settings
         theta = np.asarray(theta0(self.mesh.vertices), dtype=float)
         b0 = self.bundle(0.0)
-        u = self._solve_mech(self._mech_factor(b0, 0.0), b0["G_alpha"] @ theta + b0["f_u"]
-                             + b0["mech_surface"])
+        u = self.mech_basis.factor(b0["E"], "oracle elasticity")(
+            b0["G_alpha"] @ theta + b0["f_u"] + b0["mech_surface"])
         # the old level enters a step through M_c theta and G_gamma^T u only
         old_c, old_gamma = b0["M_c"] @ theta, b0["G_gamma"].T @ u
         thetas, us, counts = [theta.copy()], [u.copy()], []
@@ -149,7 +149,7 @@ class OracleEpsilonSolver(EpsilonSolver):
             heat_lhs = (b_new["M_c"] / step + b_new["N"] + b_new["A_K"]).tocsr()
             base = (old_c / step + b_new["f_theta"]
                     - b_new["heat_surface"] + old_gamma / step)
-            lu = self._mech_factor(b_new, t + step)
+            solve_u = self.mech_basis.factor(b_new["E"], "oracle elasticity")
             mech_rhs0 = b_new["f_u"] + b_new["mech_surface"]
             advective = abs(b_new["N"]).max() > 0.0
             theta_k, u_k = theta.copy(), u.copy()
@@ -157,7 +157,7 @@ class OracleEpsilonSolver(EpsilonSolver):
                 rhs = (base - (b_new["G_gamma"].T @ u_k) / step
                        - self.advective_dissipation_load(b_new, u_k))
                 theta_next = self.solve_heat(heat_lhs, rhs, advective)
-                u_next = self._solve_mech(lu, b_new["G_alpha"] @ theta_next + mech_rhs0)
+                u_next = solve_u(b_new["G_alpha"] @ theta_next + mech_rhs0)
                 d_theta = np.linalg.norm(theta_next - theta_k) / max(
                     1.0, np.linalg.norm(theta_next))
                 d_u = np.linalg.norm(u_next - u_k) / max(1.0, np.linalg.norm(u_next))

@@ -278,6 +278,19 @@ class TestSubcommands:
                 "effective coefficients at t = 0.05, x = [") in err
         assert "det(F) = -" in err
 
+    def test_identity_is_radial_growth_of_zero_amplitude(self, tmp_path):
+        identity = next(p for p in SHIPPED_CONFIGS if p.name == "decoupled.cfg").read_text()
+        growth = identity.replace("family = identity",
+                                  "family = radial_growth\namplitude_poly = 0")
+        assert growth != identity
+        for sub, name in (("macro", "diagnostics.csv"), ("micro", "norm_bundle.csv")):
+            written = []
+            for tag, text in (("identity", identity), ("growth", growth)):
+                cfg = write_cfg(tmp_path, text, name=f"{tag}.cfg")
+                assert main([sub, "--config", cfg, "--out", str(tmp_path / tag / sub)]) == 0
+                written.append((tmp_path / tag / sub / name).read_bytes())
+            assert written[0] == written[1]
+
     def test_rerun_identical_artifacts(self, tmp_path):
         cfg = write_cfg(tmp_path)
         main(["effective", "--config", cfg, "--out", str(tmp_path / "a")])

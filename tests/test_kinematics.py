@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermohom.fem import P1Space
 from thermohom.kinematics import (
     IdentityTransform,
     InadmissibleTransformError,
@@ -22,6 +23,7 @@ from thermohom.kinematics import (
     PHASE_A,
     PHASE_B,
 )
+from thermohom.mesh import build_cell_mesh
 
 
 def radial_growth(dim=2, coeffs=(0.0, 0.1), r=0.25, margin=0.1):
@@ -123,6 +125,26 @@ class TestEvalInterface:
         n0 = np.array([0.0, 0.0, 1.0])
         _, _, H = interface_at(tr, 0.0, np.zeros(3), y, n0)
         assert np.isclose(H, -8.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_identity_fields_are_exact(self, dim):
+        # radial growth of zero amplitude: no round-off at any cell point
+        mesh = build_cell_mesh(0.25, 8 if dim == 2 else 4, dim=dim)
+        y = np.concatenate([P1Space(mesh).qpoints.reshape(-1, dim), mesh.facet_centroids()])
+        tr = IdentityTransform(dim=dim)
+        for t in (0.0, 0.7):
+            F, J, v = tr.kinematics_batch(t, np.full(dim, 0.3), y)
+            H = tr.curvature_batch(t, np.full(dim, 0.3), y)
+            assert np.array_equal(F, np.broadcast_to(np.eye(dim), F.shape))
+            assert np.array_equal(J, np.ones(len(y)))
+            assert np.array_equal(v, np.zeros_like(y))
+            assert np.array_equal(H, -(dim - 1) / np.linalg.norm(y - 0.5, axis=1))
+
+    def test_identity_takes_no_amplitude_or_cutoff(self):
+        with pytest.raises(TypeError, match="amplitude"):
+            IdentityTransform(dim=2, amplitude=PolynomialAmplitude((0.0, 0.1)))
+        with pytest.raises(TypeError, match="cutoff"):
+            IdentityTransform(dim=2, cutoff=QuinticCutoff(0.3, 0.45))
 
     def test_normal_velocity_radial(self):
         tr = radial_growth(coeffs=(0.0, 0.2))
