@@ -16,9 +16,7 @@ from .mesh import (  # noqa: F401
     build_cell_mesh,
     build_epsilon_mesh,
     build_uniform_mesh,
-    load_mesh,
     mesh_quality,
-    save_mesh,
     write_vtk,
 )
 from .cell import CellContext, solve_correctors  # noqa: F401

@@ -183,11 +183,15 @@ class RunConfig:
                 det_bounds=(self.det_lower, self.det_upper),
                 boundary_margin=self.boundary_margin,
             )
-        return load_transformation_table(
+        table = load_transformation_table(
             self.table_path, inclusion_radius=self.radius,
             det_bounds=(self.det_lower, self.det_upper),
             boundary_margin=self.boundary_margin,
         )
+        if table.dim != d:
+            raise ConfigError(f"transformation table {self.table_path}: dimension "
+                              f"{table.dim} does not match [run] dimension = {d}")
+        return table
 
     def _source(self, text, size):
         tokens = text.split()

@@ -1,26 +1,33 @@
 """Conforming simplicial meshes of the perforated unit cell and its periodic tilings.
 
 The unit cell ``[0, 1]^d`` carries a centered ball-shaped inclusion of radius
-``r`` (phase B) inside a connected matrix (phase A).  The built-in generator
-is interface-fitted: a structured core block inside the inclusion, a blended
-shell out to the spherical interface (every interface vertex lies on the
-analytic sphere), and a second blended shell out to the cell boundary whose
-outermost nodes sit at exact integer fractions, so that opposite faces of the
-cell match bitwise and periodic tilings merge without tolerances.
+``r`` (phase B) inside a connected matrix (phase A).  One interface-fitted
+builder serves both dimensions.  Its shared skeleton is a structured core
+lattice inside the inclusion; boundary stations at exact integer fractions
+(the square's perimeter walk in 2D, the cube's surface lattice points in 3D),
+each matched to a core-surface vertex and to a point on the analytic sphere;
+a blended shell from the core surface out to the sphere and a second one out
+to the cell boundary; and one finishing block that orients the cells and the
+interface normals and pairs the periodic faces.  Every interface vertex lies
+on the sphere, and opposite faces of the cell match bitwise, so periodic
+tilings merge without tolerances.
+
+Only the split into simplices depends on the dimension.  In 2D the core grid
+is triangulated along alternating diagonals, the quad bands between
+consecutive rings along their shorter diagonals, and the interface facets are
+the edges of the sphere ring.  In 3D the core cubes and the shell hexahedra
+between consecutive rings are split into 24 tetrahedra each, through the
+body centre and the face centres (face centres of the sphere ring projected
+onto the sphere), and the interface facets are the matching triangles.
 
 The same class also represents the periodic macro mesh obtained by tiling the
 scaled cell over the unit square/cube, with tile provenance retained so that
 oscillatory coefficients can be evaluated cheaply.
-
-Plain-text mesh format (one file per mesh): a header line ``d nv nc nf``
-followed by ``nv`` vertex coordinate lines, ``nc`` cell lines (``d+1`` vertex
-indices and a phase integer), and ``nf`` interface facet lines (``d`` vertex
-indices and an orientation flag ``+1``/``-1`` relative to the canonical
-geometric normal of the stored vertex order).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,11 +75,7 @@ class Mesh:
         return self.vertices[self.interface_facets].mean(axis=1)
 
     def facet_areas(self):
-        v = self.vertices[self.interface_facets]
-        if self.dim == 2:
-            return np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
-        cr = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-        return 0.5 * np.linalg.norm(cr, axis=1)
+        return _facet_measures(self.vertices, self.interface_facets)
 
     def boundary_vertex_mask(self, tol=1e-12):
         x = self.vertices
@@ -83,25 +86,18 @@ class Mesh:
 
 
 # ---------------------------------------------------------------------------
-# station layout shared by the 2D and 3D builders
+# shared geometry
 
 
-def _resolution_params(radius, resolution):
-    if not 0.0 < radius < 0.5:
-        raise MeshError("inclusion radius must lie in (0, 0.5)")
-    if 0.5 - radius < 1.0 / resolution:
-        raise MeshError(
-            "resolution too coarse to separate the interface from the cell boundary"
-        )
-    # stations scale linearly with the resolution so that interface measures
-    # converge at second order; the relative polygon error is r-independent.
-    # shells are refined twice as hard as the nominal spacing because the
-    # corrector fields concentrate their gradients near the interface
-    m = max(2, round(0.75 * resolution))
-    core_half = 0.5 * radius
-    inner_layers = max(1, round(2.0 * (radius - core_half) * resolution))
-    outer_layers = max(1, round(2.0 * (0.5 - radius) * resolution))
-    return m, core_half, inner_layers, outer_layers
+def lattice(n, d):
+    """The (n^d, d) integer points of {0, ..., n - 1}^d, the last axis fastest."""
+    return np.indices((n,) * d).reshape(d, -1).T.copy()
+
+
+def _lattice_index(points, n):
+    """The row-major number of each point of {0, ..., n - 1}^d, coordinates
+    along the last axis."""
+    return np.ravel_multi_index(tuple(np.moveaxis(points, -1, 0)), (n,) * points.shape[-1])
 
 
 def _signed_dets(vertices, cells):
@@ -114,14 +110,19 @@ def _signed_dets(vertices, cells):
     return np.linalg.det(edges)
 
 
-def _add_shell(verts, rings, inner, outer, layers):
-    """Append to ``verts`` the rings of a shell blended from the station
-    positions ``inner`` to ``outer`` in ``layers`` layers, the last ring
-    exactly ``outer``, and their vertex ids to ``rings``."""
-    for layer in range(1, layers + 1):
-        pos = outer if layer == layers else inner + layer / layers * (outer - inner)
-        rings.append(list(range(len(verts), len(verts) + len(pos))))
-        verts.extend(map(tuple, pos))
+def _facet_normals(vertices, facets):
+    """The normal of each facet from its stored vertex order, of length
+    (d - 1)! times the facet's measure."""
+    v = vertices[facets]
+    if facets.shape[1] == 2:
+        e = v[:, 1] - v[:, 0]
+        return np.stack([e[:, 1], -e[:, 0]], axis=1)
+    return np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+
+
+def _facet_measures(vertices, facets):
+    normals = _facet_normals(vertices, facets)
+    return np.linalg.norm(normals, axis=1) / math.factorial(facets.shape[1] - 1)
 
 
 def _orient_cells(vertices, cells):
@@ -131,19 +132,9 @@ def _orient_cells(vertices, cells):
     return cells
 
 
-def _facet_canonical_normals(vertices, facets):
-    """Unit normals determined by the stored vertex order alone."""
-    v = vertices[facets]
-    if facets.shape[1] == 2:
-        e = v[:, 1] - v[:, 0]
-        normals = np.stack([e[:, 1], -e[:, 0]], axis=1)
-    else:
-        normals = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    return normals / np.linalg.norm(normals, axis=1)[:, None]
-
-
 def _orient_interface_normals(vertices, facets, center):
-    normals = _facet_canonical_normals(vertices, facets)
+    normals = _facet_normals(vertices, facets)
+    normals = normals / np.linalg.norm(normals, axis=1)[:, None]
     centroids = vertices[facets].mean(axis=1)
     # the inclusion is star shaped around the cell center
     sign = np.sign(np.einsum("ij,ij->i", normals, centroids - center))
@@ -175,7 +166,76 @@ def _periodic_pairs_from_coords(vertices, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# 2D builder
+# cell mesh
+
+
+def _resolution_params(radius, resolution):
+    if not 0.0 < radius < 0.5:
+        raise MeshError("inclusion radius must lie in (0, 0.5)")
+    if 0.5 - radius < 1.0 / resolution:
+        raise MeshError(
+            "resolution too coarse to separate the interface from the cell boundary"
+        )
+    # stations scale linearly with the resolution so that interface measures
+    # converge at second order; the relative polygon error is r-independent.
+    # shells are refined twice as hard as the nominal spacing because the
+    # corrector fields concentrate their gradients near the interface
+    m = max(2, round(0.75 * resolution))
+    core_half = 0.5 * radius
+    inner_layers = max(1, round(2.0 * (radius - core_half) * resolution))
+    outer_layers = max(1, round(2.0 * (0.5 - radius) * resolution))
+    return m, core_half, inner_layers, outer_layers
+
+
+def _add_shell(blocks, rings, inner, outer, layers):
+    """Append to ``blocks`` the rings of a shell blended from the station
+    positions ``inner`` to ``outer`` in ``layers`` layers, the last ring
+    exactly ``outer``, and their vertex ids to ``rings``."""
+    for layer in range(1, layers + 1):
+        pos = outer if layer == layers else inner + layer / layers * (outer - inner)
+        start = sum(map(len, blocks))
+        rings.append(np.arange(start, start + len(pos)))
+        blocks.append(pos)
+
+
+def build_cell_mesh(radius, resolution, dim=2) -> Mesh:
+    """Interface-fitted mesh of the unit cell with a centered ball inclusion."""
+    if dim not in (2, 3):
+        raise MeshError("dimension must be 2 or 3")
+    m, core_half, k_in, k_out = _resolution_params(radius, resolution)
+    center = np.full(dim, 0.5)
+
+    # core lattice, numbered row-major
+    grid = lattice(m + 1, dim)
+    core = 0.5 + core_half * (2.0 * grid / m - 1.0)
+
+    # boundary stations at exact fractions, matching the core surface
+    if dim == 2:
+        stations = _perimeter_walk_2d(m)
+    else:
+        stations = grid[np.any((grid == 0) | (grid == m), axis=1)]
+    boundary = stations / m
+    dirs = boundary - center
+    unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    sphere = center + radius * unit
+
+    blocks, rings = [core], [_lattice_index(stations, m + 1)]
+    _add_shell(blocks, rings, core[rings[0]], sphere, k_in)   # core surface -> sphere
+    _add_shell(blocks, rings, sphere, boundary, k_out)         # sphere -> boundary
+    vertices = np.concatenate(blocks)
+
+    if dim == 2:
+        cells, phase, facets = _simplices_2d(vertices, rings, m, k_in)
+    else:
+        vertices, cells, phase, facets = _simplices_3d(vertices, rings, m, k_in, center, radius)
+
+    return Mesh(
+        dim=dim, vertices=vertices, cells=_orient_cells(vertices, cells), phase=phase,
+        interface_facets=facets,
+        interface_normals=_orient_interface_normals(vertices, facets, center),
+        periodic_pairs=_periodic_pairs_from_coords(vertices),
+        inclusion_radius=radius, resolution=resolution,
+    )
 
 
 def _perimeter_walk_2d(m):
@@ -217,141 +277,55 @@ def _split_band(ring_a, ring_b, vertices):
     return tris
 
 
-def _build_cell_mesh_2d(radius, resolution):
-    m, core_half, k_in, k_out = _resolution_params(radius, resolution)
-    center = np.array([0.5, 0.5])
-
-    # core grid, vertex (i, j) numbered i * (m + 1) + j
-    xs = np.array([0.5 + core_half * (2.0 * t / m - 1.0) for t in range(m + 1)])
-    verts = [(xs[i], xs[j]) for i in range(m + 1) for j in range(m + 1)]
-
-    # 4m boundary stations at exact fractions, matching the core perimeter
-    walk = _perimeter_walk_2d(m)
-    boundary = walk / m
-    dirs = boundary - center
-    unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    circle = center + radius * unit
-
-    ring0 = (walk @ [m + 1, 1]).tolist()
-    core_perim = np.array([verts[v] for v in ring0])
-
-    rings = [ring0]
-    _add_shell(verts, rings, core_perim, circle, k_in)    # core perimeter -> circle
-    _add_shell(verts, rings, circle, boundary, k_out)     # circle -> boundary
-
-    vertices = np.array(verts)
-
+def _simplices_2d(vertices, rings, m, k_in):
+    """Core grid triangles, the bands between consecutive rings, and the
+    interface edges on ring ``k_in``."""
     cells = _grid_triangles(m)
     phase = [1] * len(cells)
     for layer in range(len(rings) - 1):
         tris = _split_band(rings[layer], rings[layer + 1], vertices)
         cells.extend(tris)
         phase.extend([1 if layer < k_in else 0] * len(tris))
-
-    cells = np.array(cells, dtype=int)
-    phase = np.array(phase, dtype=np.uint8)
-
-    circ_ring = rings[k_in]
-    facets = np.array(
-        [(circ_ring[j], circ_ring[(j + 1) % len(circ_ring)]) for j in range(len(circ_ring))],
-        dtype=int,
-    )
-    cells = _orient_cells(vertices, cells)
-    normals = _orient_interface_normals(vertices, facets, center)
-    pairs = _periodic_pairs_from_coords(vertices)
-    return Mesh(
-        dim=2, vertices=vertices, cells=cells, phase=phase,
-        interface_facets=facets, interface_normals=normals, periodic_pairs=pairs,
-        inclusion_radius=radius, resolution=resolution,
-    )
+    ring = rings[k_in]
+    facets = np.stack([ring, np.roll(ring, -1)], axis=1)
+    return np.array(cells, dtype=int), np.array(phase, dtype=np.uint8), facets
 
 
-# ---------------------------------------------------------------------------
-# 3D builder
-
-
-def _surface_stations_3d(m):
-    """Lattice triples on the cube surface, deterministic order."""
-    stations = []
-    for i in range(m + 1):
-        for j in range(m + 1):
-            for k in range(m + 1):
-                if i in (0, m) or j in (0, m) or k in (0, m):
-                    stations.append((i, j, k))
-    return stations
+# corners of a unit square, counterclockwise; a hexahedron is the bottom
+# square then the top one, and its faces are quads of its corner slots
+_QUAD = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+_CUBE = np.concatenate([np.insert(_QUAD, 2, z, axis=1) for z in (0, 1)])
+_HEX_FACES = (
+    (0, 1, 2, 3), (4, 5, 6, 7),
+    (0, 1, 5, 4), (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7),
+)
 
 
 def _surface_quads_3d(m):
-    """Corner lattice triples of the 6 m^2 surface quads."""
-    quads = []
-    for axis in range(3):
-        for side in (0, m):
-            u, v = [a for a in range(3) if a != axis]
-            for i in range(m):
-                for j in range(m):
-                    corners = []
-                    for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1)):
-                        triple = [0, 0, 0]
-                        triple[axis] = side
-                        triple[u] = i + di
-                        triple[v] = j + dj
-                        corners.append(tuple(triple))
-                    quads.append(tuple(corners))
-    return quads
+    """Lattice corners (6 m^2, 4, 3) of the unit squares on the surface of
+    the m x m x m cube, face by face."""
+    squares = lattice(m, 2)[:, None] + _QUAD
+    return np.concatenate([np.insert(squares, axis, side, axis=2)
+                           for axis in range(3) for side in (0, m)])
 
 
-def _build_cell_mesh_3d(radius, resolution):
-    m, core_half, k_in, k_out = _resolution_params(radius, resolution)
-    center = np.array([0.5, 0.5, 0.5])
-
-    verts = []
-    xs = np.array([0.5 + core_half * (2.0 * t / m - 1.0) for t in range(m + 1)])
-    core_id = {}
-    for i in range(m + 1):
-        for j in range(m + 1):
-            for k in range(m + 1):
-                core_id[(i, j, k)] = len(verts)
-                verts.append((xs[i], xs[j], xs[k]))
-
-    stations = _surface_stations_3d(m)
-    station_index = {s: idx for idx, s in enumerate(stations)}
-    boundary = np.array([(i / m, j / m, k / m) for (i, j, k) in stations])
-    dirs = boundary - center
-    unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    sphere = center + radius * unit
-
-    ring0 = [core_id[s] for s in stations]
-    core_surf = np.array([verts[v] for v in ring0])
-
-    rings = [ring0]
-    _add_shell(verts, rings, core_surf, sphere, k_in)
-    _add_shell(verts, rings, sphere, boundary, k_out)
-
-    on_sphere = np.zeros(len(verts), dtype=bool)
-    on_sphere[rings[k_in]] = True
-
-    quads = _surface_quads_3d(m)
-
-    hexes = []
-    hex_phase = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                bottom = [(i, j, k), (i + 1, j, k), (i + 1, j + 1, k), (i, j + 1, k)]
-                top = [(a, b, c + 1) for (a, b, c) in bottom]
-                hexes.append([core_id[s] for s in bottom + top])
-                hex_phase.append(1)
+def _simplices_3d(vertices, rings, m, k_in, center, radius):
+    """The core cubes and the shell hexahedra between consecutive rings, each
+    split into 24 tetrahedra through its body and face centres, and the
+    interface triangles on ring ``k_in``.  Returns the vertices with the
+    centres appended."""
+    # the stations are the surface points in lattice order, so ring 0 increases
+    quads = np.searchsorted(rings[0], _lattice_index(_surface_quads_3d(m), m + 1))
+    hexes = [_lattice_index(lattice(m, 3)[:, None] + _CUBE, m + 1)]
+    hex_phase = [1] * len(hexes[0])
     for layer in range(len(rings) - 1):
-        ra, rb = rings[layer], rings[layer + 1]
-        ph = 1 if layer < k_in else 0
-        for q in quads:
-            idx = [station_index[s] for s in q]
-            hexes.append([ra[s] for s in idx] + [rb[s] for s in idx])
-            hex_phase.append(ph)
+        hexes.append(np.concatenate([rings[layer][quads], rings[layer + 1][quads]], axis=1))
+        hex_phase += [1 if layer < k_in else 0] * len(quads)
 
-    verts = [np.asarray(v, dtype=float) for v in verts]
+    on_sphere = np.zeros(len(vertices), dtype=bool)
+    on_sphere[rings[k_in]] = True
+    verts = list(vertices)
     face_center = {}
-    center_arr = center
 
     def face_center_id(face):
         key = tuple(sorted(face))
@@ -359,95 +333,51 @@ def _build_cell_mesh_3d(radius, resolution):
         if vid is None:
             pos = (verts[face[0]] + verts[face[1]] + verts[face[2]] + verts[face[3]]) / 4.0
             if all(on_sphere[f] for f in face):
-                rel = pos - center_arr
-                pos = center_arr + radius * rel / np.linalg.norm(rel)
+                rel = pos - center
+                pos = center + radius * rel / np.linalg.norm(rel)
             vid = len(verts)
             verts.append(pos)
             face_center[key] = vid
         return vid
 
-    HEX_FACES = (
-        (0, 1, 2, 3), (4, 5, 6, 7),
-        (0, 1, 5, 4), (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7),
-    )
-
     cells = []
-    phase = []
-    for h, ph in zip(hexes, hex_phase):
+    for h in np.concatenate(hexes).tolist():
         body = len(verts)
         verts.append(sum(verts[v] for v in h) / 8.0)
-        for f in HEX_FACES:
-            face = [h[f[0]], h[f[1]], h[f[2]], h[f[3]]]
+        for f in _HEX_FACES:
+            face = [h[i] for i in f]
             fc = face_center_id(face)
             for e in range(4):
                 cells.append((face[e], face[(e + 1) % 4], fc, body))
-                phase.append(ph)
 
-    vertices = np.array(verts)
-    cells = np.array(cells, dtype=int)
-    phase = np.array(phase, dtype=np.uint8)
-
-    sphere_ring = rings[k_in]
     facets = []
-    for q in quads:
-        face = [sphere_ring[station_index[s]] for s in q]
+    for face in rings[k_in][quads].tolist():
         fc = face_center[tuple(sorted(face))]
         for e in range(4):
             facets.append((face[e], face[(e + 1) % 4], fc))
-    facets = np.array(facets, dtype=int)
-
-    cells = _orient_cells(vertices, cells)
-    normals = _orient_interface_normals(vertices, facets, center)
-    pairs = _periodic_pairs_from_coords(vertices)
-    return Mesh(
-        dim=3, vertices=vertices, cells=cells, phase=phase,
-        interface_facets=facets, interface_normals=normals, periodic_pairs=pairs,
-        inclusion_radius=radius, resolution=resolution,
-    )
-
-
-def build_cell_mesh(radius, resolution, dim=2) -> Mesh:
-    """Interface-fitted mesh of the unit cell with a centered ball inclusion."""
-    if dim == 2:
-        return _build_cell_mesh_2d(radius, resolution)
-    if dim == 3:
-        return _build_cell_mesh_3d(radius, resolution)
-    raise MeshError("dimension must be 2 or 3")
+    return (np.array(verts), np.array(cells, dtype=int),
+            np.repeat(np.array(hex_phase, dtype=np.uint8), 24), np.array(facets, dtype=int))
 
 
 # ---------------------------------------------------------------------------
 # uniform macro mesh (no inclusion)
 
 
-_KUHN_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+# the 3! monotone lattice paths across a unit cube, one Kuhn tetrahedron each
+_KUHN_PATHS = np.array([[np.eye(3, dtype=int)[list(p[:k])].sum(axis=0) for k in range(4)]
+                        for p in itertools.permutations(range(3))])
 
 
 def build_uniform_mesh(resolution, dim=2) -> Mesh:
     """Uniform simplicial mesh of the unit square/cube, all matrix phase."""
     n = int(resolution)
     if dim == 2:
-        vertices = np.array([(i / n, j / n) for i in range(n + 1) for j in range(n + 1)])
         cells = _grid_triangles(n)
     elif dim == 3:
-        idx = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
-        vertices = np.array(
-            [(i / n, j / n, k / n)
-             for i in range(n + 1) for j in range(n + 1) for k in range(n + 1)]
-        )
-        cells = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    base = np.array([i, j, k])
-                    for perm in _KUHN_PERMS:
-                        path = [base.copy()]
-                        for ax in perm:
-                            nxt = path[-1].copy()
-                            nxt[ax] += 1
-                            path.append(nxt)
-                        cells.append(tuple(idx(*p) for p in path))
+        cells = _lattice_index(lattice(n, 3)[:, None, None] + _KUHN_PATHS, n + 1).reshape(-1, 4)
     else:
         raise MeshError("dimension must be 2 or 3")
+    vertices = lattice(n + 1, dim) / n
     cells = _orient_cells(vertices, np.array(cells, dtype=int))
     return Mesh(
         dim=dim, vertices=vertices, cells=cells,
@@ -463,11 +393,6 @@ def build_uniform_mesh(resolution, dim=2) -> Mesh:
 # epsilon tiling
 
 
-def _tile_offsets(n, d):
-    """The integer offset of each of the n^d tiles, the last axis fastest."""
-    return np.stack(np.meshgrid(*[np.arange(n)] * d, indexing="ij"), axis=-1).reshape(-1, d)
-
-
 def build_epsilon_mesh(cell: Mesh, eps: float) -> Mesh:
     """Tile the scaled unit cell over the unit square/cube and merge seams."""
     n = round(1.0 / eps)
@@ -477,7 +402,7 @@ def build_epsilon_mesh(cell: Mesh, eps: float) -> Mesh:
     nv, nc, nf = len(cell.vertices), len(cell.cells), len(cell.interface_facets)
     ntiles = n**d
     tiles = np.arange(ntiles)
-    all_verts = (eps * (cell.vertices + _tile_offsets(n, d)[:, None])).reshape(-1, d)
+    all_verts = (eps * (cell.vertices + lattice(n, d)[:, None])).reshape(-1, d)
 
     # seam vertices coincide bitwise by construction; merge exact duplicates,
     # numbered by first occurrence
@@ -504,7 +429,7 @@ def build_epsilon_mesh(cell: Mesh, eps: float) -> Mesh:
 
 def tile_anchors(mesh: Mesh):
     """Macro anchor point (cell corner) of each tile of an epsilon mesh."""
-    return mesh.eps * _tile_offsets(round(1.0 / mesh.eps), mesh.dim)
+    return mesh.eps * lattice(round(1.0 / mesh.eps), mesh.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -571,25 +496,17 @@ class QualityReport:
 
 
 def _aspect_ratios(mesh: Mesh):
-    v = mesh.vertices[mesh.cells]
-    nloc = mesh.dim + 1
+    """Longest edge over inscribed diameter, the inradius d |K| / (facet measures)."""
+    d = mesh.dim
     emax = np.zeros(len(mesh.cells))
-    for a in range(nloc):
-        for b in range(a + 1, nloc):
-            emax = np.maximum(emax, np.linalg.norm(v[:, a] - v[:, b], axis=1))
-    vols = np.abs(mesh.cell_volumes())
+    for a, b in itertools.combinations(range(d + 1), 2):
+        edge = mesh.vertices[mesh.cells[:, a]] - mesh.vertices[mesh.cells[:, b]]
+        emax = np.maximum(emax, np.linalg.norm(edge, axis=1))
+    area = np.zeros(len(mesh.cells))
+    for facet in itertools.combinations(range(d + 1), d):
+        area += _facet_measures(mesh.vertices, mesh.cells[:, facet])
     with np.errstate(divide="ignore", invalid="ignore"):
-        if mesh.dim == 2:
-            per = np.zeros(len(mesh.cells))
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                per += np.linalg.norm(v[:, a] - v[:, b], axis=1)
-            inradius = 2.0 * vols / per
-        else:
-            area = np.zeros(len(mesh.cells))
-            for f in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-                cr = np.cross(v[:, f[1]] - v[:, f[0]], v[:, f[2]] - v[:, f[0]])
-                area += 0.5 * np.linalg.norm(cr, axis=1)
-            inradius = 3.0 * vols / area
+        inradius = d * np.abs(mesh.cell_volumes()) / area
         return np.where(inradius > 0, emax / (2.0 * inradius), np.inf)
 
 
@@ -609,61 +526,11 @@ def mesh_quality(mesh: Mesh, degenerate_tol=1e-14) -> QualityReport:
 
 
 # ---------------------------------------------------------------------------
-# plain text and VTK output
+# VTK output
 
 
 def _fmt(x):
     return format(float(x), ".17g")
-
-
-def save_mesh(path, mesh: Mesh):
-    with open(path, "w") as f:
-        f.write(f"{mesh.dim} {len(mesh.vertices)} {len(mesh.cells)} "
-                f"{len(mesh.interface_facets)}\n")
-        for v in mesh.vertices:
-            f.write(" ".join(_fmt(c) for c in v) + "\n")
-        for c, p in zip(mesh.cells, mesh.phase):
-            f.write(" ".join(str(i) for i in c) + f" {int(p)}\n")
-        if len(mesh.interface_facets):
-            canonical = _facet_canonical_normals(mesh.vertices, mesh.interface_facets)
-            for k, fac in enumerate(mesh.interface_facets):
-                flag = 1 if np.dot(canonical[k], mesh.interface_normals[k]) > 0 else -1
-                f.write(" ".join(str(i) for i in fac) + f" {flag}\n")
-
-
-def load_mesh(path) -> Mesh:
-    with open(path) as f:
-        header = f.readline().split()
-        d, nv, nc, nf = (int(x) for x in header)
-        vertices = np.array(
-            [[float(x) for x in f.readline().split()] for _ in range(nv)]
-        )
-        cells = np.empty((nc, d + 1), dtype=int)
-        phase = np.empty(nc, dtype=np.uint8)
-        for i in range(nc):
-            row = f.readline().split()
-            cells[i] = [int(x) for x in row[:-1]]
-            phase[i] = int(row[-1])
-        facets = np.empty((nf, d), dtype=int)
-        flags = np.empty(nf)
-        for i in range(nf):
-            row = f.readline().split()
-            facets[i] = [int(x) for x in row[:-1]]
-            flags[i] = int(row[-1])
-    mesh = Mesh(
-        dim=d, vertices=vertices, cells=cells, phase=phase,
-        interface_facets=facets,
-        interface_normals=np.zeros((nf, d)),
-        periodic_pairs=np.zeros((0, 2), dtype=int),
-    )
-    if nf:
-        canonical = _facet_canonical_normals(vertices, facets)
-        mesh.interface_normals = canonical * flags[:, None]
-    try:
-        mesh.periodic_pairs = _periodic_pairs_from_coords(vertices)
-    except MeshError:
-        pass  # imported meshes need not tile periodically
-    return mesh
 
 
 _VTK_CELL_TYPE = {2: 5, 3: 10}  # triangle, tetrahedron

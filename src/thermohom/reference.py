@@ -42,7 +42,7 @@ from .kinematics import (
 )
 from .cell import CellContext
 from .effective import EffectiveProvider
-from .mesh import build_epsilon_mesh, build_uniform_mesh, tile_anchors
+from .mesh import build_epsilon_mesh, build_uniform_mesh, lattice, tile_anchors
 from .twoscale import (BundleError, FixedPointError, SolverSettings, TwoScaleSolver,
                        time_levels)
 
@@ -516,8 +516,7 @@ def _compare_one(sol: EpsilonSolution, hom_solver, hom_states) -> CompareRow:
     micro_ids = ctx.sub_b.vertex_map[cell_vertex]
     # the host nearest to the centre of each tile
     n = round(1.0 / sol.eps)
-    tiles = np.stack(np.unravel_index(np.arange(n**d), (n,) * d), axis=-1)
-    offsets = hom_solver.host_points - ((tiles + 0.5) * sol.eps)[:, None]
+    offsets = hom_solver.host_points - ((lattice(n, d) + 0.5) * sol.eps)[:, None]
     host_ids = np.argmin(np.einsum("tid,tid->ti", offsets, offsets), axis=1)[
         mesh.cell_tile[source]]
 

@@ -364,6 +364,30 @@ class TestTransformationTable:
                            r"times must increase strictly$"):
             load_transformation_table(str(table))
 
+    def test_wrong_dimension_named(self, tmp_path, capsys):
+        from thermohom.config import save_transformation_table
+        from thermohom.kinematics import PolynomialAmplitude, RadialGrowth
+
+        tables = {}
+        for d in (2, 3):
+            tr = RadialGrowth(dim=d, inclusion_radius=0.25,
+                              amplitude=PolynomialAmplitude((0.0, 0.2)))
+            tables[d] = tmp_path / f"motion{d}.tbl"
+            save_transformation_table(str(tables[d]), tr, [0.0, 1.0], [np.full(d, 0.5)], 5)
+        text = BASE.format(out=tmp_path).replace(
+            "family = identity", f"family = tabulated\ntable_path = {tables[3]}")
+        cfg = write_cfg(tmp_path, text, name="tab.cfg")
+        for sub in ("macro", "checks"):
+            assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1
+            assert (f"ConfigError: transformation table {tables[3]}: dimension 3 does not "
+                    f"match [run] dimension = 2") in capsys.readouterr().err
+
+        text = text.replace(str(tables[3]), str(tables[2])).replace(
+            "dimension = 2", "dimension = 3").replace("0.5 1 1", "0.5 1 1 1")
+        with pytest.raises(ConfigError, match=rf"^transformation table {tables[2]}: "
+                           r"dimension 2 does not match \[run\] dimension = 3$"):
+            parse_config(write_cfg(tmp_path, text, name="tab3.cfg")).transformation()
+
     def test_micro_runs_on_two_anchor_table(self, tmp_path):
         from thermohom.config import save_transformation_table
         from thermohom.kinematics import PolynomialAmplitude, RadialGrowth

@@ -8,9 +8,7 @@ from thermohom.mesh import (
     build_epsilon_mesh,
     build_uniform_mesh,
     extract_phase_submesh,
-    load_mesh,
     mesh_quality,
-    save_mesh,
     write_vtk,
 )
 
@@ -23,6 +21,29 @@ def cell16():
 @pytest.fixture(scope="module")
 def cell3d():
     return build_cell_mesh(0.25, 8, dim=3)
+
+
+def facet_cells(mesh):
+    """The cells on each side of every interface facet."""
+    cells_of = {}
+    for ci, c in enumerate(mesh.cells):
+        for drop in range(mesh.dim + 1):
+            cells_of.setdefault(tuple(sorted(np.delete(c, drop))), []).append(ci)
+    return [cells_of[tuple(sorted(fac))] for fac in mesh.interface_facets]
+
+
+def assert_facets_separate_phases(mesh):
+    for adj in facet_cells(mesh):
+        assert len(adj) == 2
+        assert sorted(mesh.phase[adj]) == [0, 1]
+
+
+def assert_normals_point_into_matrix(mesh):
+    centroids = mesh.facet_centroids()
+    for k, adj in enumerate(facet_cells(mesh)):
+        a_cell = adj[0] if mesh.phase[adj[0]] == 0 else adj[1]
+        toward_a = mesh.vertices[mesh.cells[a_cell]].mean(axis=0) - centroids[k]
+        assert np.dot(mesh.interface_normals[k], toward_a) > 0.0
 
 
 class TestCellMesh2D:
@@ -44,29 +65,10 @@ class TestCellMesh2D:
         assert abs(a + b - 1.0) < 1e-10
 
     def test_every_facet_separates_phases(self, cell16):
-        edge_cells = {}
-        for ci, c in enumerate(cell16.cells):
-            for drop in range(3):
-                e = tuple(sorted(np.delete(c, drop)))
-                edge_cells.setdefault(e, []).append(ci)
-        for fac in cell16.interface_facets:
-            adj = edge_cells[tuple(sorted(fac))]
-            assert len(adj) == 2
-            phases = sorted(cell16.phase[adj])
-            assert phases == [0, 1]
+        assert_facets_separate_phases(cell16)
 
     def test_normals_point_from_inclusion_into_matrix(self, cell16):
-        edge_cells = {}
-        for ci, c in enumerate(cell16.cells):
-            for drop in range(3):
-                e = tuple(sorted(np.delete(c, drop)))
-                edge_cells.setdefault(e, []).append(ci)
-        centroids = cell16.facet_centroids()
-        for k, fac in enumerate(cell16.interface_facets):
-            adj = edge_cells[tuple(sorted(fac))]
-            a_cell = adj[0] if cell16.phase[adj[0]] == 0 else adj[1]
-            toward_a = cell16.vertices[cell16.cells[a_cell]].mean(axis=0) - centroids[k]
-            assert np.dot(cell16.interface_normals[k], toward_a) > 0.0
+        assert_normals_point_into_matrix(cell16)
 
     def test_periodic_pairs_are_unit_translations(self, cell16):
         pairs = cell16.periodic_pairs
@@ -117,6 +119,20 @@ class TestCellMesh3D:
         delta = cell3d.vertices[pairs[:, 0]] - cell3d.vertices[pairs[:, 1]]
         assert np.max(np.abs(delta - np.round(delta))) < 1e-12
 
+    def test_every_facet_separates_phases(self, cell3d):
+        assert_facets_separate_phases(cell3d)
+
+    def test_normals_point_from_inclusion_into_matrix(self, cell3d):
+        assert_normals_point_into_matrix(cell3d)
+
+    def test_too_coarse_raises(self):
+        with pytest.raises(MeshError):
+            build_cell_mesh(0.45, 4, dim=3)
+
+    def test_dimension_four_raises(self):
+        with pytest.raises(MeshError, match="dimension must be 2 or 3"):
+            build_cell_mesh(0.25, 8, dim=4)
+
 
 class TestEpsilonMesh:
     def test_tiling_counts(self, cell16):
@@ -165,6 +181,14 @@ class TestQuality:
         assert np.isclose(rep.min_aspect, expected)
         assert np.isclose(rep.max_aspect, expected)
 
+    def test_kuhn_tetrahedron_aspect(self):
+        rep = mesh_quality(build_uniform_mesh(2, dim=3))
+        # every Kuhn tetrahedron has edges h, h sqrt 2, h sqrt 3 and faces of
+        # total area h^2 (1 + sqrt 2), so an inradius of h / (2 (1 + sqrt 2))
+        expected = np.sqrt(3.0) * (1.0 + np.sqrt(2.0))
+        assert np.isclose(rep.min_aspect, expected)
+        assert np.isclose(rep.max_aspect, expected)
+
     def test_degenerate_cell_flagged(self, cell16):
         import copy
 
@@ -187,16 +211,6 @@ class TestUniformMesh:
 
 
 class TestIO:
-    def test_roundtrip(self, tmp_path, cell16):
-        path = tmp_path / "cell.msh"
-        save_mesh(path, cell16)
-        back = load_mesh(path)
-        assert np.allclose(back.vertices, cell16.vertices)
-        assert np.array_equal(back.cells, cell16.cells)
-        assert np.array_equal(back.phase, cell16.phase)
-        assert np.allclose(back.interface_normals, cell16.interface_normals)
-        assert len(back.periodic_pairs) == len(cell16.periodic_pairs)
-
     def test_vtk_export(self, tmp_path, cell16):
         path = tmp_path / "cell.vtk"
         write_vtk(path, cell16, point_data={"temp": np.zeros(len(cell16.vertices))})
