@@ -1,12 +1,15 @@
 """Homogenized coefficients assembled from cell correctors and kinematics.
 
-Every quantity is a plain (t, x)-sample; the provider caches correctors and
-coefficient bundles keyed by the transformation's own sample key, so macro
-sweeps over many quadrature points reuse one cell solve whenever the growth
-amplitude does not vary in x.  Bundles are built in batches: every uncached
-key of a request (:meth:`EffectiveProvider.at_points`) goes through one
-batched pull-back, corrector build and effective assembly with a leading key
-axis; a single :meth:`EffectiveProvider.at` is the batch of one.
+Every quantity is a plain (t, x)-sample.  The cell problems see (t, x) only
+through the deformed cell (F and J), so the provider caches the correctors
+and every volume-integral quantity by the transformation's geometry key; the
+interface fields, which read the cell velocity, are taken per sample key.
+Macro sweeps over many quadrature points thus reuse one cell solve whenever
+the deformation does not vary in x, as at t = 0, where every map is the
+identity.  Bundles are built in batches: every uncached key of a request
+(:meth:`EffectiveProvider.at_points`) goes through one batched pull-back,
+corrector build and effective assembly with a leading key axis; a single
+:meth:`EffectiveProvider.at` is the batch of one.
 """
 
 from __future__ import annotations
@@ -88,12 +91,13 @@ def _vector_gradients(space, fields):
     return np.einsum("...eia,eib->...eab", nodal, space.gradients)
 
 
-def compute_effective(ctx: CellContext, correctors, t, xs, fields=None,
-                      latent_in_source=True):
-    """Every geometry-derived effective quantity at the (k, d) macro points
+def compute_effective(ctx: CellContext, correctors, t, xs, fields=None):
+    """Every volume-integral effective quantity at the (k, d) macro points
     xs, from their :class:`Correctors` (one per point) and ``fields``
     (:meth:`CellContext.matrix_fields` of xs): a dict of arrays with a
-    leading key axis.  Sources are not included; they depend on t alone."""
+    leading key axis.  These depend on F and J alone.  Neither the interface
+    fields (:meth:`EffectiveProvider._coefficients`) nor the sources, which
+    depend on t alone, are included."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     fields = fields if fields is not None else ctx.matrix_fields(t, xs)
     space, d = ctx.space_a, ctx.dim
@@ -140,26 +144,33 @@ def compute_effective(ctx: CellContext, correctors, t, xs, fields=None,
             dissipation[:, jj, j] += coupling[:, v]
     inclusion_measure = ctx.inclusion_measure(t, xs)
     dissipation += mat.dissipation_b * inclusion_measure[:, None, None] * np.eye(d)
-
-    # curvature force density: surface integral of the pulled-back stress
-    # normal; interface speed: the surface integral of J W
-    speed, stress = key_interface(ctx.transformation, t, xs, ctx.facet_centroids,
-                                  ctx.facet_normals, mat.surface_tension)
-    curvature_force = np.einsum("kfa,f->ka", stress, ctx.facet_areas)
-    interface_speed = np.einsum("kf,f->k", speed, ctx.facet_areas)
-
     return dict(stiffness=stiffness, expansion=expansion, conductivity=conductivity,
                 heat_capacity=heat_capacity, dissipation=dissipation,
-                curvature_force=curvature_force,
-                latent_source=(mat.latent_heat if latent_in_source else 1.0)
-                * interface_speed,
-                interface_speed=interface_speed, matrix_measure=matrix_measure,
-                inclusion_measure=inclusion_measure,
+                matrix_measure=matrix_measure, inclusion_measure=inclusion_measure,
                 voigt_bound=np.einsum("keab,e->kab", Kbar, vols))
 
 
+def _rows(arrays):
+    """One dict per key of a dict of arrays with a leading key axis; the
+    entries of 1-d arrays as floats."""
+    k = len(next(iter(arrays.values())))
+    return [{name: float(a[i]) if a.ndim == 1 else a[i] for name, a in arrays.items()}
+            for i in range(k)]
+
+
 class EffectiveProvider:
-    """Caches correctors and effective bundles keyed by the transformation sample."""
+    """Caches the effective coefficients in two levels of keys.
+
+    The correctors and the volume-integral quantities
+    (:func:`compute_effective`) see the cell only through F and J; they are
+    solved once per geometry key (``geometry``, a :class:`LevelCache` of the
+    transformation's ``geometry_key``).  The interface fields (speed, latent
+    source, curvature force: :func:`~thermohom.kinematics.key_interface`)
+    read the cell velocity, so each sample key takes its own, and its bundle
+    joins them to its geometry's (``cache``, keyed by ``sample_key``).  At
+    t = 0 every map is the identity, so a graded amplitude's many sample
+    keys share one cell solve.
+    """
 
     def __init__(self, ctx: CellContext, sources=None, latent_in_source=True,
                  solver_tol=1e-10):
@@ -169,10 +180,11 @@ class EffectiveProvider:
         self.latent_in_source = latent_in_source
         self.solver_tol = solver_tol
         self.cache = LevelCache()
+        self.geometry = LevelCache()
 
     def _bundles(self, t, xs, keys):
         """Geometry-derived quantities of the points xs with sample keys
-        ``keys``, cached by key; the uncached keys are built in batches.
+        ``keys``, cached by sample key; the uncached keys are built in batches.
 
         Within one key the kinematic fields, correctors, and every effective
         quantity except the time-dependent sources are identical.
@@ -182,13 +194,31 @@ class EffectiveProvider:
             "the effective coefficients"))
 
     def _coefficients(self, t, xs):
+        """The bundles of the (k, d) macro points xs, one sample key each:
+        their geometries' (built for the geometry keys not cached) and their
+        own interface fields."""
+        ctx, tr = self.ctx, self.ctx.transformation
+        geometry = self.geometry.get_many(
+            t, [tr.geometry_key(t, x) for x in xs], lambda missing: self._geometry(
+                t, xs[missing]))
+        # curvature force density: surface integral of the pulled-back stress
+        # normal; interface speed: the surface integral of J W
+        speed, stress = key_interface(tr, t, xs, ctx.facet_centroids, ctx.facet_normals,
+                                      ctx.material.surface_tension)
+        interface_speed = np.einsum("kf,f->k", speed, ctx.facet_areas)
+        latent = ctx.material.latent_heat if self.latent_in_source else 1.0
+        interface = _rows(dict(curvature_force=np.einsum("kfa,f->ka", stress, ctx.facet_areas),
+                               latent_source=latent * interface_speed,
+                               interface_speed=interface_speed))
+        return [dict(g, **f) for g, f in zip(geometry, interface, strict=True)]
+
+    def _geometry(self, t, xs):
+        """The correctors and volume-integral quantities of the (k, d) macro
+        points xs, one geometry key each."""
         fields = self.ctx.matrix_fields(t, xs)
         cors = solve_correctors_batch(self.ctx, t, xs, tol=self.solver_tol, fields=fields)
-        eff = compute_effective(self.ctx, cors, t, xs, fields=fields,
-                                latent_in_source=self.latent_in_source)
-        return [dict(correctors=c, **{name: float(a[i]) if a.ndim == 1 else a[i]
-                                      for name, a in eff.items()})
-                for i, c in enumerate(cors)]
+        eff = _rows(compute_effective(self.ctx, cors, t, xs, fields=fields))
+        return [dict(e, correctors=c) for c, e in zip(cors, eff, strict=True)]
 
     def _bundle(self, t, x, key=None):
         x = np.asarray(x, dtype=float)
@@ -197,7 +227,8 @@ class EffectiveProvider:
         return self._bundles(t, x[None], [key])[0]
 
     def correctors(self, t, x):
-        """The cell :class:`Correctors` at (t, x)."""
+        """The cell :class:`Correctors` at (t, x), shared by every point of
+        x's geometry (their ``x`` is the first such point built)."""
         return self._bundle(t, x)["correctors"]
 
     def at_points(self, t, xs):

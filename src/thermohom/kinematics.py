@@ -17,7 +17,11 @@ for them per transformation sample key, on k copies of the cell's points
 (:func:`key_points`): the volume coefficients at the quadrature points of a
 phase (:func:`key_fields`, one :func:`pullback_fields` per batch of keys)
 and the interface fields at the facet centroids (:func:`key_interface`, one
-:func:`interface_batch` per batch of keys).
+:func:`interface_batch` per batch of keys).  Each family also names the part
+of its sample key that fixes F and J, its ``geometry_key``: the cell
+problems and the micro maps without a time step read nothing else, so they
+are cached by it, while whatever reads the cell velocity is cached by the
+sample key (:class:`LevelCache`).
 
 Conventions: the unit cell is ``[0, 1]^d``, the reference inclusion is the
 ball of radius ``inclusion_radius`` around the cell center, and interface
@@ -192,6 +196,11 @@ class RadialGrowth:
         gdot = float(self.amplitude.rate(t, x))
         return ("radial_growth", round(g, 12), round(gdot, 12))
 
+    def geometry_key(self, t, x):
+        """The part of the sample key that fixes F and J: the amplitude g.
+        Its rate moves only the cell velocity."""
+        return ("radial_growth", round(float(self.amplitude.value(t, x)), 12))
+
     def map_points(self, t, x, y):
         y = _check_cell_points(y, self.dim)
         rel = y - self.center
@@ -305,6 +314,9 @@ class TabulatedTransform:
 
     def sample_key(self, t, x):
         return ("tabulated", round(float(t), 12), int(self._anchor_index(x)[0]))
+
+    # F and v difference the same table slice, so the sample fixes the geometry
+    geometry_key = sample_key
 
     def _time_weights(self, t):
         t = float(np.clip(t, self.times[0], self.times[-1]))
@@ -652,27 +664,49 @@ def key_interface(tr, t, xs, y, n0, tension):
     return (J * W).reshape(k, -1), stress.reshape(k, -1, stress.shape[1])
 
 
-def sample_key_groups(tr, t, points):
-    """Which points share a transformation sample key at time t, from one
-    ``sample_key`` call per point: ``(first, of)``, where ``first[k]`` is the
-    index of the first point with the k-th distinct key (keys numbered in
-    order of first appearance) and ``of[i]`` is the key number of point i."""
-    keys = {}
-    of = np.array([keys.setdefault(tr.sample_key(t, x), len(keys)) for x in points], dtype=int)
+def key_groups(keys):
+    """Which entries of ``keys`` are equal: ``(first, of)``, where
+    ``first[k]`` is the index of the first entry with the k-th distinct key
+    (keys numbered in order of first appearance) and ``of[i]`` is the key
+    number of entry i."""
+    number = {}
+    of = np.array([number.setdefault(key, len(number)) for key in keys], dtype=int)
     return np.unique(of, return_index=True)[1], of
 
 
+def sample_key_groups(tr, t, points):
+    """The :func:`key_groups` of the points' transformation sample keys at
+    time t, from one ``sample_key`` call per point."""
+    return key_groups([tr.sample_key(t, x) for x in points])
+
+
 class LevelCache:
-    """Values keyed by transformation sample key, for the two most recent
-    time levels (the current step pair).
+    """Values keyed by a transformation key (a sample or a geometry key),
+    for the two most recent time levels (the current step pair).
 
     A key cached at the other level is reused, so a static geometry builds
     once.  ``valid`` may reject a cached value that does not fit the
-    request; it is then rebuilt.
+    request; it is then rebuilt.  ``hits`` and ``misses`` count the distinct
+    keys of every request that were found and that were built.
     """
 
     def __init__(self):
-        self.levels = {}         # time level -> {sample key: value}
+        self.levels = {}         # time level -> {key: value}
+        self.hits = self.misses = 0
+
+    def _level(self, t):
+        """The values of time level t; a new level drops every level but the
+        most recently opened one."""
+        level = round(float(t), 12)
+        if level not in self.levels:
+            self.levels = dict(list(self.levels.items())[-1:])
+            self.levels[level] = {}
+        return self.levels[level]
+
+    def put(self, t, key, value):
+        """File ``value`` under ``key`` at time t as well: one value may sit
+        under several keys."""
+        self._level(t)[key] = value
 
     def get(self, t, key, build, valid=None):
         """The value of ``key`` at time t; ``build()`` makes it on a miss."""
@@ -681,13 +715,8 @@ class LevelCache:
     def get_many(self, t, keys, build, valid=None):
         """The value of each of ``keys`` at time t; ``build(missing)`` makes
         the values of the keys that miss in one call, given the position in
-        ``keys`` of each one's first occurrence.  A new time level drops
-        every level but the most recently opened one."""
-        level = round(float(t), 12)
-        if level not in self.levels:
-            self.levels = dict(list(self.levels.items())[-1:])
-            self.levels[level] = {}
-        current = self.levels[level]
+        ``keys`` of each one's first occurrence."""
+        current = self._level(t)
         first = {}
         for i, key in enumerate(keys):
             first.setdefault(key, i)
@@ -699,6 +728,8 @@ class LevelCache:
             if value is not None and (valid is None or valid(value)):
                 found[key] = value
         missing = [i for key, i in first.items() if key not in found]
+        self.hits += len(found)
+        self.misses += len(missing)
         if missing:
             found.update(zip((keys[i] for i in missing), build(missing), strict=True))
         current.update(found)

@@ -11,7 +11,8 @@ macro balance).
 The micro state is three host-indexed arrays (inclusion temperatures,
 deformations and heat contents); :class:`MicroModel` works on blocks of the
 hosts that share a transformation sample key, a grouping made once per time
-level (:meth:`TwoScaleSolver.level`) and read by every use of the keys.
+level (:meth:`TwoScaleSolver.level`) and read by every use of the keys; its
+initial states take the coarser blocks of one geometry key.
 
 Time stepping is implicit Euler, and each step is solved exactly.  Within a
 step the whole system is linear, and every inclusion problem is driven only
@@ -55,6 +56,7 @@ from .kinematics import (  # noqa: F401  (BundleError: re-exported)
     LevelCache,
     build_batched,
     key_fields,
+    key_groups,
     sample_key_groups,
     zero_sources,
 )
@@ -112,16 +114,22 @@ class MicroModel:
     transposed coupling form of gamma), ``mech = [-G, E]`` on the
     interior mechanics rows (thermal-stress coupling and elasticity),
     ``content``, the weights ``rho c int J phi_i`` (all rows), and the unit
-    source loads ``l_J`` and ``L_J``.  :meth:`initial_states` factors each
-    key's ``E[Iv, Iv]`` in symmetric mode (:class:`~thermohom.fem.Factor`)
-    for its block solve only.  With the dt of the step ending at its level a
-    bundle also holds the LU of the coupled interior block
+    source loads ``l_J`` and ``L_J``.  These maps see the host only through
+    the deformed cell (F and J), so a bundle without dt is cached by the
+    transformation's geometry key; at t = 0 every map is the identity and
+    all hosts share one.  :meth:`initial_states` factors each geometry's
+    ``E[Iv, Iv]`` in symmetric mode (:class:`~thermohom.fem.Factor`) for its
+    block solve only.  With the dt of the step ending at its level a bundle
+    also holds the LU of the coupled interior block
 
         K = [[H_II, (S/dt + A)[I, Iv]], [-G[Iv, I], E[Iv, Iv]]],
         H = M_c/dt + N + A_K  (A: the advective dissipation map),
 
     the response ``W`` of its unknowns to unit traces (theta, then u; 1 + d
-    columns) and ``c_tr``, the content after the step per unit trace.
+    columns) and ``c_tr``, the content after the step per unit trace.  ``K``
+    reads the cell velocity through N and A, so a bundle with dt is cached
+    by the sample key, and filed under its geometry key as well: the
+    lookups without dt of a step's old level find it there.
 
     Bundles are built in batches: :meth:`level_bundles` pulls back the
     coefficients of every uncached key of a level together, takes each
@@ -134,10 +142,11 @@ class MicroModel:
     A host's unknowns after the step are ``w0 + W tau``: ``w0`` solves ``K``
     against the previous state and the sources with zero traces, and tau
     holds the host's traces.  Given each level's :func:`sample_key_groups`
-    of the hosts, :meth:`initial_states` solves the hosts of each key as one
-    block, :meth:`responses` gets ``w0`` with one block solve per pair of
-    old- and new-level keys, and :meth:`step` completes one host's map with
-    the bundle of its new key, without a solve; no host evaluates its key.
+    of the hosts, :meth:`initial_states` solves the hosts of each geometry
+    as one block, :meth:`responses` gets ``w0`` with one block solve per
+    pair of old- and new-level sample keys, and :meth:`step` completes one
+    host's map with the bundle of its new key, without a solve; no host
+    evaluates its key.
     Sources are the unit loads scaled by ``sources(t)`` at the t of each
     call, so one bundle serves every t of a static geometry.  The cache
     keeps the bundles of the current step pair.  A bundle that cannot be
@@ -191,30 +200,42 @@ class MicroModel:
         )
         self.cache = LevelCache()
 
+    def _key(self, t, x, dt):
+        """The key of x's bundle at t: its sample key with dt, else its
+        geometry key."""
+        tr = self.ctx.transformation
+        return (tr.geometry_key if dt is None else tr.sample_key)(t, x)
+
     def bundle(self, t, x, dt=None, key=None):
         """The maps of the micro step at (t, x); with dt, also the coupled
         factorization of an implicit-Euler step of length dt ending at t.  A
         cached bundle without that factorization is rebuilt.  ``key`` is x's
-        sample key at t where the caller has it."""
+        key at t (:meth:`_key`) where the caller has it."""
         x = np.asarray(x, dtype=float)
         if key is None:
-            key = self.ctx.transformation.sample_key(t, x)
+            key = self._key(t, x, dt)
         return self._bundles(t, x[None], [key], dt)[0]
 
     def level_bundles(self, t, xs, groups, dt=None):
-        """The bundle of each sample key of ``groups`` (the
-        :func:`sample_key_groups` of xs at t), fetched at the key's first
+        """The bundle of each group of ``groups`` (a :func:`key_groups` of xs
+        at t, each group of one :meth:`_key`), fetched at the group's first
         point; the keys missing from the cache are built in one batched pass."""
         first = groups[0]
-        keys = [self.ctx.transformation.sample_key(t, xs[i]) for i in first]
+        keys = [self._key(t, xs[i], dt) for i in first]
         self._bundles(t, xs[first], keys, dt)
         return [self.bundle(t, xs[i], dt, key) for i, key in zip(first, keys)]
 
     def _bundles(self, t, xs, keys, dt):
+        def build(missing):
+            bundles = build_batched(lambda t, chunk: self._maps(t, chunk, dt), t,
+                                    xs[missing], len(self.space.cells), "the micro bundle")
+            if dt is not None:      # it serves the lookups without dt of its geometry
+                for x, b in zip(xs[missing], bundles):
+                    self.cache.put(t, self._key(t, x, None), b)
+            return bundles
+
         valid = None if dt is None else (lambda b: b["dt"] == round(float(dt), 14))
-        return self.cache.get_many(t, keys, lambda missing: build_batched(
-            lambda t, chunk: self._maps(t, chunk, dt), t, xs[missing],
-            len(self.space.cells), "the micro bundle"), valid)
+        return self.cache.get_many(t, keys, build, valid)
 
     def _maps(self, t, xs, dt):
         """The bundles of the (k, d) macro points xs at t, built together."""
@@ -264,8 +285,9 @@ class MicroModel:
 
     def initial_states(self, t, xs, groups, traces_theta, traces_u, theta_fields=None):
         """Consistent micro state arrays (theta, u, content) of the hosts at
-        xs, grouped by key at t: the given temperatures (default: the trace)
-        with the trace rows overwritten, and the quasi-static deformation."""
+        xs, grouped by sample key at t (``groups``): the given temperatures
+        (default: the trace) with the trace rows overwritten, and the
+        quasi-static deformation, one block solve per geometry."""
         n, ns = len(xs), self.space.n_scalar
         theta = np.repeat(traces_theta[:, None], ns, axis=1) if theta_fields is None \
             else np.array(theta_fields, dtype=float)
@@ -274,6 +296,10 @@ class MicroModel:
         u[:, self.boundary_vector] = np.tile(traces_u, len(self.boundary_nodes))
         content = np.empty(n)
         _, f_u_b, _, _ = self.sources(t)
+        # the hosts of one geometry, over all of its sample keys, are one block
+        first, of = groups
+        geometry = key_groups([self._key(t, xs[i], None) for i in first])
+        groups = (first[geometry[0]], geometry[1][of])
         for k, b in enumerate(self.level_bundles(t, xs, groups)):
             hosts = np.flatnonzero(groups[1] == k)
             # not kept with the bundle: steps solve with K

@@ -7,6 +7,7 @@ from thermohom.fem import P1Space
 from thermohom.kinematics import (
     IdentityTransform,
     InadmissibleTransformError,
+    LevelCache,
     MaterialParams,
     PolynomialAmplitude,
     QuinticCutoff,
@@ -15,6 +16,7 @@ from thermohom.kinematics import (
     default_material,
     interface_batch,
     isotropic_stiffness,
+    key_groups,
     mandel_matrix,
     pullback_fields,
     sample_key_groups,
@@ -23,7 +25,7 @@ from thermohom.kinematics import (
     PHASE_A,
     PHASE_B,
 )
-from thermohom.mesh import build_cell_mesh
+from thermohom.mesh import build_cell_mesh, build_uniform_mesh
 
 
 def radial_growth(dim=2, coeffs=(0.0, 0.1), r=0.25, margin=0.1):
@@ -466,6 +468,25 @@ class TestScalarAmplitude:
         keys = assert_groups_match_keys(tab, dt, hosts)
         assert {k[2] for k in keys} == {0, 1}
 
+    def test_geometry_keys_on_graded_hosts(self):
+        # the geometry key drops the rate: at t = 0 every map is the identity,
+        # later the amplitude alone separates the sample keys' geometries
+        amp = PolynomialAmplitude((0.0, 0.1), (0.5, 0.25))
+        tr = RadialGrowth(dim=2, inclusion_radius=0.25, amplitude=amp)
+        hosts = P1Space(build_uniform_mesh(8, dim=2)).qpoints.reshape(-1, 2)
+        for t in (0.0, 0.05, 0.1):
+            first, of = sample_key_groups(tr, t, hosts)
+            geometry = key_groups([tr.geometry_key(t, x) for x in hosts])
+            for x in hosts[:5]:
+                assert tr.geometry_key(t, x) == tr.sample_key(t, x)[:2]
+            if t == 0.0:
+                assert len(first) == 129 and len(geometry[0]) == 1
+            else:
+                assert np.array_equal(geometry[0], first)
+                assert np.array_equal(geometry[1], of)
+        static = IdentityTransform(dim=2)
+        assert static.geometry_key(0.3, hosts[0]) == ("radial_growth", 0.0)
+
     @pytest.mark.parametrize("coeffs", [(0.0, 0.1), (0.0, 0.3, -0.2, 0.05, 0.01)])
     def test_bitwise_equal_to_numpy_formula(self, coeffs):
         amp = PolynomialAmplitude(coeffs, (0.5, -0.25))
@@ -476,3 +497,28 @@ class TestScalarAmplitude:
                 g, gdot = _numpy_amplitude(amp, t, x)
                 assert np.array_equal(amp.value(t, x), g)
                 assert np.array_equal(amp.rate(t, x), gdot)
+
+
+class TestLevelCache:
+    def test_hits_and_misses_count_distinct_keys(self):
+        cache, built = LevelCache(), []
+
+        def build(missing):
+            built.append(list(missing))
+            return [f"value {i}" for i in missing]
+
+        assert cache.get_many(0.0, ["a", "b", "a"], build) == ["value 0", "value 1", "value 0"]
+        assert (cache.hits, cache.misses) == (0, 2)
+        # a key cached at the other level is reused; a value the request
+        # rejects is built again
+        cache.get_many(0.1, ["a", "c"], build)
+        assert (cache.hits, cache.misses) == (1, 3)
+        cache.get_many(0.1, ["a", "c"], build, valid=lambda v: v != "value 1")
+        assert (cache.hits, cache.misses) == (2, 4)
+        assert built == [[0, 1], [1], [1]]
+        cache.put(0.1, "d", "filed")
+        assert cache.get(0.1, "d", lambda: "built") == "filed"
+        assert (cache.hits, cache.misses) == (3, 4)
+        # a new level drops every level but the most recently opened one
+        cache.get(0.2, "a", lambda: "built")
+        assert sorted(cache.levels) == [0.1, 0.2]

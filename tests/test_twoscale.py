@@ -1,4 +1,5 @@
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,12 @@ from thermohom import twoscale
 from thermohom.cell import CellContext
 from thermohom.config import TableSource, parse_config
 from thermohom.effective import EffectiveProvider
-from thermohom.fem import SolverError
+from thermohom.fem import Factor, SolverError
 from thermohom.kinematics import (
     IdentityTransform,
     PolynomialAmplitude,
     RadialGrowth,
+    TabulatedTransform,
     default_material,
     sample_key_groups,
 )
@@ -248,6 +250,8 @@ class TestRunLoop:
                             lambda fields: calls.append(fields) or build(fields))
         states = solver.run(0.15, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
         assert len(states) == 4 and len(calls) == len(states)   # steps + 1
+        # each step builds its new level and finds its old one
+        assert (solver._levels.misses, solver._levels.hits) == (len(states), len(states) - 1)
 
     def test_deterministic_rerun(self):
         mat = default_material(2)
@@ -462,6 +466,21 @@ class CountingLU:
         return self.lu.solve(rhs, *args, **kwargs)
 
 
+def standard_solver(slope, steps, wrap=lambda tr: tr):
+    """standard.cfg with ``amplitude_x_slope = slope`` and t_final after
+    ``steps`` steps: the config and its solver, whose transformation is
+    ``wrap`` of the config's."""
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "standard.cfg")
+    cfg.amplitude_x_slope, cfg.t_final = slope, steps * cfg.dt
+    ctx = CellContext(build_cell_mesh(cfg.radius, cfg.cell_resolution), cfg.material(),
+                      wrap(cfg.transformation()))
+    provider = EffectiveProvider(ctx, sources=cfg.sources(),
+                                 latent_in_source=cfg.latent_heat_in_weff,
+                                 solver_tol=cfg.corrector_tol)
+    return cfg, TwoScaleSolver(build_uniform_mesh(cfg.macro_resolution), provider,
+                               cfg.settings())
+
+
 @pytest.fixture(scope="module", params=[((), 1200), ((0.5, 0.25), 2700)],
                 ids=["standard", "x_slope"])
 def standard_run(request):
@@ -470,13 +489,8 @@ def standard_run(request):
     LU wrapped in a :class:`CountingLU`: the solver, the transformation, the
     states, the LU solves of each step and the sample-key call bound."""
     slope, bound = request.param
-    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "standard.cfg")
-    cfg.amplitude_x_slope, cfg.t_final = slope, 2 * cfg.dt
-    tr = CountingTransform(cfg.transformation())
-    ctx = CellContext(build_cell_mesh(cfg.radius, cfg.cell_resolution), cfg.material(), tr)
-    provider = EffectiveProvider(ctx, sources=cfg.sources())
-    solver = TwoScaleSolver(build_uniform_mesh(cfg.macro_resolution), provider,
-                            cfg.settings())
+    cfg, solver = standard_solver(slope, 2, CountingTransform)
+    tr = solver.provider.ctx.transformation
     log, inside_step, solves = [], [], []
     maps, step = MicroModel._maps, MicroModel.step
 
@@ -526,3 +540,118 @@ class TestMicroSolves:
             pairs = len(np.unique(old[1] * len(new[0]) + new[1]))
             assert len(solves[k]) == pairs < solver.n_hosts
             assert not any(solves[k])
+
+
+@pytest.fixture(scope="module")
+def graded_run():
+    """A 3-step standard.cfg run with the x slope (129 sample keys per time
+    level, all of one geometry at t = 0): the solver, the states, the
+    :class:`~thermohom.fem.Factor` counts of each level by the prefix of
+    their ``where`` and every ``MicroModel._maps`` batch as (t, dt, keys)."""
+    cfg, solver = standard_solver((0.5, 0.25), 3)
+    factors, maps = [Counter()], []
+    factor, build = Factor.__init__, MicroModel._maps
+
+    def counted_factor(self, A, where, spd=False):
+        factors[-1][where.split(" at ")[0]] += 1
+        factor(self, A, where, spd)
+
+    def counted_maps(self, t, xs, dt):
+        maps.append((t, dt, len(xs)))
+        return build(self, t, xs, dt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Factor, "__init__", counted_factor)
+        mp.setattr(MicroModel, "_maps", counted_maps)
+        states = solver.run(cfg.t_final, cfg.dt, cfg.theta0_profile(),
+                            observer=lambda state: factors.append(Counter()))
+    return solver, states, factors[:-1], maps
+
+
+class TestGeometryKeys:
+    """The cell problems and the micro maps without dt see (t, x) only
+    through the deformed cell, so they are solved once per geometry key; at
+    t = 0 the graded amplitude's 129 sample keys share one geometry."""
+
+    def test_t0_factors_each_family_once(self, graded_run):
+        solver, states, factors, _ = graded_run
+        assert len(factors) == len(states) == 4
+        assert factors[0] == {"cell correctors": 2, "two-scale solver: macro elasticity": 1,
+                              "two-scale solver: micro elasticity": 1}
+        assert factors[1] == {"cell correctors": 258, "two-scale solver: micro block": 129,
+                              "two-scale solver: macro step": 1}
+        # later levels solve the cells of the geometries the level before
+        # lacks: an amplitude g(t, x) can recur at another t and x
+        tr, pts = solver.provider.ctx.transformation, solver.space.qpoints.reshape(-1, 2)
+        geometries = [{tr.geometry_key(s.t, x) for x in pts} for s in states]
+        assert len(geometries[0]) == 1 and len(geometries[1]) == 129
+        for n, step in enumerate(factors[1:], start=1):
+            new = len(geometries[n] - geometries[n - 1])
+            assert step == {"cell correctors": 2 * new, "two-scale solver: micro block": 129,
+                            "two-scale solver: macro step": 1}
+        assert len(geometries[3] - geometries[2]) == 121
+
+    def test_micro_maps_built_once_per_level_and_key(self, graded_run):
+        # one batch without dt at t = 0; then the bundles with dt of each new
+        # level, one per sample key, and nothing for an old level, whose
+        # lookups without dt find its bundles with dt under their geometry
+        solver, states, _, maps = graded_run
+        tr = solver.provider.ctx.transformation
+        n_keys = [len(sample_key_groups(tr, s.t, solver.host_points)[0]) for s in states]
+        assert n_keys == [129] * 4
+        assert maps[0] == (0.0, None, 1)
+        assert all(dt is not None for _, dt, _ in maps[1:])
+        times = [t for t, _, _ in maps[1:]]
+        assert times == sorted(times)
+        assert {s.t: sum(n for t, _, n in maps[1:] if t == s.t) for s in states[1:]} == {
+            s.t: 129 for s in states[1:]}
+        model, provider = solver.micro_model, solver.provider
+        assert model.cache.misses == 1 + 3 * 129
+        assert provider.cache.misses == 4 * 129
+
+    def test_t0_keys_match_one_point_evaluations(self):
+        cfg, solver = standard_solver((0.5, 0.25), 0)
+        state = solver.init_state(cfg.theta0_profile())
+        provider = solver.provider
+        ctx, tr = provider.ctx, provider.ctx.transformation
+        pts = solver.space.qpoints.reshape(-1, 2)
+        first, _ = sample_key_groups(tr, 0.0, pts)
+        assert len(first) == 129
+        assert provider.geometry.misses == 1 and provider.cache.misses == 129
+        for x, eff in zip(pts[first], provider.at_points(0.0, pts[first])):
+            one = EffectiveProvider(ctx, sources=provider.sources,
+                                    latent_in_source=provider.latent_in_source,
+                                    solver_tol=provider.solver_tol).at(0.0, x)
+            for f in fields(eff):
+                assert np.array_equal(getattr(eff, f.name), getattr(one, f.name)), f.name
+
+        # the micro states at each key's first host against the host alone;
+        # a content is a row of one matrix-vector product over the block, and
+        # BLAS sums a row in an order that depends on its place in the block
+        hosts = solver.host_points
+        traces_th, traces_u = solver.traces_at_hosts(state.theta, state.u)
+        one = (np.array([0]), np.array([0]))
+        for i in sample_key_groups(tr, 0.0, hosts)[0]:
+            theta, u, content = MicroModel(ctx, sources=provider.sources).initial_states(
+                0.0, hosts[i:i + 1], one, traces_th[i:i + 1], traces_u[i:i + 1])
+            assert np.array_equal(state.micro_theta[i], theta[0])
+            assert np.array_equal(state.micro_u[i], u[0])
+            assert abs(state.micro_content[i] - content[0]) <= 4e-16 * abs(content[0])
+
+    def test_tabulated_keys_share_no_bundle(self):
+        # a two-anchor identity table: the geometry key is the sample key, so
+        # the two anchors' hosts keep one bundle each, even at t = 0
+        Y = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, 3)] * 2, indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+        tab = TabulatedTransform(2, np.linspace(0.0, 1.0, 3), [[0.75, 0.5], [0.25, 0.5]],
+                                 3, np.broadcast_to(Y, (3, 2) + Y.shape))
+        solver = make_solver(transform=tab, macro_n=2)
+        xs = solver.host_points
+        for t in (0.0, 0.05):
+            assert all(tab.geometry_key(t, x) == tab.sample_key(t, x) for x in xs)
+        groups = sample_key_groups(tab, 0.0, xs)
+        assert len(groups[0]) == 2
+        model = solver.micro_model
+        model.initial_states(0.0, xs, groups, np.ones(len(xs)), np.zeros((len(xs), 2)))
+        assert model.cache.misses == 2
+        assert len({id(b) for b in model.cache.levels[0.0].values()}) == 2
