@@ -136,6 +136,9 @@ class RunConfig:
         for eps in self.eps_list:
             if not 0.0 < eps <= 1.0 or abs(round(1.0 / eps) - 1.0 / eps) > 1e-9:
                 raise ConfigError(f"eps must be 1/n for an integer n >= 1, got eps = {eps}")
+        if len(self.amplitude_x_slope) not in (0, self.dimension):
+            raise ConfigError(f"amplitude_x_slope needs 0 or dimension = {self.dimension} "
+                              f"values, got {len(self.amplitude_x_slope)}")
         if self.family not in ("identity", "radial_growth", "tabulated"):
             raise ConfigError(f"unknown transformation family {self.family!r}")
         if self.family == "tabulated" and not self.table_path:

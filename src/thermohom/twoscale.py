@@ -51,6 +51,7 @@ from .fem import (
     weak_form,
 )
 from .kinematics import (  # noqa: F401  (BundleError: re-exported)
+    BATCH_ELEMENTS,
     PHASE_B,
     BundleError,
     LevelCache,
@@ -111,47 +112,56 @@ class MicroModel:
     On the stacked (theta, u) dofs, a bundle holds ``prev = [M_c, S]`` on
     the interior heat rows (the heat capacity mass and the dissipation load
     ``int (gamma : grad u) phi_i`` as a map of u, ``S = G_gamma^T``, the
-    transposed coupling form of gamma), ``mech = [-G, E]`` on the
-    interior mechanics rows (thermal-stress coupling and elasticity),
-    ``content``, the weights ``rho c int J phi_i`` (all rows), and the unit
-    source loads ``l_J`` and ``L_J``.  These maps see the host only through
-    the deformed cell (F and J), so a bundle without dt is cached by the
-    transformation's geometry key; at t = 0 every map is the identity and
-    all hosts share one.  :meth:`initial_states` factors each geometry's
-    ``E[Iv, Iv]`` in symmetric mode (:class:`~thermohom.fem.Factor`) for its
-    block solve only.  With the dt of the step ending at its level a bundle
-    also holds the LU of the coupled interior block
+    transposed coupling form of gamma), ``content``, the weights
+    ``rho c int J phi_i`` (all rows), and the unit source loads ``l_J`` and
+    ``L_J``.  These maps see the host only through the deformed cell (F and
+    J), so a bundle without dt is cached by the transformation's geometry
+    key; at t = 0 every map is the identity and all hosts share one.  A
+    bundle without dt also holds ``mech = [-G, E]`` on the interior
+    mechanics rows (thermal-stress coupling and elasticity), which only
+    :meth:`initial_states` reads: it factors each geometry's ``E[Iv, Iv]``
+    in symmetric mode (:class:`~thermohom.fem.Factor`) for its block solve
+    only.  With the dt of the step ending at its level a bundle holds,
+    instead of ``mech``, the response ``W`` of the unknowns of the coupled
+    interior block
 
         K = [[H_II, (S/dt + A)[I, Iv]], [-G[Iv, I], E[Iv, Iv]]],
         H = M_c/dt + N + A_K  (A: the advective dissipation map),
 
-    the response ``W`` of its unknowns to unit traces (theta, then u; 1 + d
-    columns) and ``c_tr``, the content after the step per unit trace.  ``K``
-    reads the cell velocity through N and A, so a bundle with dt is cached
-    by the sample key, and filed under its geometry key as well: the
-    lookups without dt of a step's old level find it there.
+    to unit traces (theta, then u; 1 + d columns) and ``c_tr``, the content
+    after the step per unit trace.  ``K`` reads the cell velocity through N
+    and A, so a bundle with dt is cached by the sample key, and filed under
+    its geometry key as well: the lookups without dt of a step's old level
+    find it there.
 
     Bundles are built in batches: :meth:`level_bundles` pulls back the
     coefficients of every uncached key of a level together, takes each
     operator's element blocks from the form table with a leading key axis
     (:func:`~thermohom.fem.weak_form`) and sums them into every restricted
     matrix above with one scatter each (:class:`~thermohom.fem.ElementScatter`,
-    mapped once per model); then one sparse LU per key.  :meth:`bundle` is
-    the batch of one.
+    mapped once per model); then one sparse LU of ``K`` per key, ``factor``
+    in the bundle until its step has solved with it.  :meth:`bundle` is the
+    batch of one.
 
     A host's unknowns after the step are ``w0 + W tau``: ``w0`` solves ``K``
     against the previous state and the sources with zero traces, and tau
     holds the host's traces.  Given each level's :func:`sample_key_groups`
     of the hosts, :meth:`initial_states` solves the hosts of each geometry
-    as one block, :meth:`responses` gets ``w0`` with one block solve per
-    pair of old- and new-level sample keys, and :meth:`step` completes one
-    host's map with the bundle of its new key, without a solve; no host
-    evaluates its key.
+    as one block, :meth:`responses` gets ``w0`` with one checked block solve
+    per pair of old- and new-level sample keys, and :meth:`step` completes
+    one host's map with the bundle of its new key, without a solve; no host
+    evaluates its key.  :meth:`responses` walks the new level's keys in
+    batches of the build size and releases each batch's factors once their
+    hosts are solved, so a moving cell holds at most one batch of factors.
+    A key whose geometry is the same at both levels of the step keeps its
+    factor, which the next step reuses: a static cell factors ``K`` once
+    per run.  A cached bundle that lacks what a lookup needs (its factor,
+    or ``mech``) is rebuilt.
     Sources are the unit loads scaled by ``sources(t)`` at the t of each
     call, so one bundle serves every t of a static geometry.  The cache
     keeps the bundles of the current step pair.  A bundle that cannot be
     built raises :class:`BundleError` naming t and x, a singular block or an
-    inaccurate response ``W`` a :class:`~thermohom.fem.SolverError` naming them.
+    inaccurate solve a :class:`~thermohom.fem.SolverError` naming them.
     """
 
     def __init__(self, ctx: CellContext, sources=None):
@@ -208,24 +218,25 @@ class MicroModel:
 
     def bundle(self, t, x, dt=None, key=None):
         """The maps of the micro step at (t, x); with dt, also the coupled
-        factorization of an implicit-Euler step of length dt ending at t.  A
-        cached bundle without that factorization is rebuilt.  ``key`` is x's
-        key at t (:meth:`_key`) where the caller has it."""
+        block of an implicit-Euler step of length dt ending at t, its
+        factor held until a step solves with it.  A cached bundle with
+        another dt is rebuilt.  ``key`` is x's key at t (:meth:`_key`) where
+        the caller has it."""
         x = np.asarray(x, dtype=float)
         if key is None:
             key = self._key(t, x, dt)
         return self._bundles(t, x[None], [key], dt)[0]
 
-    def level_bundles(self, t, xs, groups, dt=None):
+    def level_bundles(self, t, xs, groups, dt=None, need=None):
         """The bundle of each group of ``groups`` (a :func:`key_groups` of xs
         at t, each group of one :meth:`_key`), fetched at the group's first
-        point; the keys missing from the cache are built in one batched pass."""
+        point; the keys missing from the cache, or whose bundle lacks the
+        entry ``need``, are built in one batched pass."""
         first = groups[0]
-        keys = [self._key(t, xs[i], dt) for i in first]
-        self._bundles(t, xs[first], keys, dt)
-        return [self.bundle(t, xs[i], dt, key) for i, key in zip(first, keys)]
+        return self._bundles(t, xs[first], [self._key(t, x, dt) for x in xs[first]], dt,
+                             need)
 
-    def _bundles(self, t, xs, keys, dt):
+    def _bundles(self, t, xs, keys, dt, need=None):
         def build(missing):
             bundles = build_batched(lambda t, chunk: self._maps(t, chunk, dt), t,
                                     xs[missing], len(self.space.cells), "the micro bundle")
@@ -234,7 +245,11 @@ class MicroModel:
                     self.cache.put(t, self._key(t, x, None), b)
             return bundles
 
-        valid = None if dt is None else (lambda b: b["dt"] == round(float(dt), 14))
+        dt_key = None if dt is None else round(float(dt), 14)
+
+        def valid(b):
+            return (dt is None or b["dt"] == dt_key) and (need is None or need in b)
+
         return self.cache.get_many(t, keys, build, valid)
 
     def _maps(self, t, xs, dt):
@@ -258,11 +273,13 @@ class MicroModel:
         L_J = (l_J[:, :, None, None] * np.eye(d)).reshape(k, -1, d)[:, self.interior_vector]
         cap = ctx.material.density_b * ctx.material.heat_capacity_b
         I = self.interior_scalar
-        prev, mech = (self._scatter[name].data(blocks) for name in ("prev", "mech"))
+        prev = self._scatter["prev"].data(blocks)
         bundles = [dict(dt=None, prev=self._scatter["prev"].matrix(prev[i]),
-                        mech=self._scatter["mech"].matrix(mech[i]), content=cap * l_J[i],
-                        l_J=l_J[i, I], L_J=L_J[i]) for i in range(k)]
+                        content=cap * l_J[i], l_J=l_J[i, I], L_J=L_J[i]) for i in range(k)]
         if dt is None:
+            mech = self._scatter["mech"].data(blocks)
+            for i, b in enumerate(bundles):
+                b["mech"] = self._scatter["mech"].matrix(mech[i])
             return bundles
 
         # the coupled block: H = M_c/dt + N + A_K and S/dt + A in the heat rows
@@ -279,8 +296,7 @@ class MicroModel:
             content = b["content"]
             c_tr = content[I] @ W[:len(I)]
             c_tr[0] += content[self.boundary_scalar].sum()
-            # the LU, not K: the zero-trace solves of the steps go unchecked
-            b.update(dt=round(float(dt), 14), lu=factor.lu, W=W, c_tr=c_tr)
+            b.update(dt=round(float(dt), 14), factor=factor, W=W, c_tr=c_tr)
         return bundles
 
     def initial_states(self, t, xs, groups, traces_theta, traces_u, theta_fields=None):
@@ -300,7 +316,7 @@ class MicroModel:
         first, of = groups
         geometry = key_groups([self._key(t, xs[i], None) for i in first])
         groups = (first[geometry[0]], geometry[1][of])
-        for k, b in enumerate(self.level_bundles(t, xs, groups)):
+        for k, b in enumerate(self.level_bundles(t, xs, groups, need="mech")):
             hosts = np.flatnonzero(groups[1] == k)
             # not kept with the bundle: steps solve with K
             lu = Factor(b["mech"][:, ns + self.interior_vector],
@@ -318,24 +334,36 @@ class MicroModel:
         affine function of the traces: ``(w0, c0, c_tr)``, where row h of
         ``w0`` holds the unknowns of ``K`` and host h's content after the
         step is ``c0[h] + c_tr[h] . (theta_h, u_h)``.  The hosts sharing a
-        pair of old- and new-level keys are solved as one block."""
+        pair of old- and new-level keys are solved as one block, a batch of
+        new-level keys at a time; a key's factor is then released unless its
+        geometry is the same at both levels."""
         n, I = len(xs), self.interior_scalar
         w0 = np.empty((n, len(self._unknowns)))
         c0 = np.empty(n)
         _, f_u_b, _, f_th_b = self.sources(t_new)
-        b_old = self.level_bundles(t_new - dt, xs, groups[0])
-        b_new = self.level_bundles(t_new, xs, groups[1], dt)
+        t_old = t_new - dt
+        b_old = self.level_bundles(t_old, xs, groups[0])
         (_, old_of), (new_first, new_of) = groups
         _, first, pair_of = np.unique(old_of * len(new_first) + new_of,
                                       return_index=True, return_inverse=True)
-        for k, i in enumerate(first):
-            hosts = np.flatnonzero(pair_of == k)
-            bo, bn = b_old[old_of[i]], b_new[new_of[i]]
-            heat = (bo["prev"] @ np.hstack([prev_theta[hosts], prev_u[hosts]]).T / dt
-                    + f_th_b * bn["l_J"][:, None])
-            mech = np.repeat((bn["L_J"] @ np.asarray(f_u_b))[:, None], len(hosts), axis=1)
-            w0[hosts] = bn["lu"].solve(np.vstack([heat, mech])).T
-            c0[hosts] = w0[hosts, :len(I)] @ bn["content"][I]
+        keys = [self._key(t_new, x, dt) for x in xs[new_first]]
+        size = max(1, BATCH_ELEMENTS // len(self.space.cells))     # as build_batched
+        b_new = []
+        for start in range(0, len(keys), size):
+            batch = xs[new_first[start:start + size]]
+            b_new += self._bundles(t_new, batch, keys[start:start + size], dt, "factor")
+            for k in np.flatnonzero(new_of[first] // size == start // size):
+                i = first[k]
+                hosts = np.flatnonzero(pair_of == k)
+                bo, bn = b_old[old_of[i]], b_new[new_of[i]]
+                heat = (bo["prev"] @ np.hstack([prev_theta[hosts], prev_u[hosts]]).T / dt
+                        + f_th_b * bn["l_J"][:, None])
+                mech = np.repeat((bn["L_J"] @ np.asarray(f_u_b))[:, None], len(hosts), axis=1)
+                w0[hosts] = bn["factor"].solve(np.vstack([heat, mech])).T
+                c0[hosts] = w0[hosts, :len(I)] @ bn["content"][I]
+            for x, b in zip(batch, b_new[start:]):
+                if self._key(t_old, x, None) != self._key(t_new, x, None):
+                    del b["factor"]
         return w0, c0, np.array([b["c_tr"] for b in b_new])[new_of]
 
     def step(self, b_new, w0_h, trace_theta, trace_u):

@@ -208,5 +208,5 @@ class PerKeyMicroModel(MicroModel):
         content = b["content"]
         c_tr = content[I] @ W[:len(I)]
         c_tr[0] += content[self.boundary_scalar].sum()
-        b.update(dt=round(float(dt), 14), lu=lu, W=W, c_tr=c_tr)
+        b.update(dt=round(float(dt), 14), factor=lu, W=W, c_tr=c_tr)
         return b

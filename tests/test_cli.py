@@ -147,10 +147,13 @@ DET_BOUNDS = "det bounds must satisfy 0 < det_lower <= 1 <= det_upper"
      DET_BOUNDS),
     ("checks", "family = identity", "family = identity\ndet_lower = 0", DET_BOUNDS),
     ("macro", "family = identity", "family = identity\ndet_upper = 0.9", DET_BOUNDS),
+    ("macro", "family = identity", "family = radial_growth\namplitude_poly = 0 0.1\n"
+     "amplitude_x_slope = 0.5 0.25 0.0",
+     "amplitude_x_slope needs 0 or dimension = 2 values, got 3"),
 ], ids=["eps_zero", "eps_negative", "eps_not_reciprocal", "eps_empty", "resolution_zero",
          "t_final_negative", "malformed_value", "validation_grid_zero",
          "boundary_margin_negative", "det_bounds_inverted", "det_lower_zero",
-         "det_upper_below_one"])
+         "det_upper_below_one", "x_slope_length"])
 def test_invalid_setting_exits_one_naming_the_file(tmp_path, capsys, sub, old, new, message):
     cfg = write_cfg(tmp_path, BASE.format(out=tmp_path / "out").replace(old, new))
     assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import SuperLU
+
 from micro_oracle import EinsumMicroModel
 from twoscale_oracle import StaggeredTwoScaleSolver, state_deviation
 
@@ -454,16 +456,16 @@ class CountingTransform:
         return self.inner.sample_key(t, x)
 
 
-class CountingLU:
-    """A factorization that logs each solve: whether it ran inside
-    ``MicroModel.step`` (the flag list is not empty then)."""
+class CountingFactor:
+    """A :class:`~thermohom.fem.Factor` that logs each solve: whether it ran
+    inside ``MicroModel.step`` (the flag list is not empty then)."""
 
-    def __init__(self, lu, log, inside_step):
-        self.lu, self.log, self.inside_step = lu, log, inside_step
+    def __init__(self, factor, log, inside_step):
+        self.factor, self.log, self.inside_step = factor, log, inside_step
 
-    def solve(self, rhs, *args, **kwargs):
+    def solve(self, rhs):
         self.log.append(bool(self.inside_step))
-        return self.lu.solve(rhs, *args, **kwargs)
+        return self.factor.solve(rhs)
 
 
 def standard_solver(slope, steps, wrap=lambda tr: tr):
@@ -486,8 +488,9 @@ def standard_solver(slope, steps, wrap=lambda tr: tr):
 def standard_run(request):
     """A 2-step standard.cfg run (1 sample key per time level, or 129 with
     the x slope) with a counting transformation and every stepping bundle's
-    LU wrapped in a :class:`CountingLU`: the solver, the transformation, the
-    states, the LU solves of each step and the sample-key call bound."""
+    factor wrapped in a :class:`CountingFactor` once its trace responses are
+    solved: the solver, the transformation, the states, the zero-trace block
+    solves of each step and the sample-key call bound."""
     slope, bound = request.param
     cfg, solver = standard_solver(slope, 2, CountingTransform)
     tr = solver.provider.ctx.transformation
@@ -497,7 +500,7 @@ def standard_run(request):
     def counted_maps(self, t, xs, dt):
         bundles = maps(self, t, xs, dt)     # one batch of keys
         for b in bundles if dt is not None else ():
-            b["lu"] = CountingLU(b["lu"], log, inside_step)
+            b["factor"] = CountingFactor(b["factor"], log, inside_step)
         return bundles
 
     def flagged_step(self, *args):
@@ -547,9 +550,12 @@ def graded_run():
     """A 3-step standard.cfg run with the x slope (129 sample keys per time
     level, all of one geometry at t = 0): the solver, the states, the
     :class:`~thermohom.fem.Factor` counts of each level by the prefix of
-    their ``where`` and every ``MicroModel._maps`` batch as (t, dt, keys)."""
+    their ``where``, every ``MicroModel._maps`` batch as (t, dt, keys), and
+    after each level the entries of the cached micro bundles and whether any
+    of their values is a factor."""
     cfg, solver = standard_solver((0.5, 0.25), 3)
-    factors, maps = [Counter()], []
+    factors, maps, held = [Counter()], [], []
+    cache = solver.micro_model.cache
     factor, build = Factor.__init__, MicroModel._maps
 
     def counted_factor(self, A, where, spd=False):
@@ -560,12 +566,17 @@ def graded_run():
         maps.append((t, dt, len(xs)))
         return build(self, t, xs, dt)
 
+    def observer(state):
+        factors.append(Counter())
+        bundles = [b for level in cache.levels.values() for b in level.values()]
+        held.append(({frozenset(b) for b in bundles},
+                     any(isinstance(v, (Factor, SuperLU)) for b in bundles for v in b.values())))
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Factor, "__init__", counted_factor)
         mp.setattr(MicroModel, "_maps", counted_maps)
-        states = solver.run(cfg.t_final, cfg.dt, cfg.theta0_profile(),
-                            observer=lambda state: factors.append(Counter()))
-    return solver, states, factors[:-1], maps
+        states = solver.run(cfg.t_final, cfg.dt, cfg.theta0_profile(), observer=observer)
+    return solver, states, factors[:-1], maps, held
 
 
 class TestGeometryKeys:
@@ -574,7 +585,7 @@ class TestGeometryKeys:
     t = 0 the graded amplitude's 129 sample keys share one geometry."""
 
     def test_t0_factors_each_family_once(self, graded_run):
-        solver, states, factors, _ = graded_run
+        solver, states, factors, _, _ = graded_run
         assert len(factors) == len(states) == 4
         assert factors[0] == {"cell correctors": 2, "two-scale solver: macro elasticity": 1,
                               "two-scale solver: micro elasticity": 1}
@@ -595,7 +606,7 @@ class TestGeometryKeys:
         # one batch without dt at t = 0; then the bundles with dt of each new
         # level, one per sample key, and nothing for an old level, whose
         # lookups without dt find its bundles with dt under their geometry
-        solver, states, _, maps = graded_run
+        solver, states, _, maps, _ = graded_run
         tr = solver.provider.ctx.transformation
         n_keys = [len(sample_key_groups(tr, s.t, solver.host_points)[0]) for s in states]
         assert n_keys == [129] * 4
@@ -607,7 +618,22 @@ class TestGeometryKeys:
             s.t: 129 for s in states[1:]}
         model, provider = solver.micro_model, solver.provider
         assert model.cache.misses == 1 + 3 * 129
+        # a hit is a distinct key found: the first step's old level (t = 0,
+        # one geometry) once, every later old level's 129 geometries filed
+        # by the step before, and each micro sweep's 129 new-level keys
+        assert model.cache.hits == 1 + 129 + 2 * (129 + 129)
         assert provider.cache.misses == 4 * 129
+
+    def test_no_cached_bundle_keeps_a_factor(self, graded_run):
+        # a moving cell releases each key's factor once its step has solved
+        # its hosts; the bundles keep their maps and trace responses
+        _, states, _, _, held = graded_run
+        assert len(held) == len(states) == 4
+        maps = {"dt", "prev", "content", "l_J", "L_J"}
+        t0, stepping = frozenset(maps | {"mech"}), frozenset(maps | {"W", "c_tr"})
+        assert [entries for entries, _ in held] == [{t0}, {t0, stepping}, {stepping},
+                                                    {stepping}]
+        assert not any(factor for _, factor in held)
 
     def test_t0_keys_match_one_point_evaluations(self):
         cfg, solver = standard_solver((0.5, 0.25), 0)
@@ -655,3 +681,49 @@ class TestGeometryKeys:
         model.initial_states(0.0, xs, groups, np.ones(len(xs)), np.zeros((len(xs), 2)))
         assert model.cache.misses == 2
         assert len({id(b) for b in model.cache.levels[0.0].values()}) == 2
+
+
+class TestMicroFactors:
+    def test_static_cell_factors_its_block_once(self, monkeypatch):
+        # the identity keeps every geometry key, so each step reuses the one
+        # factor of the micro block and the cache keeps it
+        solver = make_solver(macro_n=2)
+        counts, factor = Counter(), Factor.__init__
+
+        def counted_factor(self, A, where, spd=False):
+            counts[where.split(" at ")[0]] += 1
+            factor(self, A, where, spd)
+
+        monkeypatch.setattr(Factor, "__init__", counted_factor)
+        states = solver.run(0.25, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
+        assert len(states) == 6
+        assert counts["two-scale solver: micro block"] == 1
+        assert counts["two-scale solver: macro step"] == 5
+        cache = solver.micro_model.cache
+        assert len({id(b) for level in cache.levels.values() for b in level.values()
+                    if "factor" in b}) == 1
+
+    def test_breached_zero_trace_solve_names_the_micro_block_t_and_x(self, monkeypatch):
+        # the trace responses are solved exactly, then every solution is off
+        # by a relative 1e-6: the first zero-trace block solve raises
+        class Inaccurate:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, B):
+                return self.lu.solve(B) * (1.0 + 1e-6)
+
+        build = MicroModel._maps
+
+        def inaccurate_maps(self, t, xs, dt):
+            bundles = build(self, t, xs, dt)
+            for b in bundles if dt is not None else ():
+                b["factor"].lu = Inaccurate(b["factor"].lu)
+            return bundles
+
+        monkeypatch.setattr(MicroModel, "_maps", inaccurate_maps)
+        solver = make_solver(macro_n=2)
+        with pytest.raises(SolverError, match=r"^two-scale solver: micro block at t = 0\.05, "
+                           r"x = \[[-0-9.e]+, [-0-9.e]+\]: relative residual \S+ exceeds "
+                           r"RESIDUAL_MAX 1e-10$"):
+            solver.run(0.05, 0.05, lambda x: np.cos(np.pi * x[:, 0]))
