@@ -141,6 +141,10 @@ class RunConfig:
                               f"values, got {len(self.amplitude_x_slope)}")
         if self.family not in ("identity", "radial_growth", "tabulated"):
             raise ConfigError(f"unknown transformation family {self.family!r}")
+        if self.family == "radial_growth" and (not self.amplitude_poly
+                                               or self.amplitude_poly[0] != 0.0):
+            raise ConfigError("amplitude_poly needs a constant term of 0, so that the "
+                              f"amplitude vanishes at t = 0, got {list(self.amplitude_poly)}")
         if self.family == "tabulated" and not self.table_path:
             raise ConfigError("tabulated transformation requires table_path")
         if self.workers < 1:
@@ -388,7 +392,7 @@ def load_transformation_table(path, **kwargs):
     try:
         return TabulatedTransform(d, times, anchors.reshape(n_x, d), grid_n,
                                   values.reshape(n_t, n_x, grid_n**d, d), **kwargs)
-    except ValueError as exc:    # times out of order, a lattice too fine
+    except ValueError as exc:    # no times or anchors, a bad lattice, times out of order
         raise ConfigError(f"transformation table {path}: {exc}") from None
 
 

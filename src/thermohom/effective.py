@@ -3,13 +3,14 @@
 Every quantity is a plain (t, x)-sample.  The cell problems see (t, x) only
 through the deformed cell (F and J), so the provider caches the correctors
 and every volume-integral quantity by the transformation's geometry key; the
-interface fields, which read the cell velocity, are taken per sample key.
-Macro sweeps over many quadrature points thus reuse one cell solve whenever
-the deformation does not vary in x, as at t = 0, where every map is the
-identity.  Bundles are built in batches: every uncached key of a request
-(:meth:`EffectiveProvider.at_points`) goes through one batched pull-back,
-corrector build and effective assembly with a leading key axis; a single
-:meth:`EffectiveProvider.at` is the batch of one.
+interface fields, which read the cell velocity, are evaluated for each
+request.  Macro sweeps over many quadrature points thus reuse one cell solve
+whenever the deformation does not vary in x, as at t = 0, where every map is
+the identity.  A request is built in batches
+(:meth:`EffectiveProvider.at_points`): the first point of each of its sample
+keys goes through one batched pull-back, corrector build and effective
+assembly with a leading key axis; a single :meth:`EffectiveProvider.at` is
+the batch of one.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .kinematics import (
     build_batched,
     key_interface,
     mandel_matrix,
+    sample_key_groups,
     sym_index_pairs,
     zero_sources,
 )
@@ -159,17 +161,17 @@ def _rows(arrays):
 
 
 class EffectiveProvider:
-    """Caches the effective coefficients in two levels of keys.
+    """The effective coefficients, their cell solves cached by geometry key.
 
     The correctors and the volume-integral quantities
     (:func:`compute_effective`) see the cell only through F and J; they are
     solved once per geometry key (``geometry``, a :class:`LevelCache` of the
     transformation's ``geometry_key``).  The interface fields (speed, latent
     source, curvature force: :func:`~thermohom.kinematics.key_interface`)
-    read the cell velocity, so each sample key takes its own, and its bundle
-    joins them to its geometry's (``cache``, keyed by ``sample_key``).  At
-    t = 0 every map is the identity, so a graded amplitude's many sample
-    keys share one cell solve.
+    read the cell velocity, so each request takes them for each of its
+    sample keys and joins them to the key's geometry in one row.  At t = 0
+    every map is the identity, so a graded amplitude's many sample keys
+    share one cell solve.
     """
 
     def __init__(self, ctx: CellContext, sources=None, latent_in_source=True,
@@ -179,24 +181,20 @@ class EffectiveProvider:
         self.sources = sources if sources is not None else zero_sources(ctx.dim)
         self.latent_in_source = latent_in_source
         self.solver_tol = solver_tol
-        self.cache = LevelCache()
         self.geometry = LevelCache()
 
-    def _bundles(self, t, xs, keys):
-        """Geometry-derived quantities of the points xs with sample keys
-        ``keys``, cached by sample key; the uncached keys are built in batches.
-
-        Within one key the kinematic fields, correctors, and every effective
-        quantity except the time-dependent sources are identical.
-        """
-        return self.cache.get_many(t, keys, lambda missing: build_batched(
-            self._coefficients, t, xs[missing], len(self.ctx.space_a.cells),
-            "the effective coefficients"))
+    def _build(self, t, xs):
+        """The row of each (k, d) macro point of xs, one sample key each,
+        built in batches: within one key the kinematic fields, correctors,
+        and every effective quantity except the time-dependent sources are
+        identical."""
+        return build_batched(self._coefficients, t, xs, len(self.ctx.space_a.cells),
+                             "the effective coefficients")
 
     def _coefficients(self, t, xs):
-        """The bundles of the (k, d) macro points xs, one sample key each:
-        their geometries' (built for the geometry keys not cached) and their
-        own interface fields."""
+        """The rows of the (k, d) macro points xs, one sample key each: their
+        geometries' (built for the geometry keys not cached) and their own
+        interface fields."""
         ctx, tr = self.ctx, self.ctx.transformation
         geometry = self.geometry.get_many(
             t, [tr.geometry_key(t, x) for x in xs], lambda missing: self._geometry(
@@ -220,29 +218,23 @@ class EffectiveProvider:
         eff = _rows(compute_effective(self.ctx, cors, t, xs, fields=fields))
         return [dict(e, correctors=c) for c, e in zip(cors, eff, strict=True)]
 
-    def _bundle(self, t, x, key=None):
-        x = np.asarray(x, dtype=float)
-        if key is None:
-            key = self.ctx.transformation.sample_key(t, x)
-        return self._bundles(t, x[None], [key])[0]
-
     def correctors(self, t, x):
         """The cell :class:`Correctors` at (t, x), shared by every point of
         x's geometry (their ``x`` is the first such point built)."""
-        return self._bundle(t, x)["correctors"]
+        return self._build(t, np.asarray(x, dtype=float)[None])[0]["correctors"]
 
     def at_points(self, t, xs):
-        """:meth:`at` of each macro point of xs ((k, d)); every uncached
-        sample key among them is built in one batched pass."""
+        """:meth:`at` of each macro point of xs ((k, d)), with the row of
+        its sample key; the first points of the keys are built together."""
         xs = np.asarray(xs, dtype=float)
-        keys = [self.ctx.transformation.sample_key(t, x) for x in xs]
-        self._bundles(t, xs, keys)
-        return [self.at(t, x, key) for x, key in zip(xs, keys)]
+        first, of = sample_key_groups(self.ctx.transformation, t, xs)
+        rows = self._build(t, xs[first])
+        return [self.at(t, x, rows[k]) for x, k in zip(xs, of)]
 
-    def at(self, t, x, key=None) -> EffectiveCoefficients:
-        """The effective coefficients at (t, x); ``key`` is x's sample key
-        at t where the caller has it."""
-        b = self._bundle(t, x, key)
+    def at(self, t, x, row=None) -> EffectiveCoefficients:
+        """The effective coefficients at (t, x), from ``row`` where the
+        caller has x's (:meth:`at_points`), else from the batch of one."""
+        b = row if row is not None else self._build(t, np.asarray(x, dtype=float)[None])[0]
         f_u_a, f_u_b, f_th_a, f_th_b = self.sources(t)
         return EffectiveCoefficients(
             t=float(t), x=np.asarray(x, dtype=float),

@@ -292,6 +292,12 @@ class TabulatedTransform:
         self.inclusion_radius = float(inclusion_radius)
         self.det_bounds = tuple(det_bounds)
         self.boundary_margin = float(boundary_margin)
+        if self.times.size == 0:
+            raise ValueError("table has no times")
+        if self.anchors.size == 0:
+            raise ValueError("table has no anchors")
+        if self.grid_n < 2:
+            raise ValueError(f"grid_n = {self.grid_n}, needs at least 2 lattice points per axis")
         expect = (len(self.times), self.anchors.shape[0], self.grid_n**self.dim, self.dim)
         if self.values.shape != expect:
             raise ValueError(f"table shape {self.values.shape}, expected {expect}")
@@ -702,11 +708,6 @@ class LevelCache:
             self.levels = dict(list(self.levels.items())[-1:])
             self.levels[level] = {}
         return self.levels[level]
-
-    def put(self, t, key, value):
-        """File ``value`` under ``key`` at time t as well: one value may sit
-        under several keys."""
-        self._level(t)[key] = value
 
     def get(self, t, key, build, valid=None):
         """The value of ``key`` at time t; ``build()`` makes it on a miss."""

@@ -8,10 +8,11 @@ traces taken from the macro fields.  Coupling runs both ways: traces
 downward, inclusion heat content upward (inside the time derivative of the
 macro balance).
 
-The micro state is three host-indexed arrays (inclusion temperatures,
-deformations and heat contents); :class:`MicroModel` works on blocks of the
-hosts that share a transformation sample key, a grouping made once per time
-level (:meth:`TwoScaleSolver.level`) and read by every use of the keys; its
+The micro state is four host-indexed arrays (inclusion temperatures,
+deformations, heat contents and the heat loads they put on the next step);
+:class:`MicroModel` works on blocks of the hosts that share a transformation
+sample key, a grouping made once per time level
+(:meth:`TwoScaleSolver.level`) and read by every use of the keys; its
 initial states take the coarser blocks of one geometry key.
 
 Time stepping is implicit Euler, and each step is solved exactly.  Within a
@@ -79,6 +80,9 @@ class TwoScaleState:
     micro_theta: np.ndarray         # (n_hosts, n_scalar) inclusion temperatures
     micro_u: np.ndarray             # (n_hosts, n_vector) inclusion deformations
     micro_content: np.ndarray       # (n_hosts,) inclusion heat contents
+    # (n_hosts, n_interior) prev @ [theta; u] on the interior heat rows: all
+    # that the next step reads of this level (MicroModel.heat_loads)
+    micro_load: np.ndarray | None = None
     heat_content: float = 0.0
     macro_heat_content: float = 0.0
     micro_heat_content: float = 0.0
@@ -113,55 +117,42 @@ class MicroModel:
     the interior heat rows (the heat capacity mass and the dissipation load
     ``int (gamma : grad u) phi_i`` as a map of u, ``S = G_gamma^T``, the
     transposed coupling form of gamma), ``content``, the weights
-    ``rho c int J phi_i`` (all rows), and the unit source loads ``l_J`` and
-    ``L_J``.  These maps see the host only through the deformed cell (F and
-    J), so a bundle without dt is cached by the transformation's geometry
-    key; at t = 0 every map is the identity and all hosts share one.  A
-    bundle without dt also holds ``mech = [-G, E]`` on the interior
-    mechanics rows (thermal-stress coupling and elasticity), which only
-    :meth:`initial_states` reads: it factors each geometry's ``E[Iv, Iv]``
-    in symmetric mode (:class:`~thermohom.fem.Factor`) for its block solve
-    only.  With the dt of the step ending at its level a bundle holds,
-    instead of ``mech``, the response ``W`` of the unknowns of the coupled
-    interior block
+    ``rho c int J phi_i`` (all rows), the unit source loads ``l_J`` and
+    ``L_J``, and, for the step of length dt ending at its level, the
+    response ``W`` of the unknowns of the coupled interior block
 
         K = [[H_II, (S/dt + A)[I, Iv]], [-G[Iv, I], E[Iv, Iv]]],
         H = M_c/dt + N + A_K  (A: the advective dissipation map),
 
     to unit traces (theta, then u; 1 + d columns) and ``c_tr``, the content
-    after the step per unit trace.  ``K`` reads the cell velocity through N
-    and A, so a bundle with dt is cached by the sample key, and filed under
-    its geometry key as well: the lookups without dt of a step's old level
-    find it there.
+    after the step per unit trace.  The old level enters a step only through
+    each host's heat load ``prev @ [theta; u]``, which the state carries
+    (:meth:`heat_loads`), so the cache holds only these step blocks, keyed by
+    sample key.  The maps at t = 0 see the host only through the deformed
+    cell (F and J): :meth:`initial_states` builds them once per geometry key,
+    outside the cache, with ``mech = [-G, E]`` on the interior mechanics
+    rows, and factors each geometry's ``E[Iv, Iv]`` for its block solve.
 
-    Bundles are built in batches: :meth:`level_bundles` pulls back the
-    coefficients of every uncached key of a level together, takes each
-    operator's element blocks from the form table with a leading key axis
-    (:func:`~thermohom.fem.weak_form`) and sums them into every restricted
-    matrix above with one scatter each (:class:`~thermohom.fem.ElementScatter`,
+    Bundles are built in batches (:func:`build_batched`): the coefficients
+    of a batch of keys are pulled back together, each operator's element
+    blocks come from the form table with a leading key axis
+    (:func:`~thermohom.fem.weak_form`) and go into every restricted matrix
+    above with one scatter each (:class:`~thermohom.fem.ElementScatter`,
     mapped once per model); then one sparse LU of ``K`` per key, ``factor``
-    in the bundle until its step has solved with it.  :meth:`bundle` is the
-    batch of one.
+    in the bundle until its step has solved with it.
 
     A host's unknowns after the step are ``w0 + W tau``: ``w0`` solves ``K``
-    against the previous state and the sources with zero traces, and tau
-    holds the host's traces.  Given each level's :func:`sample_key_groups`
-    of the hosts, :meth:`initial_states` solves the hosts of each geometry
-    as one block, :meth:`responses` gets ``w0`` with one checked block solve
-    per pair of old- and new-level sample keys, and :meth:`step` completes
-    one host's map with the bundle of its new key, without a solve; no host
-    evaluates its key.  :meth:`responses` walks the new level's keys in
-    batches of the build size and releases each batch's factors once their
-    hosts are solved, so a moving cell holds at most one batch of factors.
-    A key whose geometry is the same at both levels of the step keeps its
-    factor, which the next step reuses: a static cell factors ``K`` once
-    per run.  A cached bundle that lacks what a lookup needs (its factor,
-    or ``mech``) is rebuilt.
-    Sources are the unit loads scaled by ``sources(t)`` at the t of each
-    call, so one bundle serves every t of a static geometry.  The cache
-    keeps the bundles of the current step pair.  A bundle that cannot be
-    built raises :class:`BundleError` naming t and x, a singular block or an
-    inaccurate solve a :class:`~thermohom.fem.SolverError` naming them.
+    against the host's heat load and the sources with zero traces, and tau
+    holds the host's traces.  :meth:`responses` gets ``w0`` with one checked
+    block solve per sample key, a batch of keys at a time, and releases each
+    factor once its hosts are solved, unless the key's geometry is the same
+    at both levels of the step: a static cell factors ``K`` once per run.
+    :meth:`step` completes one host's map with its key's bundle, without a
+    solve.  A cached bundle with another dt, or without the factor a solve
+    needs, is rebuilt.  Sources are the unit loads scaled by ``sources(t)``
+    at the t of each call.  A bundle that cannot be built raises
+    :class:`BundleError` naming t and x, a singular block or an inaccurate
+    solve a :class:`~thermohom.fem.SolverError` naming them.
     """
 
     def __init__(self, ctx: CellContext, sources=None):
@@ -210,47 +201,31 @@ class MicroModel:
         )
         self.cache = LevelCache()
 
-    def _key(self, t, x, dt):
-        """The key of x's bundle at t: its sample key with dt, else its
-        geometry key."""
-        tr = self.ctx.transformation
-        return (tr.geometry_key if dt is None else tr.sample_key)(t, x)
-
-    def bundle(self, t, x, dt=None, key=None):
-        """The maps of the micro step at (t, x); with dt, also the coupled
-        block of an implicit-Euler step of length dt ending at t, its
-        factor held until a step solves with it.  A cached bundle with
-        another dt is rebuilt.  ``key`` is x's key at t (:meth:`_key`) where
-        the caller has it."""
+    def bundle(self, t, x, dt):
+        """The bundle of the micro step of length dt ending at (t, x), its
+        factor held until a step solves with it: the batch of one."""
         x = np.asarray(x, dtype=float)
-        if key is None:
-            key = self._key(t, x, dt)
-        return self._bundles(t, x[None], [key], dt)[0]
+        return self._bundles(t, x[None], [self.ctx.transformation.sample_key(t, x)], dt)[0]
 
-    def level_bundles(self, t, xs, groups, dt=None, need=None):
-        """The bundle of each group of ``groups`` (a :func:`key_groups` of xs
-        at t, each group of one :meth:`_key`), fetched at the group's first
-        point; the keys missing from the cache, or whose bundle lacks the
-        entry ``need``, are built in one batched pass."""
+    def level_bundles(self, t, xs, groups, dt):
+        """The bundle of each group of ``groups`` (the sample-key groups of
+        xs at t), fetched at the group's first point; the keys missing from
+        the cache are built in one batched pass."""
+        tr = self.ctx.transformation
         first = groups[0]
-        return self._bundles(t, xs[first], [self._key(t, x, dt) for x in xs[first]], dt,
-                             need)
+        return self._bundles(t, xs[first], [tr.sample_key(t, x) for x in xs[first]], dt)
 
     def _bundles(self, t, xs, keys, dt, need=None):
-        def build(missing):
-            bundles = build_batched(lambda t, chunk: self._maps(t, chunk, dt), t,
-                                    xs[missing], len(self.space.cells), "the micro bundle")
-            if dt is not None:      # it serves the lookups without dt of its geometry
-                for x, b in zip(xs[missing], bundles):
-                    self.cache.put(t, self._key(t, x, None), b)
-            return bundles
+        dt_key = round(float(dt), 14)
+        return self.cache.get_many(
+            t, keys, lambda missing: self._build(t, xs[missing], dt),
+            lambda b: b["dt"] == dt_key and (need is None or need in b))
 
-        dt_key = None if dt is None else round(float(dt), 14)
-
-        def valid(b):
-            return (dt is None or b["dt"] == dt_key) and (need is None or need in b)
-
-        return self.cache.get_many(t, keys, build, valid)
+    def _build(self, t, xs, dt):
+        """The bundles of the macro points xs at t (dt None: the maps at t
+        without a step), built in batches."""
+        return build_batched(lambda t, chunk: self._maps(t, chunk, dt), t, xs,
+                             len(self.space.cells), "the micro bundle")
 
     def _maps(self, t, xs, dt):
         """The bundles of the (k, d) macro points xs at t, built together."""
@@ -300,10 +275,10 @@ class MicroModel:
         return bundles
 
     def initial_states(self, t, xs, groups, traces_theta, traces_u, theta_fields=None):
-        """Consistent micro state arrays (theta, u, content) of the hosts at
-        xs, grouped by sample key at t (``groups``): the given temperatures
-        (default: the trace) with the trace rows overwritten, and the
-        quasi-static deformation, one block solve per geometry."""
+        """Consistent micro state arrays (theta, u, content, load) of the
+        hosts at xs, grouped by sample key at t (``groups``): the given
+        temperatures (default: the trace) with the trace rows overwritten,
+        and the quasi-static deformation, one block solve per geometry."""
         n, ns = len(xs), self.space.n_scalar
         theta = np.repeat(traces_theta[:, None], ns, axis=1) if theta_fields is None \
             else np.array(theta_fields, dtype=float)
@@ -314,57 +289,64 @@ class MicroModel:
         _, f_u_b, _, _ = self.sources(t)
         # the hosts of one geometry, over all of its sample keys, are one block
         first, of = groups
-        geometry = key_groups([self._key(t, xs[i], None) for i in first])
-        groups = (first[geometry[0]], geometry[1][of])
-        for k, b in enumerate(self.level_bundles(t, xs, groups, need="mech")):
-            hosts = np.flatnonzero(groups[1] == k)
-            # not kept with the bundle: steps solve with K
+        tr = self.ctx.transformation
+        geometry = key_groups([tr.geometry_key(t, xs[i]) for i in first])
+        first, of = first[geometry[0]], geometry[1][of]
+        maps = self._build(t, xs[first], None)
+        for k, b in enumerate(maps):
+            hosts = np.flatnonzero(of == k)
             lu = Factor(b["mech"][:, ns + self.interior_vector],
                         f"two-scale solver: micro elasticity at t = {t:.6g}, "
-                        f"x = {xs[groups[0][k]].tolist()}", spd=True)
+                        f"x = {xs[first[k]].tolist()}", spd=True)
             # u holds the traces and zero interior values here
             r = ((b["L_J"] @ np.asarray(f_u_b))[:, None]
                  - b["mech"] @ np.hstack([theta[hosts], u[hosts]]).T)
             u[np.ix_(hosts, self.interior_vector)] = lu.solve(r).T
             content[hosts] = theta[hosts] @ b["content"]
-        return theta, u, content
+        return theta, u, content, self.heat_loads(maps, of, theta, u)
 
-    def responses(self, t_new, dt, xs, groups, prev_theta, prev_u):
+    def heat_loads(self, bundles, of, theta, u):
+        """Each host's heat load ``prev @ [theta; u]`` on the interior heat
+        rows, the old level's part of the next step's right-hand side; host
+        h takes the map of ``bundles[of[h]]``, one product per bundle."""
+        load = np.empty((len(of), len(self.interior_scalar)))
+        for k, b in enumerate(bundles):
+            hosts = np.flatnonzero(of == k)
+            load[hosts] = (b["prev"] @ np.hstack([theta[hosts], u[hosts]]).T).T
+        return load
+
+    def responses(self, t_new, dt, xs, groups, load):
         """The step of every host with zero traces, and its heat content as an
         affine function of the traces: ``(w0, c0, c_tr)``, where row h of
         ``w0`` holds the unknowns of ``K`` and host h's content after the
-        step is ``c0[h] + c_tr[h] . (theta_h, u_h)``.  The hosts sharing a
-        pair of old- and new-level keys are solved as one block, a batch of
-        new-level keys at a time; a key's factor is then released unless its
-        geometry is the same at both levels."""
+        step is ``c0[h] + c_tr[h] . (theta_h, u_h)``.  The hosts of each
+        sample key at t_new (``groups``) are solved as one block against
+        their heat ``load`` (:meth:`heat_loads`), a batch of keys at a time;
+        a key's factor is then released unless its geometry is the same at
+        both levels."""
         n, I = len(xs), self.interior_scalar
         w0 = np.empty((n, len(self._unknowns)))
         c0 = np.empty(n)
         _, f_u_b, _, f_th_b = self.sources(t_new)
-        t_old = t_new - dt
-        b_old = self.level_bundles(t_old, xs, groups[0])
-        (_, old_of), (new_first, new_of) = groups
-        _, first, pair_of = np.unique(old_of * len(new_first) + new_of,
-                                      return_index=True, return_inverse=True)
-        keys = [self._key(t_new, x, dt) for x in xs[new_first]]
+        tr = self.ctx.transformation
+        first, of = groups
+        keys = [tr.sample_key(t_new, x) for x in xs[first]]
         size = max(1, BATCH_ELEMENTS // len(self.space.cells))     # as build_batched
-        b_new = []
+        bundles = []
         for start in range(0, len(keys), size):
-            batch = xs[new_first[start:start + size]]
-            b_new += self._bundles(t_new, batch, keys[start:start + size], dt, "factor")
-            for k in np.flatnonzero(new_of[first] // size == start // size):
-                i = first[k]
-                hosts = np.flatnonzero(pair_of == k)
-                bo, bn = b_old[old_of[i]], b_new[new_of[i]]
-                heat = (bo["prev"] @ np.hstack([prev_theta[hosts], prev_u[hosts]]).T / dt
-                        + f_th_b * bn["l_J"][:, None])
-                mech = np.repeat((bn["L_J"] @ np.asarray(f_u_b))[:, None], len(hosts), axis=1)
-                w0[hosts] = bn["factor"].solve(np.vstack([heat, mech])).T
-                c0[hosts] = w0[hosts, :len(I)] @ bn["content"][I]
-            for x, b in zip(batch, b_new[start:]):
-                if self._key(t_old, x, None) != self._key(t_new, x, None):
+            batch = self._bundles(t_new, xs[first[start:start + size]],
+                                  keys[start:start + size], dt, "factor")
+            for k, b in enumerate(batch, start):
+                hosts = np.flatnonzero(of == k)
+                heat = load[hosts].T / dt + f_th_b * b["l_J"][:, None]
+                mech = np.repeat((b["L_J"] @ np.asarray(f_u_b))[:, None], len(hosts), axis=1)
+                w0[hosts] = b["factor"].solve(np.vstack([heat, mech])).T
+                c0[hosts] = w0[hosts, :len(I)] @ b["content"][I]
+                x = xs[first[k]]
+                if tr.geometry_key(t_new - dt, x) != tr.geometry_key(t_new, x):
                     del b["factor"]
-        return w0, c0, np.array([b["c_tr"] for b in b_new])[new_of]
+            bundles += batch
+        return w0, c0, np.array([b["c_tr"] for b in bundles])[of]
 
     def step(self, b_new, w0_h, trace_theta, trace_u):
         """One implicit Euler step of a host's coupled inclusion heat and
@@ -476,18 +458,21 @@ class TwoScaleSolver:
 
     def micro_sweep(self, t_new, dt, groups, theta, u, w0):
         """Every host advanced with its traces of (theta, u), one row each,
-        from its zero-trace step ``w0`` (:meth:`MicroModel.responses`)."""
+        from its zero-trace step ``w0`` (:meth:`MicroModel.responses`): the
+        micro state arrays (theta, u, content, load) at t_new, whose hosts
+        are grouped by sample key there (``groups``)."""
         traces_th, traces_u = self.traces_at_hosts(theta, u)
         model = self.micro_model
-        b_new = model.level_bundles(t_new, self.host_points, groups[1], dt)
-        new_of = groups[1][1]
+        b_new = model.level_bundles(t_new, self.host_points, groups, dt)
+        of = groups[1]
         micro_theta = np.empty((self.n_hosts, model.space.n_scalar))
         micro_u = np.empty((self.n_hosts, model.space.n_vector))
         content = np.empty(self.n_hosts)
         for i in range(self.n_hosts):
             micro_theta[i], micro_u[i], content[i] = model.step(
-                b_new[new_of[i]], w0[i], traces_th[i], traces_u[i])
-        return micro_theta, micro_u, content
+                b_new[of[i]], w0[i], traces_th[i], traces_u[i])
+        return (micro_theta, micro_u, content,
+                model.heat_loads(b_new, of, micro_theta, micro_u))
 
     # -- initialization ---------------------------------------------------------
 
@@ -544,12 +529,12 @@ class TwoScaleSolver:
         advances every host with the exact traces."""
         t_new = state.t + dt
         ops_new, ops_old = self.level(t_new), self.level(state.t)
-        groups = (ops_old["host_groups"], ops_new["host_groups"])
+        groups = ops_new["host_groups"]
         R = self.mech_basis.restriction
         E_red = self.mech_basis.reduce_matrix(ops_new["E"])
 
         w0, c0, c_tr = self.micro_model.responses(t_new, dt, self.host_points, groups,
-                                                  state.micro_theta, state.micro_u)
+                                                  state.micro_load)
         Q = self.content_map
         C_theta, *C_u = (Q @ sp.diags(c) @ self.trace_map for c in c_tr.T)
         C_u = sum(sp.kron(C, np.eye(self.dim)[[c]]) for c, C in enumerate(C_u))

@@ -138,8 +138,8 @@ def test_micro_maps_and_states_match_per_key_oracle(case):
               for m in (model, oracle)]
     for a, b in zip(*states):
         assert_close(a, b)
-    w0, c0, c_tr = model.responses(T, DT, xs, groups, *states[0][:2])
-    w0_ref, c0_ref, c_tr_ref = oracle.responses(T, DT, xs, groups, *states[1][:2])
+    w0, c0, c_tr = model.responses(T, DT, xs, groups[1], states[0][3])
+    w0_ref, c0_ref, c_tr_ref = oracle.responses(T, DT, xs, groups[1], states[1][3])
     assert_close(w0, w0_ref)
     assert_close(c0, c0_ref)
     assert_close(c_tr, c_tr_ref)

@@ -150,10 +150,17 @@ DET_BOUNDS = "det bounds must satisfy 0 < det_lower <= 1 <= det_upper"
     ("macro", "family = identity", "family = radial_growth\namplitude_poly = 0 0.1\n"
      "amplitude_x_slope = 0.5 0.25 0.0",
      "amplitude_x_slope needs 0 or dimension = 2 values, got 3"),
+    ("macro", "family = identity", "family = radial_growth\namplitude_poly = 0.1 0.1",
+     "amplitude_poly needs a constant term of 0, so that the amplitude vanishes at "
+     "t = 0, got [0.1, 0.1]"),
+    ("checks", "family = identity", "family = radial_growth\namplitude_poly =",
+     "amplitude_poly needs a constant term of 0, so that the amplitude vanishes at "
+     "t = 0, got []"),
 ], ids=["eps_zero", "eps_negative", "eps_not_reciprocal", "eps_empty", "resolution_zero",
          "t_final_negative", "malformed_value", "validation_grid_zero",
          "boundary_margin_negative", "det_bounds_inverted", "det_lower_zero",
-         "det_upper_below_one", "x_slope_length"])
+         "det_upper_below_one", "x_slope_length", "amplitude_poly_constant",
+         "amplitude_poly_empty"])
 def test_invalid_setting_exits_one_naming_the_file(tmp_path, capsys, sub, old, new, message):
     cfg = write_cfg(tmp_path, BASE.format(out=tmp_path / "out").replace(old, new))
     assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1
@@ -354,6 +361,26 @@ class TestTransformationTable:
         with pytest.raises(ConfigError, match=rf"^transformation table {table}: could not "
                            r"convert string to float: 'half'$"):
             load_transformation_table(str(table))
+
+    @pytest.mark.parametrize("times, anchors, grid_n, message", [
+        ([0.0, 1.0], [[0.5, 0.5]], 1, "grid_n = 1, needs at least 2 lattice points per axis"),
+        ([], [[0.5, 0.5]], 5, "table has no times"),
+        ([0.0, 1.0], [], 5, "table has no anchors"),
+    ], ids=["grid_n_one", "no_times", "no_anchors"])
+    def test_empty_table_named(self, tmp_path, capsys, times, anchors, grid_n, message):
+        from thermohom.config import save_transformation_table
+        from thermohom.kinematics import PolynomialAmplitude, RadialGrowth
+
+        tr = RadialGrowth(dim=2, inclusion_radius=0.25,
+                          amplitude=PolynomialAmplitude((0.0, 0.2)))
+        table = tmp_path / "motion.tbl"
+        save_transformation_table(str(table), tr, times, np.array(anchors), grid_n)
+        text = BASE.format(out=tmp_path).replace(
+            "family = identity", f"family = tabulated\ntable_path = {table}")
+        cfg = write_cfg(tmp_path, text, name="tab.cfg")
+        assert main(["macro", "--config", cfg, "--out", str(tmp_path / "macro")]) == 1
+        assert capsys.readouterr().err == (
+            f"thermohom macro: ConfigError: transformation table {table}: {message}\n")
 
     def test_decreasing_times_named(self, tmp_path):
         from thermohom.config import load_transformation_table, save_transformation_table

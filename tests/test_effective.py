@@ -230,27 +230,19 @@ class TestProviderCache:
         ctx = CellContext(build_cell_mesh(0.25, 8, dim=2), default_material(2), tr)
         provider = EffectiveProvider(ctx)
         solver = TwoScaleSolver(build_uniform_mesh(2, dim=2), provider, SolverSettings())
-        caches = (provider.cache, provider.geometry)
-        levels, sizes, held = [], [], []
+        cache, levels, sizes = provider.geometry, [], []
 
         def observer(state):
-            levels.append([sorted(c.levels) for c in caches])
-            sizes.append([[len(level) for level in c.levels.values()] for c in caches])
-            held.append([len({id(b) for level in c.levels.values() for b in level.values()})
-                         for c in caches])
+            levels.append(sorted(cache.levels))
+            sizes.append([len(level) for level in cache.levels.values()])
 
         states = solver.run(0.2, 0.01, lambda x: np.cos(np.pi * x[:, 0]), observer=observer)
         assert len(states) == 21
-        # the caches hold the current step pair: t = 0 alone, then the levels
-        # before and after the step
+        # the one cache holds the current step pair: t = 0 alone, then the
+        # levels before and after the step
         times = [round(s.t, 12) for s in states]
-        assert levels == [[times[:1]] * 2] + [[times[n - 1:n + 1]] * 2 for n in range(1, 21)]
-        # each level holds its keys and geometries, one geometry at t = 0, so
-        # the caches stay flat in the step count; a geometry that recurs at
-        # the next level is one bundle
-        per_level = sizes[0][0][0]
-        assert per_level > 1
-        assert sizes[:2] == [[[per_level], [1]], [[per_level] * 2, [1, per_level]]]
-        assert sizes[2:] == [[[per_level] * 2] * 2] * 19
-        assert all(keys == 2 * per_level and geometries <= 2 * per_level
-                   for keys, geometries in held[2:])
+        assert levels == [times[:1]] + [times[n - 1:n + 1] for n in range(1, 21)]
+        # the amplitude 0.1 t (1 + (2 x_0 + x_1) / 4) fixes each geometry;
+        # the 24 quadrature points take 19 values of 2 x_0 + x_1, and all
+        # share the identity at t = 0, so the cache stays flat in the step count
+        assert sizes == [[1], [1, 19]] + [[19, 19]] * 19

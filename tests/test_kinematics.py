@@ -516,9 +516,6 @@ class TestLevelCache:
         cache.get_many(0.1, ["a", "c"], build, valid=lambda v: v != "value 1")
         assert (cache.hits, cache.misses) == (2, 4)
         assert built == [[0, 1], [1], [1]]
-        cache.put(0.1, "d", "filed")
-        assert cache.get(0.1, "d", lambda: "built") == "filed"
-        assert (cache.hits, cache.misses) == (3, 4)
         # a new level drops every level but the most recently opened one
         cache.get(0.2, "a", lambda: "built")
         assert sorted(cache.levels) == [0.1, 0.2]

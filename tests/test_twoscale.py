@@ -296,17 +296,17 @@ class TestMicroParity:
         for i, x in enumerate(solver.host_points):
             ref = oracle.initial_state(0.0, x, traces_th[i], traces_u[i],
                                        theta_field=micro_theta0(x, model.mesh.vertices))
-            new = host_row(state, i)
+            new, load = host_row(state, i), state.micro_load[i:i + 1]
             assert_micro_close(new, ref)
             # two coupled steps, each against the lagged oracle step iterated
             # to its fixed point; the condensed content response must give the
             # content of the step
             for k in (1, 2):
                 th, u = traces_th[i] + 0.2 * k, 0.9 * traces_u[i]
-                w0, c0, c_tr = model.responses(k * dt, dt, x[None], (one, one),
-                                               new[0][None], new[1][None])
+                w0, c0, c_tr = model.responses(k * dt, dt, x[None], one, load)
                 (b_new,) = model.level_bundles(k * dt, x[None], one, dt)
                 new = model.step(b_new, w0[0], th, u)
+                load = model.heat_loads([b_new], one[1], new[0][None], new[1][None])
                 ref = oracle.coupled_step(k * dt, dt, x, th, u, ref)
                 assert_micro_close(new, ref)
                 content = c0[0] + c_tr[0] @ np.concatenate([[th], u])
@@ -327,8 +327,9 @@ class TestMicroParity:
         traces_u = 0.01 * np.sin(np.pi * xs)
         fields = [1.0 + x[0] + model.mesh.vertices[:, 0] * model.mesh.vertices[:, 1]
                   for x in xs]
-        theta, u, content = model.initial_states(t, xs, groups[0], traces_th, traces_u, fields)
-        _, c0, c_tr = model.responses(t + dt, dt, xs, groups, theta, u)
+        theta, u, content, load = model.initial_states(t, xs, groups[0], traces_th, traces_u,
+                                                       fields)
+        _, c0, c_tr = model.responses(t + dt, dt, xs, groups[1], load)
         for i, x in enumerate(xs):
             ref = oracle.initial_state(t, x, traces_th[i], traces_u[i], theta_field=fields[i])
             assert_micro_close((theta[i], u[i], content[i]), ref)
@@ -336,6 +337,47 @@ class TestMicroParity:
             for traces in (np.zeros(3), np.concatenate([[traces_th[i]], traces_u[i]])):
                 after = oracle.coupled_step(t + dt, dt, x, traces[0], traces[1:], ref).heat_content
                 assert abs(c0[i] + c_tr[i] @ traces - after) <= PARITY_RTOL * abs(after)
+
+
+@dataclass(frozen=True)
+class MergingAmplitude:
+    """g(t, x) = 0.2 t + [x_0 > 0.5] 10 t (0.1 - t)^2: two values and rates
+    on either side of x_0 = 0.5 at t = 0.05, one of each everywhere at 0.1."""
+
+    def value(self, t, x):
+        return 0.2 * t + self._right(x) * 10.0 * t * (0.1 - t) ** 2
+
+    def rate(self, t, x):
+        return 0.2 + self._right(x) * 10.0 * (0.1 - t) * (0.1 - 3.0 * t)
+
+    @staticmethod
+    def _right(x):
+        return (np.asarray(x, dtype=float)[..., 0] > 0.5).astype(float)
+
+
+class TestMergedKeys:
+    def test_new_key_over_two_old_keys_matches_per_host_oracle(self):
+        # the one sample key at t = 0.1 holds the hosts of both keys at 0.05:
+        # one block solve over hosts whose heat loads come from two geometries
+        tr = RadialGrowth(dim=2, inclusion_radius=0.25, amplitude=MergingAmplitude())
+        solver = make_solver(transform=tr, macro_n=2, sources=ramp_sources)
+        model, xs = solver.micro_model, solver.host_points
+        oracle = EinsumMicroModel(model.ctx, sources=ramp_sources)
+        t, dt = 0.05, 0.05
+        old, new = (sample_key_groups(tr, s, xs) for s in (t, t + dt))
+        assert len(old[0]) == 2 and len(new[0]) == 1
+        traces_th = 1.0 + np.cos(np.pi * xs[:, 0])
+        traces_u = 0.01 * np.sin(np.pi * xs)
+        fields = [1.0 + x[0] + model.mesh.vertices[:, 0] * model.mesh.vertices[:, 1]
+                  for x in xs]
+        *_, load = model.initial_states(t, xs, old, traces_th, traces_u, fields)
+        w0, _, _ = model.responses(t + dt, dt, xs, new, load)
+        (b_new,) = model.level_bundles(t + dt, xs, new, dt)
+        for i, x in enumerate(xs):
+            ref = oracle.initial_state(t, x, traces_th[i], traces_u[i], theta_field=fields[i])
+            th, u = traces_th[i] + 0.2, 0.9 * traces_u[i]
+            assert_micro_close(model.step(b_new, w0[i], th, u),
+                               oracle.coupled_step(t + dt, dt, x, th, u, ref))
 
 
 class TestStaggeredParity:
@@ -439,7 +481,8 @@ class TestMicroCache:
 
         solver.run(0.2, 0.01, lambda x: np.cos(np.pi * x[:, 0]), observer=observer)
         assert len(sizes) == 21
-        assert sizes == [1] + [2] * 20      # the bundles of the current step pair
+        # the blocks of the last two steps; the state at t = 0 takes none
+        assert sizes == [0, 1] + [2] * 19
 
 
 class CountingTransform:
@@ -533,15 +576,14 @@ class TestSampleKeyCalls:
 
 class TestMicroSolves:
     def test_one_block_solve_per_key_pair_and_none_per_host(self, standard_run):
-        # each step solves K once per (old, new) pair of host keys, for the
-        # block of the pair's hosts; the per-host completion never solves
+        # each step solves K once per new-level sample key, for the block of
+        # the key's hosts, whatever their keys at the old level; the per-host
+        # completion never solves
         solver, tr, states, solves, _ = standard_run
         assert solves[0] == []                      # the initial state
         for k in (1, 2):
-            old, new = (sample_key_groups(tr.inner, states[j].t, solver.host_points)
-                        for j in (k - 1, k))
-            pairs = len(np.unique(old[1] * len(new[0]) + new[1]))
-            assert len(solves[k]) == pairs < solver.n_hosts
+            keys = sample_key_groups(tr.inner, states[k].t, solver.host_points)[0]
+            assert len(solves[k]) == len(keys) < solver.n_hosts
             assert not any(solves[k])
 
 
@@ -580,7 +622,7 @@ def graded_run():
 
 
 class TestGeometryKeys:
-    """The cell problems and the micro maps without dt see (t, x) only
+    """The cell problems and the micro maps at t = 0 see (t, x) only
     through the deformed cell, so they are solved once per geometry key; at
     t = 0 the graded amplitude's 129 sample keys share one geometry."""
 
@@ -604,8 +646,8 @@ class TestGeometryKeys:
 
     def test_micro_maps_built_once_per_level_and_key(self, graded_run):
         # one batch without dt at t = 0; then the bundles with dt of each new
-        # level, one per sample key, and nothing for an old level, whose
-        # lookups without dt find its bundles with dt under their geometry
+        # level, one per sample key, and nothing for an old level: the states
+        # carry their heat loads
         solver, states, _, maps, _ = graded_run
         tr = solver.provider.ctx.transformation
         n_keys = [len(sample_key_groups(tr, s.t, solver.host_points)[0]) for s in states]
@@ -617,22 +659,23 @@ class TestGeometryKeys:
         assert {s.t: sum(n for t, _, n in maps[1:] if t == s.t) for s in states[1:]} == {
             s.t: 129 for s in states[1:]}
         model, provider = solver.micro_model, solver.provider
-        assert model.cache.misses == 1 + 3 * 129
-        # a hit is a distinct key found: the first step's old level (t = 0,
-        # one geometry) once, every later old level's 129 geometries filed
-        # by the step before, and each micro sweep's 129 new-level keys
-        assert model.cache.hits == 1 + 129 + 2 * (129 + 129)
-        assert provider.cache.misses == 4 * 129
+        # the t = 0 maps bypass the cache; each step builds its 129 blocks
+        # (a miss each) and its micro sweep finds them (a hit each)
+        assert (model.cache.misses, model.cache.hits) == (3 * 129, 3 * 129)
+        # a geometry lookup per chunk of at most 8 keys and a hit is a
+        # distinct key found: t = 0 has 17 chunks of one geometry (1 miss, 16
+        # hits); the steps meet 129, 129 and 121 geometries their level
+        # before lacks, and 8 that it has
+        assert provider.geometry.misses == 1 + 129 + 129 + 121
+        assert provider.geometry.hits == 16 + 8
 
     def test_no_cached_bundle_keeps_a_factor(self, graded_run):
         # a moving cell releases each key's factor once its step has solved
         # its hosts; the bundles keep their maps and trace responses
         _, states, _, _, held = graded_run
         assert len(held) == len(states) == 4
-        maps = {"dt", "prev", "content", "l_J", "L_J"}
-        t0, stepping = frozenset(maps | {"mech"}), frozenset(maps | {"W", "c_tr"})
-        assert [entries for entries, _ in held] == [{t0}, {t0, stepping}, {stepping},
-                                                    {stepping}]
+        stepping = frozenset({"dt", "prev", "content", "l_J", "L_J", "W", "c_tr"})
+        assert [entries for entries, _ in held] == [set()] + [{stepping}] * 3
         assert not any(factor for _, factor in held)
 
     def test_t0_keys_match_one_point_evaluations(self):
@@ -643,7 +686,8 @@ class TestGeometryKeys:
         pts = solver.space.qpoints.reshape(-1, 2)
         first, _ = sample_key_groups(tr, 0.0, pts)
         assert len(first) == 129
-        assert provider.geometry.misses == 1 and provider.cache.misses == 129
+        # 17 chunks of at most 8 keys, one geometry: one cell solve
+        assert (provider.geometry.misses, provider.geometry.hits) == (1, 16)
         for x, eff in zip(pts[first], provider.at_points(0.0, pts[first])):
             one = EffectiveProvider(ctx, sources=provider.sources,
                                     latent_in_source=provider.latent_in_source,
@@ -658,7 +702,7 @@ class TestGeometryKeys:
         traces_th, traces_u = solver.traces_at_hosts(state.theta, state.u)
         one = (np.array([0]), np.array([0]))
         for i in sample_key_groups(tr, 0.0, hosts)[0]:
-            theta, u, content = MicroModel(ctx, sources=provider.sources).initial_states(
+            theta, u, content, _ = MicroModel(ctx, sources=provider.sources).initial_states(
                 0.0, hosts[i:i + 1], one, traces_th[i:i + 1], traces_u[i:i + 1])
             assert np.array_equal(state.micro_theta[i], theta[0])
             assert np.array_equal(state.micro_u[i], u[0])
@@ -666,7 +710,7 @@ class TestGeometryKeys:
 
     def test_tabulated_keys_share_no_bundle(self):
         # a two-anchor identity table: the geometry key is the sample key, so
-        # the two anchors' hosts keep one bundle each, even at t = 0
+        # the two anchors' hosts take one map each, even at t = 0
         Y = np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, 3)] * 2, indexing="ij"),
                      axis=-1).reshape(-1, 2)
         tab = TabulatedTransform(2, np.linspace(0.0, 1.0, 3), [[0.75, 0.5], [0.25, 0.5]],
@@ -677,10 +721,11 @@ class TestGeometryKeys:
             assert all(tab.geometry_key(t, x) == tab.sample_key(t, x) for x in xs)
         groups = sample_key_groups(tab, 0.0, xs)
         assert len(groups[0]) == 2
-        model = solver.micro_model
+        model, maps, built = solver.micro_model, MicroModel._maps, []
+        model._maps = lambda t, xs, dt: built.append(len(xs)) or maps(model, t, xs, dt)
         model.initial_states(0.0, xs, groups, np.ones(len(xs)), np.zeros((len(xs), 2)))
-        assert model.cache.misses == 2
-        assert len({id(b) for b in model.cache.levels[0.0].values()}) == 2
+        # one batch of the two geometries' maps, outside the cache
+        assert built == [2] and model.cache.misses == 0
 
 
 class TestMicroFactors:
